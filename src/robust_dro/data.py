@@ -47,6 +47,10 @@ class Dataset:
             raise ValueError(
                 f"covariate rows ({self.covariates.shape[0]}) != labels length ({self.labels.shape[0]})"
             )
+        for name, values in (("covariates", self.covariates), ("labels", self.labels)):
+            if not np.isfinite(values).all():
+                row = int(np.argwhere(~np.isfinite(values))[0, 0])
+                raise ValueError(f"{name} must be finite; row {row} holds NaN or inf")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 

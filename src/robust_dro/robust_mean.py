@@ -7,9 +7,10 @@ until the surviving weight drops below 1 - 2*epsilon.  On an
 epsilon-corrupted version of a stable point set this recovers the stable
 mean up to O(sigma * sqrt(epsilon)), dimension-free.
 
-Everything is deterministic: the power iteration starts from a fixed
-vector and the filter breaks ties by exact float comparisons, so
-identical inputs give identical outputs.
+Everything is deterministic: the top eigenvector comes from LAPACK
+``eigh``, which is reproducible for a fixed BLAS thread count, and the
+filter breaks ties by exact float comparisons, so identical inputs give
+identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 
-POWER_ITER_MAX = 1000
+# residual tolerance the returned eigenpair is checked against
 POWER_ITER_TOL = 1e-8
 
 
@@ -45,12 +46,13 @@ class StabilityReport:
     is_stable: bool
 
 
-def top_eigenvector(s: np.ndarray, *, tol: float = POWER_ITER_TOL, max_iters: int = POWER_ITER_MAX):
-    """Top eigenpair of a symmetric PSD matrix by power iteration.
+def top_eigenvector(s: np.ndarray):
+    """Top eigenpair of a symmetric PSD matrix by a dense LAPACK solve.
 
-    Starts from the normalized all-ones vector (deterministic); stops at
-    relative residual ||S v - lam v|| <= tol * lam or after max_iters.
-    The zero matrix returns (e1, 0.0).
+    Returns (v, lam) with ||v|| = 1 and the pair checked against
+    ||S v - lam v|| <= POWER_ITER_TOL * lam; a miss raises LinAlgError.
+    The sign of v is whatever LAPACK returns (callers only use v through
+    squared projections).  The zero matrix returns (e1, 0.0).
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -58,31 +60,21 @@ def top_eigenvector(s: np.ndarray, *, tol: float = POWER_ITER_TOL, max_iters: in
     k = s.shape[0]
     if k == 0:
         return np.zeros(0), 0.0
+    if not np.isfinite(s).all():
+        raise ValueError("matrix is not finite (contains NaN or inf)")
     if np.max(np.abs(s - s.T)) > 1e-9 * max(1.0, np.max(np.abs(s))):
         raise ValueError("matrix must be symmetric (within 1e-9)")
     if not np.any(s):
         e1 = np.zeros(k)
         e1[0] = 1.0
         return e1, 0.0
-    v = np.ones(k) / math.sqrt(k)
-    lam = 0.0
-    for start in range(k + 1):
-        if start > 0:
-            # all-ones start lay in the nullspace; fall back to a basis vector
-            v = np.zeros(k)
-            v[start - 1] = 1.0
-        for _ in range(max_iters):
-            u = s @ v
-            nu = np.linalg.norm(u)
-            if nu == 0.0:
-                break
-            v = u / nu
-            lam = float(v @ (s @ v))
-            if np.linalg.norm(s @ v - lam * v) <= tol * max(lam, np.finfo(float).tiny):
-                return v, max(lam, 0.0)
-        else:
-            return v, max(lam, 0.0)
-    return v, max(lam, 0.0)
+    eigvals, eigvecs = np.linalg.eigh(s)
+    v = eigvecs[:, -1]
+    lam = max(float(eigvals[-1]), 0.0)
+    residual = float(np.linalg.norm(s @ v - lam * v))
+    if not residual <= POWER_ITER_TOL * max(lam, np.finfo(float).tiny):
+        raise np.linalg.LinAlgError(f"top eigenpair residual {residual:.3g} exceeds {POWER_ITER_TOL:g} * lam = {lam:.3g}")
+    return v, lam
 
 
 def _weighted_moments(points: np.ndarray, q: np.ndarray, total: float):

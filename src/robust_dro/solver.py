@@ -36,8 +36,6 @@ from .losses import LossFamily, NormRegularizer, conjugate_prox_vec, loss_values
 from .robust_mean import (
     inexact_hybrid_gradient_oracle,
     robust_mean_estimation,
-    stability_filter,
-    top_eigenvector,
     trimmed_mean_1d,
 )
 
@@ -69,8 +67,6 @@ class PDHGConfig:
                     mean (clean-data / debugging mode)
     eval_constant   C in the tuning search's objective-noise bound
                     C * lipschitz * (||w0|| + w0_bound) * sigma * sqrt(eps)
-    sigma_from_data estimate the schedule's sigma proxy from the filtered
-                    empirical covariance instead of using ``sigma``
     """
 
     epsilon: float
@@ -84,7 +80,6 @@ class PDHGConfig:
     max_iters_cap: int = 200_000
     exact_oracle: bool = False
     eval_constant: float = 2.0
-    sigma_from_data: bool = False
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0:
@@ -126,16 +121,6 @@ def num_iterations(cfg: PDHGConfig, sigma_proxy: float) -> int:
     return t_hor
 
 
-def _sigma_proxy(data: Dataset, cfg: PDHGConfig) -> float:
-    if not cfg.sigma_from_data:
-        return cfg.sigma
-    kept = stability_filter(data, min(cfg.epsilon, 0.49))
-    x = data.covariates[kept]
-    centered = x - x.mean(axis=0)
-    _, lam = top_eigenvector(centered.T @ centered / x.shape[0])
-    return max(math.sqrt(lam), 1e-12)
-
-
 @dataclass
 class SolveResult:
     w_hat: np.ndarray
@@ -173,9 +158,7 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult
     y = data.labels
     n = data.n
     zeta = loss.lipschitz
-    sigma_proxy = _sigma_proxy(data, cfg)
-    t_hor = num_iterations(cfg, sigma_proxy)
-    a = math.sqrt(n) / sigma_proxy
+    t_hor = num_iterations(cfg, cfg.sigma)
 
     w = np.zeros(data.dim) if w0 is None else np.asarray(w0, dtype=float).copy()
     alpha = np.full(n, 1.0 / n)
@@ -191,8 +174,8 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult
         t_used=t_hor, max_abs_dual=max_dual, max_abs_extrapolated=max_extrap,
     )
     for k in range(1, t_hor + 1):
+        a, c_k, _ = schedule(cfg, cfg.sigma, n, k)
         a_sum += a
-        c_k = 2.0 - k / t_hor
         beta = alpha + (a_prev / a) * (alpha - alpha_prev)
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))
         if max_extrap > 3.0 * zeta * (1.0 + 1e-9):
@@ -249,7 +232,7 @@ def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: 
         raise ConfigurationError("idealized_solve needs cfg.gamma_dist")
     gamma = cfg.gamma_dist / (loss.lipschitz * math.sqrt(data.n))
     injected = [np.asarray(z, dtype=float) for z in injected_z]
-    t_hor = num_iterations(cfg, _sigma_proxy(data, cfg))
+    t_hor = num_iterations(cfg, cfg.sigma)
     if len(injected) != t_hor:
         raise ConfigurationError(f"injected sequence has {len(injected)} entries, schedule needs {t_hor}")
     return _run_loop(data, loss, reg, cfg, gamma, w0, lambda k, beta: injected[k - 1], record)

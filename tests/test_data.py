@@ -65,6 +65,18 @@ def test_dataset_shape_validation():
         Dataset(np.zeros((3, 2)), np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite(bad):
+    x = np.zeros((3, 2))
+    x[1, 0] = bad
+    with pytest.raises(ValueError, match="covariates must be finite; row 1"):
+        Dataset(x, np.zeros(3))
+    y = np.zeros(3)
+    y[2] = bad
+    with pytest.raises(ValueError, match="labels must be finite; row 2"):
+        Dataset(np.zeros((3, 2)), y)
+
+
 def test_prepend_ones_values_and_empty():
     ds = Dataset(np.array([[2.0], [3.0]]), np.array([0.0, 1.0]))
     out = prepend_ones(ds)

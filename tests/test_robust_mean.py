@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from robust_dro.data import Dataset
 from robust_dro.robust_mean import (
+    POWER_ITER_TOL,
     OracleContractError,
     inexact_hybrid_gradient_oracle,
     robust_mean_estimation,
@@ -29,7 +30,7 @@ def cov_of(points: np.ndarray) -> np.ndarray:
     return c.T @ c / points.shape[0]
 
 
-# --- power iteration ----------------------------------------------------
+# --- dense top-eigenvector solve ---------------------------------------
 
 
 def test_top_eigenvector_identity_and_diag():
@@ -61,12 +62,39 @@ def test_top_eigenvector_matches_dense_solver(k):
 
 
 def test_top_eigenvector_survives_nullspace_start():
-    # the all-ones start vector is in the nullspace of this PSD matrix
+    # the all-ones vector is in the nullspace of this PSD matrix
     u = np.array([1.0, -1.0]) / np.sqrt(2)
     s = np.outer(u, u)
     v, lam = top_eigenvector(s)
     assert lam == pytest.approx(1.0, abs=1e-8)
     assert abs(abs(v @ u) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_top_eigenvector_residual_contract(seed):
+    # sample covariances of Gaussian clouds have a small eigengap, which
+    # is where an iterative solver stalls short of the tolerance
+    rng = np.random.default_rng(seed)
+    s = cov_of(rng.standard_normal((10_000, 21)))
+    v, lam = top_eigenvector(s)
+    assert np.linalg.norm(s @ v - lam * v) <= POWER_ITER_TOL * lam
+    assert lam == pytest.approx(opnorm(s), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_top_eigenvector_rejects_non_finite(bad):
+    s = np.eye(3)
+    s[1, 1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        top_eigenvector(s)
+
+
+def test_top_eigenvector_raises_on_residual_miss(monkeypatch):
+    # a solver that hands back a wrong pair must not pass silently
+    s = np.diag([3.0, 1.0])
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([1.0, 3.0]), np.eye(2)))
+    with pytest.raises(np.linalg.LinAlgError, match="residual"):
+        top_eigenvector(s)
 
 
 # --- the filter ---------------------------------------------------------
