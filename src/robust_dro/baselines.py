@@ -26,8 +26,6 @@ from .losses import (
     reg_prox,
 )
 
-BASELINE_KINDS = ("oracle", "erm", "doro", "trimmed_mean")
-
 _DUAL_EXPONENT = {"1": "inf", "2": "2", "inf": "1"}
 
 

@@ -24,7 +24,15 @@ from .data import ContaminationSpec, prepend_ones
 from .harness import ExperimentConfig, all_rows_ok, emit_report, rows_from_csv, rows_from_json, run_experiment
 from .losses import LossFamily, NormRegularizer
 from .robust_mean import robust_mean_estimation, trimmed_mean_estimation
-from .solver import PDHGConfig, pipeline
+from .solver import pipeline, solver_config
+
+# `corrupt --adversary` names -> data.ADVERSARY_KINDS
+ADVERSARIES = {
+    "none": "none",
+    "far-cluster": "far_cluster",
+    "doro": "doro_counterexample",
+    "label-flip": "label_flip",
+}
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -37,23 +45,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w0-bound", type=float, default=10.0)
     p.add_argument("--gamma-dist", type=float, default=None, help="skip tuning and use this distance for gamma")
     p.add_argument("--exact-oracle", action="store_true", help="use the exact mean oracle (clean data)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--input", required=True, help="input CSV")
     p.add_argument("--output", default=None, help="output JSON (default stdout)")
-
-
-def _solver_config(args) -> PDHGConfig:
-    return PDHGConfig(
-        epsilon=args.epsilon if args.epsilon > 0 else 1e-6,
-        sigma=args.sigma,
-        lipschitz=1.0,
-        delta_constant=args.delta_const,
-        w0_bound=args.w0_bound,
-        gamma_dist=args.gamma_dist,
-        reg_exponent=args.reg_s,
-        dro_radius=args.rho,
-        exact_oracle=args.exact_oracle or args.epsilon == 0,
-    )
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
@@ -90,15 +83,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     ds = datamod.from_csv(args.input, sigma=args.sigma)
-    if args.adversary == "none":
-        adv = None
-    elif args.adversary == "far-cluster":
-        direction = tuple(float(v) for v in args.direction.split(",")) if args.direction else None
-        adv = datamod.FarCluster(direction=direction, magnitude=args.magnitude, label=args.label)
-    elif args.adversary == "doro":
-        adv = datamod.DoroCounterexample()
-    else:
-        adv = datamod.LabelFlipPlusLeverage(magnitude=args.magnitude if args.magnitude else 10.0)
+    direction = [float(v) for v in args.direction.split(",")] if args.direction else None
+    adv = datamod.parse_adversary(
+        ADVERSARIES[args.adversary], direction=direction, magnitude=args.magnitude, label=args.label
+    )
     out = datamod.contaminate(ds, ContaminationSpec(args.epsilon, adv), seed=args.seed)
     datamod.to_csv(out, args.output)
     if args.sidecar:
@@ -109,7 +97,10 @@ def _cmd_corrupt(args) -> int:
 def _cmd_solve(args) -> int:
     ds = datamod.from_csv(args.input, sigma=args.sigma)
     loss = LossFamily(args.loss)
-    cfg = _solver_config(args)
+    cfg = solver_config(
+        args.epsilon, loss, sigma=args.sigma, delta_constant=args.delta_const, w0_bound=args.w0_bound,
+        gamma_dist=args.gamma_dist, reg_exponent=args.reg_s, dro_radius=args.rho, exact_oracle=args.exact_oracle,
+    )
     reg = NormRegularizer(args.reg_s, args.rho * loss.lipschitz)
     res = pipeline(ds, loss, reg, cfg)
     _emit_json(
@@ -120,10 +111,7 @@ def _cmd_solve(args) -> int:
             "gamma_used": res.gamma_used,
             "iterations": res.t_used,
             "tuning_runs": res.tuning_runs,
-            "config": {
-                "seed": args.seed,
-                **{k: (v if not isinstance(v, np.ndarray) else list(v)) for k, v in asdict(cfg).items()},
-            },
+            "config": asdict(cfg),
         },
         args.output,
     )
@@ -199,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corrupt", help="apply a contamination adversary to a CSV dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--adversary", default="far-cluster", choices=("none", "far-cluster", "doro", "label-flip"))
+    p.add_argument("--adversary", default="far-cluster", choices=tuple(ADVERSARIES))
     p.add_argument("--magnitude", type=float, default=None)
     p.add_argument("--direction", default=None, help="comma-separated vector")
     p.add_argument("--label", type=float, default=None)
@@ -218,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=0, help="seed of the doro method")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_baseline)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,35 @@ class LabelFlipPlusLeverage:
 
 
 Adversary = FarCluster | DoroCounterexample | LabelFlipPlusLeverage | None
+
+ADVERSARY_KINDS = {
+    "none": None,
+    "far_cluster": FarCluster,
+    "doro_counterexample": DoroCounterexample,
+    "label_flip": LabelFlipPlusLeverage,
+}
+
+
+def parse_adversary(kind: str, **given) -> Adversary:
+    """The adversary of one of ``ADVERSARY_KINDS`` with the given fields.
+
+    Fields given as None fall back to the dataclass defaults; a field the
+    adversary does not have is rejected.  Every front end builds its
+    adversaries here, under its own names for the kinds.
+    """
+    if kind not in ADVERSARY_KINDS:
+        raise ValueError(f"unknown adversary kind {kind!r}")
+    cls = ADVERSARY_KINDS[kind]
+    values = {name: value for name, value in given.items() if value is not None}
+    known = {f.name for f in fields(cls)} if cls else set()
+    unknown = sorted(set(values) - known)
+    if unknown:
+        raise ValueError(f"adversary {kind!r} has no field(s) {', '.join(unknown)}")
+    if cls is None:
+        return None
+    if "direction" in values:
+        values["direction"] = tuple(float(v) for v in values["direction"])
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -248,12 +277,14 @@ def to_csv(data: Dataset, path) -> None:
 def from_csv(path, sigma: float = 1.0) -> Dataset:
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = next(csv.reader([fh.readline()]), [])
         if not header or header[-1] != "y":
             raise ValueError("expected a header ending with column 'y'")
-        rows = [[float(v) for v in r] for r in reader]
-    arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+        arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if arr.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    if arr.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {arr.shape[1]} fields, the header has {len(header)}")
     return Dataset(arr[:, :-1], arr[:, -1], sigma)
 
 

@@ -22,39 +22,19 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_solve
-from .data import (
-    ContaminationSpec,
-    Dataset,
-    DoroCounterexample,
-    FarCluster,
-    LabelFlipPlusLeverage,
-    contaminate,
-    generate_synthetic,
-    prepend_ones,
-)
+from .data import ContaminationSpec, Dataset, contaminate, generate_synthetic, parse_adversary, prepend_ones
 from .losses import LossFamily, NormRegularizer
 from .robust_mean import stability_filter
-from .solver import PDHGConfig, pipeline
+from .solver import pipeline, solver_config
 
 METHODS = ("pdhg", "erm", "doro")
-
-REPORT_COLUMNS = (
-    "method",
-    "adversary",
-    "epsilon",
-    "seed",
-    "excess_clean_objective",
-    "param_error",
-    "wallclock",
-    "oracle_calls",
-    "status",
-)
 
 
 @dataclass(frozen=True)
@@ -63,10 +43,17 @@ class ExperimentConfig:
 
     ``planted`` is either an explicit length-``dim`` coefficient list
     (intercept first) or a spec dict: {"kind": "first_axis" | "random",
-    "norm": float, "intercept": float}.  Adversaries are "none",
-    "far_cluster", "doro_counterexample", "label_flip", or a dict with a
-    "kind" key plus adversary fields; a far-cluster "direction" of
-    "planted" aims the outliers along the planted coefficients.
+    "norm": float, "intercept": float}.  Adversaries are named by the
+    config's own kinds, "none", "far_cluster", "doro_counterexample",
+    "label_flip", either as a string or as a dict with a "kind" key plus
+    adversary fields; fields left out take the adversary's defaults,
+    except that a far cluster's "direction" defaults to "planted", which
+    aims the outliers along the planted coefficients.
+
+    An epsilon of 0 runs the solver on the clean sample through
+    :func:`robust_dro.solver.solver_config`, the same builder as
+    ``robust-dro solve --epsilon 0``: the exact-mean oracle, with a small
+    scheduling epsilon that only sets the iteration budget.
     """
 
     dim: int
@@ -88,9 +75,6 @@ class ExperimentConfig:
     delta_constant: float = 2.0
     w0_bound: float = 10.0
     gamma_dist: float | None = None
-    eval_constant: float = 2.0
-    max_iters_cap: int = 200_000
-    clean_epsilon: float = 1e-6
     erm_iters: int = 2000
     doro_iters: int = 100
     doro_alpha: float = 1.0
@@ -131,6 +115,9 @@ class MetricsRow:
     status: str = "ok"
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+
+
 def _resolve_planted(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     spec = cfg.planted
     if spec is None:
@@ -155,51 +142,20 @@ def _resolve_planted(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     return w
 
 
-def _resolve_adversary(spec, planted: np.ndarray, adversary_name_only: bool = False):
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    kind = spec.get("kind", "none")
-    if adversary_name_only:
-        return kind
-    if kind == "none":
-        return None
+def _resolve_adversary(spec, planted: np.ndarray):
+    """The adversary of a config entry; a far cluster without a direction
+    aims along the planted coefficients (e1 when they are all zero)."""
+    given = {"kind": spec} if isinstance(spec, str) else dict(spec)
+    kind = given.pop("kind", "none")
     if kind == "far_cluster":
-        direction = spec.get("direction", "planted")
+        direction = given.get("direction", "planted")
         if isinstance(direction, str):
             if direction != "planted":
                 raise ValueError(f"unknown direction {direction!r}")
             coeffs = planted[1:]
-            if coeffs.size == 0 or not np.any(coeffs):
-                direction = None
-            else:
-                direction = tuple(coeffs / np.linalg.norm(coeffs))
-        elif direction is not None:
-            direction = tuple(float(v) for v in direction)
-        return FarCluster(direction=direction, magnitude=spec.get("magnitude"), label=spec.get("label"))
-    if kind == "doro_counterexample":
-        return DoroCounterexample()
-    if kind == "label_flip":
-        return LabelFlipPlusLeverage(magnitude=float(spec.get("magnitude", 10.0)))
-    raise ValueError(f"unknown adversary kind {kind!r}")
-
-
-def _solver_config(cfg: ExperimentConfig, epsilon: float, loss: LossFamily) -> PDHGConfig:
-    # epsilon = 0 rows run the exact-mean oracle with a small scheduling
-    # epsilon, since the robust schedule is undefined at zero corruption
-    exact = epsilon == 0.0
-    return PDHGConfig(
-        epsilon=epsilon if epsilon > 0 else cfg.clean_epsilon,
-        sigma=cfg.sigma,
-        lipschitz=loss.lipschitz,
-        delta_constant=cfg.delta_constant,
-        w0_bound=cfg.w0_bound,
-        gamma_dist=cfg.gamma_dist,
-        reg_exponent=cfg.reg_exponent,
-        dro_radius=cfg.dro_radius,
-        max_iters_cap=cfg.max_iters_cap,
-        exact_oracle=exact,
-        eval_constant=cfg.eval_constant,
-    )
+            direction = tuple(coeffs / np.linalg.norm(coeffs)) if np.any(coeffs) else None
+        given["direction"] = direction
+    return parse_adversary(kind, **given)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
@@ -243,7 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
     def run_cell(task) -> MetricsRow:
         seed, eps_index, eps, adv_index, adv_spec, method = task
-        adv_name = _resolve_adversary(adv_spec, planted[seed], adversary_name_only=True)
+        adv_name = adv_spec if isinstance(adv_spec, str) else adv_spec.get("kind", "none")
         eval_ds, w_star, f_star = oracle_cache[(seed, eps)]
         start = time.perf_counter()
         oracle_calls = 0
@@ -255,7 +211,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 contam_seed = seed * 9973 + eps_index * 131 + adv_index * 17 + 1
                 corrupted = contaminate(clean[seed], ContaminationSpec(eps, adversary), seed=contam_seed)
             if method == "pdhg":
-                solver_cfg = _solver_config(cfg, eps, loss)
+                solver_cfg = solver_config(
+                    eps, loss, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound,
+                    gamma_dist=cfg.gamma_dist, reg_exponent=cfg.reg_exponent, dro_radius=cfg.dro_radius,
+                )
                 res = pipeline(corrupted, loss, reg, solver_cfg)
                 w = res.w_hat
                 oracle_calls = res.oracle_calls * (res.tuning_runs or 1)
@@ -318,26 +277,17 @@ def emit_report(rows: list[MetricsRow], fmt: str, path=None, *, include_wallcloc
 
 
 def rows_from_json(text: str) -> list[MetricsRow]:
-    return [MetricsRow(**{k: v for k, v in item.items()}) for item in json.loads(text)]
+    return [MetricsRow(**item) for item in json.loads(text)]
 
 
 def rows_from_csv(text: str) -> list[MetricsRow]:
-    reader = csv.DictReader(io.StringIO(text))
+    """Rows of a CSV report; a report written without the wallclock
+    column reads it as 0.0."""
+    types = get_type_hints(MetricsRow)
     out = []
-    for rec in reader:
-        out.append(
-            MetricsRow(
-                method=rec["method"],
-                adversary=rec["adversary"],
-                epsilon=float(rec["epsilon"]),
-                seed=int(rec["seed"]),
-                excess_clean_objective=float(rec["excess_clean_objective"]),
-                param_error=float(rec["param_error"]),
-                wallclock=float(rec.get("wallclock", 0.0)),
-                oracle_calls=int(rec["oracle_calls"]),
-                status=rec["status"],
-            )
-        )
+    for rec in csv.DictReader(io.StringIO(text)):
+        rec.setdefault("wallclock", "0.0")
+        out.append(MetricsRow(**{name: types[name](rec[name]) for name in REPORT_COLUMNS}))
     return out
 
 

@@ -40,6 +40,12 @@ from .robust_mean import (
 )
 
 
+# Scheduling epsilon of a clean (epsilon = 0) solve: the robust schedule is
+# undefined at zero corruption, so such solves run the exact-mean oracle
+# and this epsilon only sets the iteration budget through delta.
+CLEAN_EPSILON = 1e-6
+
+
 class ConfigurationError(ValueError):
     """Inconsistent or infeasible solver configuration."""
 
@@ -48,9 +54,10 @@ class ConfigurationError(ValueError):
 class PDHGConfig:
     """Solver configuration.
 
-    epsilon         corruption fraction; must be positive (for clean data
-                    use ``exact_oracle`` with a small epsilon, which then
-                    only sets the iteration budget via delta)
+    epsilon         corruption fraction; must be positive (clean data:
+                    :func:`solver_config` maps epsilon = 0 to the exact
+                    oracle with ``CLEAN_EPSILON``, which then only sets
+                    the iteration budget via delta)
     sigma           covariance operator-norm bound (square root)
     lipschitz       loss Lipschitz modulus
     delta_constant  C in delta = C * sigma * lipschitz * sqrt(epsilon);
@@ -96,25 +103,40 @@ class PDHGConfig:
         """Oracle error scale delta = C * sigma * lipschitz * sqrt(eps)."""
         return self.delta_constant * self.sigma * self.lipschitz * math.sqrt(self.epsilon)
 
-    def regularizer(self) -> NormRegularizer:
-        return NormRegularizer(self.reg_exponent, self.dro_radius * self.lipschitz)
+
+def solver_config(epsilon: float, loss: LossFamily, *, exact_oracle: bool = False, **fields) -> PDHGConfig:
+    """The solver configuration for corruption level ``epsilon`` and ``loss``.
+
+    Every front end builds its :class:`PDHGConfig` here.  ``epsilon = 0``
+    selects the exact-mean oracle with the scheduling epsilon
+    ``CLEAN_EPSILON``; ``lipschitz`` is taken from the loss.  ``fields``
+    are the remaining ``PDHGConfig`` fields; those not given keep its
+    defaults.
+    """
+    clean = epsilon == 0.0
+    return PDHGConfig(
+        epsilon=CLEAN_EPSILON if clean else epsilon,
+        lipschitz=loss.lipschitz,
+        exact_oracle=exact_oracle or clean,
+        **fields,
+    )
 
 
-def schedule(cfg: PDHGConfig, sigma_proxy: float, n: int, k: int) -> tuple[float, float, int]:
+def schedule(cfg: PDHGConfig, n: int, k: int) -> tuple[float, float, int]:
     """Step weight a_k, damping c_k and horizon T at iteration k >= 1.
 
-    The step weight is the constant sqrt(N) / sigma_proxy; the damping
+    The step weight is the constant sqrt(N) / sigma; the damping
     decreases linearly from c_0 = 2 to c_T = 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    t_hor = num_iterations(cfg, sigma_proxy)
-    return math.sqrt(n) / sigma_proxy, 2.0 - k / t_hor, t_hor
+    t_hor = num_iterations(cfg)
+    return math.sqrt(n) / cfg.sigma, 2.0 - k / t_hor, t_hor
 
 
-def num_iterations(cfg: PDHGConfig, sigma_proxy: float) -> int:
+def num_iterations(cfg: PDHGConfig) -> int:
     # tiny slop keeps exact-arithmetic cases like 2/(C sqrt(eps)) stable
-    t_hor = int(math.ceil(2.0 * cfg.lipschitz * sigma_proxy / cfg.delta - 1e-9))
+    t_hor = int(math.ceil(2.0 * cfg.lipschitz * cfg.sigma / cfg.delta - 1e-9))
     t_hor = max(t_hor, 1)
     if t_hor > cfg.max_iters_cap:
         raise ConfigurationError(f"schedule needs T={t_hor} iterations, above the cap {cfg.max_iters_cap}")
@@ -137,9 +159,9 @@ class SolveResult:
 
 
 def _robust_loss_mean(per_sample: np.ndarray, cfg: PDHGConfig) -> float:
-    # plain mean in exact-oracle mode (data presumed clean) and when the
-    # sample is too small to trim
-    if cfg.exact_oracle or 2 * math.ceil(2.0 * cfg.epsilon * per_sample.size) >= per_sample.size:
+    # plain mean in exact-oracle mode, where the data is presumed clean;
+    # trimmed_mean_1d raises when the sample is too small to trim
+    if cfg.exact_oracle:
         return float(per_sample.mean())
     return trimmed_mean_1d(per_sample, cfg.epsilon)
 
@@ -153,12 +175,24 @@ def estimate_objective(w: np.ndarray, data: Dataset, loss: LossFamily, reg: Norm
     return _robust_loss_mean(per_sample, cfg) + reg.value(w)
 
 
+def _gamma(cfg: PDHGConfig, loss: LossFamily, n: int) -> float:
+    """gamma = gamma_dist / (lipschitz sqrt(N)) for a solve with a known distance."""
+    if cfg.gamma_dist is None:
+        raise ConfigurationError("the solve needs cfg.gamma_dist; use tune_gamma to search for it")
+    if cfg.gamma_dist <= 0:
+        raise ConfigurationError("gamma_dist must be positive")
+    return cfg.gamma_dist / (loss.lipschitz * math.sqrt(n))
+
+
 def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult:
     x = data.covariates
     y = data.labels
     n = data.n
     zeta = loss.lipschitz
-    t_hor = num_iterations(cfg, cfg.sigma)
+    t_hor = num_iterations(cfg)
+    # schedule(cfg, n, k) without recomputing T: a constant step weight and
+    # a damping that falls linearly from 2 to 1
+    a = math.sqrt(n) / cfg.sigma
 
     w = np.zeros(data.dim) if w0 is None else np.asarray(w0, dtype=float).copy()
     alpha = np.full(n, 1.0 / n)
@@ -174,7 +208,7 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult
         t_used=t_hor, max_abs_dual=max_dual, max_abs_extrapolated=max_extrap,
     )
     for k in range(1, t_hor + 1):
-        a, c_k, _ = schedule(cfg, cfg.sigma, n, k)
+        c_k = 2.0 - k / t_hor
         a_sum += a
         beta = alpha + (a_prev / a) * (alpha - alpha_prev)
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))
@@ -207,11 +241,7 @@ def pdhg_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     Requires ``cfg.gamma_dist``: gamma = gamma_dist / (lipschitz sqrt(N)).
     Use :func:`tune_gamma` when the distance to the optimum is unknown.
     """
-    if cfg.gamma_dist is None:
-        raise ConfigurationError("pdhg_solve needs cfg.gamma_dist; use tune_gamma to search for it")
-    if cfg.gamma_dist <= 0:
-        raise ConfigurationError("gamma_dist must be positive")
-    gamma = cfg.gamma_dist / (loss.lipschitz * math.sqrt(data.n))
+    gamma = _gamma(cfg, loss, data.n)
     x = data.covariates
     if cfg.exact_oracle:
         oracle_fn = lambda k, beta: (beta @ x) / data.n
@@ -228,11 +258,9 @@ def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: 
     rows supplied here; the dual iterates may differ on rows where the
     two datasets disagree.
     """
-    if cfg.gamma_dist is None:
-        raise ConfigurationError("idealized_solve needs cfg.gamma_dist")
-    gamma = cfg.gamma_dist / (loss.lipschitz * math.sqrt(data.n))
+    gamma = _gamma(cfg, loss, data.n)
     injected = [np.asarray(z, dtype=float) for z in injected_z]
-    t_hor = num_iterations(cfg, cfg.sigma)
+    t_hor = num_iterations(cfg)
     if len(injected) != t_hor:
         raise ConfigurationError(f"injected sequence has {len(injected)} entries, schedule needs {t_hor}")
     return _run_loop(data, loss, reg, cfg, gamma, w0, lambda k, beta: injected[k - 1], record)

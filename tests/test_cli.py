@@ -3,9 +3,11 @@
 import json
 
 import numpy as np
+import pytest
 
 from robust_dro.cli import main
-from robust_dro.data import from_csv, read_sidecar
+from robust_dro.data import ContaminationSpec, contaminate, from_csv, read_sidecar
+from robust_dro.harness import _resolve_adversary
 
 
 def test_generate_corrupt_solve_flow(tmp_path):
@@ -37,6 +39,31 @@ def test_generate_corrupt_solve_flow(tmp_path):
     assert len(payload["objective_trace"]) == payload["iterations"]
     assert payload["config"]["epsilon"] == 0.1
     assert payload["tuning_runs"] >= 1
+
+
+@pytest.mark.parametrize(
+    "flags, spec",
+    [
+        (["--adversary", "far-cluster"], "far_cluster"),
+        (["--adversary", "far-cluster", "--direction", "1,-2,0.5", "--magnitude", "7", "--label", "1"],
+         {"kind": "far_cluster", "direction": [1, -2, 0.5], "magnitude": 7, "label": 1}),
+        (["--adversary", "doro"], "doro_counterexample"),
+        (["--adversary", "label-flip"], "label_flip"),
+        (["--adversary", "label-flip", "--magnitude", "0"], {"kind": "label_flip", "magnitude": 0}),
+    ],
+)
+def test_corrupt_matches_the_harness_adversary(tmp_path, flags, spec):
+    clean = tmp_path / "clean.csv"
+    dirty = tmp_path / "dirty.csv"
+    main(["generate", "--dim", "4", "--n", "300", "--task", "classification", "--seed", "7", "--output", str(clean)])
+    assert main(["corrupt", "--input", str(clean), "--epsilon", "0.1", *flags, "--seed", "8", "--output", str(dirty)]) == 0
+    # `generate`'s default planted parameter is 2 * e1, so the harness's
+    # "planted" far-cluster direction is the CLI's default e1
+    adversary = _resolve_adversary(spec, planted=np.array([0.0, 2.0, 0.0, 0.0]))
+    want = contaminate(from_csv(clean), ContaminationSpec(0.1, adversary), seed=8)
+    got = from_csv(dirty)
+    assert got.covariates.tobytes() == want.covariates.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
 
 
 def test_solve_with_gamma_override_skips_tuning(tmp_path):

@@ -14,6 +14,7 @@ from robust_dro.data import (
     from_csv,
     from_npz,
     generate_synthetic,
+    parse_adversary,
     prepend_ones,
     read_sidecar,
     to_csv,
@@ -158,6 +159,19 @@ def test_label_flip_plus_leverage():
     assert np.allclose(out.covariates[idx], 5.0 * ds.covariates[idx])
 
 
+def test_parse_adversary_defaults_and_rejections():
+    assert parse_adversary("none") is None
+    assert parse_adversary("far_cluster", direction=[1, 0], magnitude=None) == FarCluster(direction=(1.0, 0.0))
+    assert parse_adversary("label_flip", magnitude=None) == LabelFlipPlusLeverage()
+    assert parse_adversary("doro_counterexample", magnitude=None) == DoroCounterexample()
+    with pytest.raises(ValueError):
+        parse_adversary("doro_counterexample", magnitude=3.0)
+    with pytest.raises(ValueError):
+        parse_adversary("none", label=1.0)
+    with pytest.raises(ValueError):
+        parse_adversary("far-cluster")
+
+
 def test_contaminate_deterministic_in_seed():
     ds = generate_synthetic(3, 60, np.zeros(3), seed=8)
     a = contaminate(ds, ContaminationSpec(0.1, FarCluster()), seed=9)
@@ -181,6 +195,19 @@ def test_csv_round_trip(tmp_path):
     back = from_csv(path, sigma=ds.sigma)
     assert np.array_equal(back.covariates, ds.covariates)
     assert np.array_equal(back.labels, ds.labels)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x0,x1,y\n1.0,2.0\n3.0,4.0\n", "x0,y\n1.0,2.0,3.0\n", "x0,x1,y\n1.0,2.0,3.0\n4.0,5.0\n", "x0,x1,y\n", ""],
+    ids=["narrow-rows", "wide-rows", "ragged-rows", "header-only", "empty"],
+)
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+def test_from_csv_rejects_rows_that_do_not_fit_the_header(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        from_csv(path)
 
 
 def test_npz_round_trip_with_corruption(tmp_path):

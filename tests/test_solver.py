@@ -2,6 +2,7 @@
 the gamma search, and the corrupted-vs-idealized coupling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from robust_dro.data import (
 )
 from robust_dro.losses import LossFamily, NormRegularizer
 from robust_dro.solver import (
+    CLEAN_EPSILON,
     ConfigurationError,
     PDHGConfig,
     clip_weight,
@@ -26,6 +28,7 @@ from robust_dro.solver import (
     pdhg_solve,
     pipeline,
     schedule,
+    solver_config,
     tune_gamma,
 )
 
@@ -51,23 +54,35 @@ def exact_cfg(gamma_dist, rho=0.1, eps=1e-7, **kw):
 def test_schedule_arithmetic():
     cfg = PDHGConfig(epsilon=0.04, sigma=1.0, delta_constant=2.0)
     assert cfg.delta == pytest.approx(0.4)
-    a, c, t = schedule(cfg, sigma_proxy=1.0, n=100, k=1)
+    a, c, t = schedule(cfg, n=100, k=1)
     assert t == 5
-    a2, c_t, _ = schedule(cfg, sigma_proxy=2.0, n=100, k=t)
+    a2, c_t, _ = schedule(replace(cfg, sigma=2.0), n=100, k=t)
     assert a2 == pytest.approx(5.0)  # sqrt(100) / 2
-    _, c_end, t_end = schedule(cfg, sigma_proxy=1.0, n=100, k=t)
+    _, c_end, t_end = schedule(cfg, n=100, k=t)
     assert c_end == 1.0  # exactly, by the linear rule
-    cs = [schedule(cfg, 1.0, 100, k)[1] for k in range(1, t + 1)]
+    cs = [schedule(cfg, 100, k)[1] for k in range(1, t + 1)]
     assert all(x > y for x, y in zip(cs, cs[1:]))
     assert cs[0] < 2.0
 
 
 def test_schedule_rejects_bad_k_and_cap():
-    cfg = PDHGConfig(epsilon=0.04, sigma=1.0, max_iters_cap=3)
+    cfg = PDHGConfig(epsilon=0.04, sigma=2.0, max_iters_cap=3)
     with pytest.raises(ValueError):
-        schedule(cfg, 1.0, 10, 0)
+        schedule(cfg, 10, 0)
     with pytest.raises(ConfigurationError):
-        num_iterations(cfg, 1.0)
+        num_iterations(cfg)
+
+
+def test_solver_config_maps_clean_epsilon_to_exact_oracle():
+    clean = solver_config(0.0, HINGE, sigma=2.0, dro_radius=0.1)
+    assert clean.exact_oracle and clean.epsilon == CLEAN_EPSILON
+    assert clean.lipschitz == HINGE.lipschitz and clean.sigma == 2.0 and clean.dro_radius == 0.1
+    assert clean.max_iters_cap == PDHGConfig(epsilon=0.1, sigma=1.0).max_iters_cap
+    robust = solver_config(0.1, LossFamily("lad", lipschitz=2.0), sigma=1.0)
+    assert not robust.exact_oracle and robust.epsilon == 0.1 and robust.lipschitz == 2.0
+    assert solver_config(0.1, HINGE, sigma=1.0, exact_oracle=True).exact_oracle
+    with pytest.raises(ConfigurationError):
+        solver_config(-0.1, HINGE, sigma=1.0)
 
 
 def test_config_validation():
@@ -116,6 +131,10 @@ def test_solve_requires_gamma():
     reg = NormRegularizer("2", 0.1)
     with pytest.raises(ConfigurationError):
         pdhg_solve(data, HINGE, reg, PDHGConfig(epsilon=0.1, sigma=1.0))
+    t_hor = num_iterations(exact_cfg(1.0, eps=1e-4))
+    for gamma_dist in (None, 0.0, -1.0):
+        with pytest.raises(ConfigurationError):
+            idealized_solve(data, HINGE, reg, exact_cfg(gamma_dist, eps=1e-4), [np.zeros(data.dim)] * t_hor)
 
 
 def test_robust_mode_matches_exact_on_clean_small_eps():
@@ -171,7 +190,7 @@ def test_effective_primal_step_increases():
     gamma = 1.0
     steps = []
     for k in range(1, 6):
-        a, c, t = schedule(cfg, 1.0, 100, k)
+        a, c, t = schedule(cfg, 100, k)
         steps.append(a * gamma / c)
     assert all(x < y for x, y in zip(steps, steps[1:]))
 
@@ -260,6 +279,14 @@ def test_pipeline_shift_invariance_in_original_coordinates():
     pred_a = res_a.w_hat[0] + raw.covariates @ res_a.w_hat[1:]
     pred_b = res_b.w_hat[0] + shifted.covariates @ res_b.w_hat[1:]
     assert np.max(np.abs(pred_a - pred_b)) <= 0.1
+
+
+def test_pipeline_rejects_a_sample_too_small_to_trim():
+    # 2 * ceil(2 * eps * N) = 8 >= N: the robust path cannot trim the losses
+    raw = generate_synthetic(3, 8, np.array([0.0, 1.0, -0.5]), task="classification", seed=0)
+    cfg = PDHGConfig(epsilon=0.2, sigma=1.0, dro_radius=0.1)
+    with pytest.raises(ValueError):
+        pipeline(raw, HINGE, NormRegularizer("2", 0.1), cfg)
 
 
 def test_pipeline_intercept_only_problem():
