@@ -22,9 +22,9 @@ from . import data as datamod
 from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_solve
 from .data import ContaminationSpec, prepend_ones
 from .harness import ExperimentConfig, all_rows_ok, emit_report, rows_from_csv, rows_from_json, run_experiment
-from .losses import LossFamily, NormRegularizer
+from .losses import LossFamily
 from .robust_mean import robust_mean_estimation, trimmed_mean_estimation
-from .solver import pipeline, solver_config
+from .solver import dro_regularizer, pipeline, solver_config
 
 # `corrupt --adversary` names -> data.ADVERSARY_KINDS
 ADVERSARIES = {
@@ -101,8 +101,7 @@ def _cmd_solve(args) -> int:
         args.epsilon, loss, sigma=args.sigma, delta_constant=args.delta_const, w0_bound=args.w0_bound,
         gamma_dist=args.gamma_dist, reg_exponent=args.reg_s, dro_radius=args.rho, exact_oracle=args.exact_oracle,
     )
-    reg = NormRegularizer(args.reg_s, args.rho * loss.lipschitz)
-    res = pipeline(ds, loss, reg, cfg)
+    res = pipeline(ds, loss, cfg.regularizer(), cfg)
     _emit_json(
         {
             "w_hat": [float(v) for v in res.w_hat],
@@ -121,7 +120,7 @@ def _cmd_solve(args) -> int:
 def _cmd_baseline(args) -> int:
     ds = datamod.from_csv(args.input, sigma=args.sigma)
     loss = LossFamily(args.loss)
-    reg = NormRegularizer(args.reg_s, args.rho * loss.lipschitz)
+    reg = dro_regularizer(args.reg_s, args.rho, loss.lipschitz)
     lifted = prepend_ones(ds)
     payload: dict = {"method": args.method}
     if args.method == "oracle":

@@ -30,9 +30,9 @@ import numpy as np
 
 from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_solve
 from .data import ContaminationSpec, Dataset, contaminate, generate_synthetic, parse_adversary, prepend_ones
-from .losses import LossFamily, NormRegularizer
+from .losses import LossFamily
 from .robust_mean import stability_filter
-from .solver import pipeline, solver_config
+from .solver import dro_regularizer, pipeline, solver_config
 
 METHODS = ("pdhg", "erm", "doro")
 
@@ -43,17 +43,13 @@ class ExperimentConfig:
 
     ``planted`` is either an explicit length-``dim`` coefficient list
     (intercept first) or a spec dict: {"kind": "first_axis" | "random",
-    "norm": float, "intercept": float}.  Adversaries are named by the
-    config's own kinds, "none", "far_cluster", "doro_counterexample",
-    "label_flip", either as a string or as a dict with a "kind" key plus
-    adversary fields; fields left out take the adversary's defaults,
-    except that a far cluster's "direction" defaults to "planted", which
-    aims the outliers along the planted coefficients.
-
-    An epsilon of 0 runs the solver on the clean sample through
-    :func:`robust_dro.solver.solver_config`, the same builder as
-    ``robust-dro solve --epsilon 0``: the exact-mean oracle, with a small
-    scheduling epsilon that only sets the iteration budget.
+    "norm": float, "intercept": float}.  Adversaries are "none",
+    "far_cluster", "doro_counterexample", "label_flip", or a dict with a
+    "kind" key plus adversary fields (left-out fields take the adversary's
+    defaults); a far-cluster "direction" of "planted", the default, aims
+    the outliers along the planted coefficients.  An epsilon of 0 goes
+    through :func:`robust_dro.solver.solver_config`, as ``robust-dro solve
+    --epsilon 0`` does, to the exact-mean oracle.
     """
 
     dim: int
@@ -161,7 +157,7 @@ def _resolve_adversary(spec, planted: np.ndarray):
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     """Execute the full grid and return one row per cell, config order."""
     loss = LossFamily(cfg.loss)
-    reg = NormRegularizer(cfg.reg_exponent, cfg.dro_radius * loss.lipschitz)
+    reg = dro_regularizer(cfg.reg_exponent, cfg.dro_radius, loss.lipschitz)
 
     clean: dict[int, Dataset] = {}
     planted: dict[int, np.ndarray] = {}
@@ -276,19 +272,21 @@ def emit_report(rows: list[MetricsRow], fmt: str, path=None, *, include_wallcloc
     return text
 
 
+def _report_row(values: dict) -> MetricsRow:
+    # a report written with include_wallclock=False reads wallclock as 0.0
+    return MetricsRow(**{"wallclock": 0.0, **values})
+
+
 def rows_from_json(text: str) -> list[MetricsRow]:
-    return [MetricsRow(**item) for item in json.loads(text)]
+    return [_report_row(item) for item in json.loads(text)]
 
 
 def rows_from_csv(text: str) -> list[MetricsRow]:
-    """Rows of a CSV report; a report written without the wallclock
-    column reads it as 0.0."""
     types = get_type_hints(MetricsRow)
-    out = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        rec.setdefault("wallclock", "0.0")
-        out.append(MetricsRow(**{name: types[name](rec[name]) for name in REPORT_COLUMNS}))
-    return out
+    return [
+        _report_row({name: types[name](rec[name]) for name in REPORT_COLUMNS if name in rec})
+        for rec in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def all_rows_ok(rows: list[MetricsRow]) -> bool:

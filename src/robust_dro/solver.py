@@ -40,9 +40,8 @@ from .robust_mean import (
 )
 
 
-# Scheduling epsilon of a clean (epsilon = 0) solve: the robust schedule is
-# undefined at zero corruption, so such solves run the exact-mean oracle
-# and this epsilon only sets the iteration budget through delta.
+# Scheduling epsilon of a clean (epsilon = 0) solve, which runs the exact-mean
+# oracle; it only sets the iteration budget through delta.
 CLEAN_EPSILON = 1e-6
 
 
@@ -103,16 +102,19 @@ class PDHGConfig:
         """Oracle error scale delta = C * sigma * lipschitz * sqrt(eps)."""
         return self.delta_constant * self.sigma * self.lipschitz * math.sqrt(self.epsilon)
 
+    def regularizer(self) -> NormRegularizer:
+        return dro_regularizer(self.reg_exponent, self.dro_radius, self.lipschitz)
+
+
+def dro_regularizer(reg_exponent: str, dro_radius: float, lipschitz: float) -> NormRegularizer:
+    """The s-norm regularizer of DRO radius rho, with weight rho * lipschitz."""
+    return NormRegularizer(reg_exponent, dro_radius * lipschitz)
+
 
 def solver_config(epsilon: float, loss: LossFamily, *, exact_oracle: bool = False, **fields) -> PDHGConfig:
-    """The solver configuration for corruption level ``epsilon`` and ``loss``.
-
-    Every front end builds its :class:`PDHGConfig` here.  ``epsilon = 0``
-    selects the exact-mean oracle with the scheduling epsilon
-    ``CLEAN_EPSILON``; ``lipschitz`` is taken from the loss.  ``fields``
-    are the remaining ``PDHGConfig`` fields; those not given keep its
-    defaults.
-    """
+    """The :class:`PDHGConfig` of every front end: lipschitz from the loss,
+    epsilon = 0 -> the exact-mean oracle at ``CLEAN_EPSILON``, and the other
+    fields as given or defaulted."""
     clean = epsilon == 0.0
     return PDHGConfig(
         epsilon=CLEAN_EPSILON if clean else epsilon,
@@ -131,7 +133,12 @@ def schedule(cfg: PDHGConfig, n: int, k: int) -> tuple[float, float, int]:
     if k < 1:
         raise ValueError("k must be >= 1")
     t_hor = num_iterations(cfg)
-    return math.sqrt(n) / cfg.sigma, 2.0 - k / t_hor, t_hor
+    return (*_steps(cfg, n, k, t_hor), t_hor)
+
+
+def _steps(cfg: PDHGConfig, n: int, k: int, t_hor: int) -> tuple[float, float]:
+    """a_k and c_k of :func:`schedule` for a horizon T computed by the caller."""
+    return math.sqrt(n) / cfg.sigma, 2.0 - k / t_hor
 
 
 def num_iterations(cfg: PDHGConfig) -> int:
@@ -190,9 +197,6 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult
     n = data.n
     zeta = loss.lipschitz
     t_hor = num_iterations(cfg)
-    # schedule(cfg, n, k) without recomputing T: a constant step weight and
-    # a damping that falls linearly from 2 to 1
-    a = math.sqrt(n) / cfg.sigma
 
     w = np.zeros(data.dim) if w0 is None else np.asarray(w0, dtype=float).copy()
     alpha = np.full(n, 1.0 / n)
@@ -208,7 +212,7 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult
         t_used=t_hor, max_abs_dual=max_dual, max_abs_extrapolated=max_extrap,
     )
     for k in range(1, t_hor + 1):
-        c_k = 2.0 - k / t_hor
+        a, c_k = _steps(cfg, n, k, t_hor)
         a_sum += a
         beta = alpha + (a_prev / a) * (alpha - alpha_prev)
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))

@@ -102,11 +102,13 @@ def test_report_csv_schema_and_parse():
     assert back[0].oracle_calls == 42
 
 
-def test_report_csv_without_wallclock_parses():
+def test_report_without_wallclock_parses():
     rows = [MetricsRow("erm", "far_cluster", 0.05, 8, 0.25, 0.5, 1.25, 3, status="error: boom")]
     text = emit_report(rows, "csv", include_wallclock=False)
     assert "wallclock" not in text
-    assert rows_from_csv(text) == [MetricsRow("erm", "far_cluster", 0.05, 8, 0.25, 0.5, 0.0, 3, status="error: boom")]
+    expected = [MetricsRow("erm", "far_cluster", 0.05, 8, 0.25, 0.5, 0.0, 3, status="error: boom")]
+    assert rows_from_csv(text) == expected
+    assert rows_from_json(emit_report(rows, "json", include_wallclock=False)) == expected
 
 
 def test_failed_cells_do_not_kill_the_run():

@@ -78,8 +78,9 @@ def test_solver_config_maps_clean_epsilon_to_exact_oracle():
     assert clean.exact_oracle and clean.epsilon == CLEAN_EPSILON
     assert clean.lipschitz == HINGE.lipschitz and clean.sigma == 2.0 and clean.dro_radius == 0.1
     assert clean.max_iters_cap == PDHGConfig(epsilon=0.1, sigma=1.0).max_iters_cap
-    robust = solver_config(0.1, LossFamily("lad", lipschitz=2.0), sigma=1.0)
+    robust = solver_config(0.1, LossFamily("lad", lipschitz=2.0), sigma=1.0, reg_exponent="1", dro_radius=0.3)
     assert not robust.exact_oracle and robust.epsilon == 0.1 and robust.lipschitz == 2.0
+    assert robust.regularizer() == NormRegularizer("1", 0.6)  # weight rho * lipschitz
     assert solver_config(0.1, HINGE, sigma=1.0, exact_oracle=True).exact_oracle
     with pytest.raises(ConfigurationError):
         solver_config(-0.1, HINGE, sigma=1.0)
