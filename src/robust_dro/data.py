@@ -241,7 +241,7 @@ def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Datase
         if mag is None:
             mag = 10.0 * data.sigma * math.sqrt(data.dim / spec.epsilon)
         x[idx] = mag * u
-        classification = bool(np.all(np.isin(data.labels, (-1.0, 1.0))))
+        classification = bool(np.all(np.abs(data.labels) == 1.0))
         if adv.label is not None:
             y[idx] = adv.label
         elif classification:

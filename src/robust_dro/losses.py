@@ -29,10 +29,10 @@ REG_EXPONENTS = ("1", "2", "inf")
 
 _CLASSIFICATION = frozenset({"hinge", "logistic"})
 
-#: Max bisection steps for the logistic dual prox (interval halving from
-#: width 1 reaches 1e-12 in ~40 steps; 200 is a hard safety cap).
-_BISECT_MAX_ITERS = 200
-_BISECT_TOL = 1e-12
+#: Accuracy in u of the logistic dual prox, and a hard cap on its
+#: safeguarded Newton steps (a few per row when warm-started).
+_NEWTON_MAX_ITERS = 200
+_NEWTON_TOL = 1e-12
 
 
 class InvalidLabelError(ValueError):
@@ -95,7 +95,7 @@ def norm_s(w: np.ndarray, s: str) -> float:
 
 
 def _check_labels(family: LossFamily, y: np.ndarray) -> None:
-    if family.is_classification and not np.all(np.isin(y, (-1.0, 1.0))):
+    if family.is_classification and not np.all(np.abs(y) == 1.0):
         raise InvalidLabelError(f"{family.kind} labels must be -1 or +1")
 
 
@@ -184,7 +184,7 @@ def conjugate_prox_vec(family: LossFamily, y, x_dot_w, alpha_prev, a: float, n: 
         (a/n) * (v * x_dot_w_i - l_{y_i}*(v)) - (gamma/2) * (v - alpha_prev_i)^2.
 
     Closed form (a quadratic maximizer clipped to the conjugate domain)
-    for lad/huber/hinge; monotone bisection for logistic.
+    for lad/huber/hinge; a safeguarded Newton solve for logistic.
     """
     if gamma <= 0 or a <= 0:
         raise ValueError("conjugate_prox requires gamma > 0 and a > 0")
@@ -203,30 +203,62 @@ def conjugate_prox_vec(family: LossFamily, y, x_dot_w, alpha_prev, a: float, n: 
         # substitute u = y v; the y=+1 problem has g(u) = u on [-1, 0]
         u = np.clip(y * p + r * (y * m - 1.0), -1.0, 0.0)
         return y * u
-    return y * _logistic_dual_bisect(y * m, y * p, a, n, gamma)
+    return y * _logistic_dual_newton(y * m, y * p, a, n, gamma)
 
 
-def _logistic_dual_bisect(m: np.ndarray, p: np.ndarray, a: float, n: int, gamma: float) -> np.ndarray:
-    """Root of the logistic dual stationarity condition on (-1, 0).
+def _logistic_dual_newton(m: np.ndarray, p: np.ndarray, a: float, n: int, gamma: float) -> np.ndarray:
+    """Root of the logistic dual stationarity condition on [-1, 0].
 
-    phi'(u) = (a/n)(m - log((1+u)/(-u))) - gamma (u - p) is strictly
-    decreasing, +inf at -1 and -inf at 0, so plain interval halving on
-    [-1, 0] converges unconditionally; endpoints are never evaluated.
+    The condition (a/n)(m - log((1+u)/(-u))) - gamma (u - p) = 0 is
+    solved in the logit coordinate u = -sigmoid(s), where it reads
+
+        g(s) = (m + s) + r (sigmoid(s) + p) = 0,   r = gamma n / a,
+
+    with g' = 1 + r sigmoid(s)(1 - sigmoid(s)) >= 1 and the root inside
+    [-m - r(1+p), -m - rp].  Newton steps start from p (clipped into the
+    domain) and fall back to bisecting that bracket when a step leaves
+    it or fails to halve |g|.  As g' >= 1 and |du/ds| <= 1/4, a row is
+    done once |g| <= 4 tol, or once its bracket spans <= tol in u (for
+    |m| so large that one ulp of s exceeds the first test's reach).
     """
-    lo = np.full_like(m, -1.0)
-    hi = np.zeros_like(m)
-    q = a / n
-    for _ in range(_BISECT_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        deriv = q * (m - np.log1p(mid) + np.log(-mid)) - gamma * (mid - p)
-        positive = deriv > 0
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-        if np.max(hi - lo) <= _BISECT_TOL:
-            break
-    else:
-        raise RuntimeError("logistic dual bisection failed to converge")
-    return 0.5 * (lo + hi)
+    # 1-d rows, so that bisection steps can be assigned in place
+    shape = np.broadcast(m, p).shape
+    m, p = (v.ravel() for v in np.broadcast_arrays(m, p))
+    r = gamma * n / a
+    lo = -m - r * (1.0 + p)
+    hi = -m - r * p
+    sig_lo, _ = _sigmoid(lo)
+    sig_hi, _ = _sigmoid(hi)
+    pc = np.clip(p, -1.0, 0.0)
+    with np.errstate(divide="ignore"):
+        s = np.clip(np.log(-pc) - np.log1p(pc), lo, hi)
+    g_prev = np.full_like(m, np.inf)
+    for _ in range(_NEWTON_MAX_ITERS):
+        sig, slope = _sigmoid(s)
+        g = (m + s) + r * (sig + p)
+        above = g > 0
+        hi = np.where(above, s, hi)
+        sig_hi = np.where(above, sig, sig_hi)
+        lo = np.where(above, lo, s)
+        sig_lo = np.where(above, sig_lo, sig)
+        abs_g = np.abs(g)
+        done = (abs_g <= 4.0 * _NEWTON_TOL) | (sig_hi - sig_lo <= _NEWTON_TOL)
+        if done.all():
+            return -sig.reshape(shape)
+        step = s - g / (1.0 + r * slope)
+        bisect = (step <= lo) | (step >= hi) | (abs_g > 0.5 * g_prev)
+        step[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        abs_g[bisect] = np.inf  # the step after a bisection is not held to halving
+        g_prev = abs_g
+        # a finished row keeps its s, so it reads as finished again
+        s = np.where(done, s, step)
+    raise RuntimeError("logistic dual prox (safeguarded Newton) failed to converge")
+
+
+def _sigmoid(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # sigmoid(s) and its derivative through tanh, which cannot overflow
+    t = np.tanh(0.5 * s)
+    return 0.5 + 0.5 * t, 0.25 * (1.0 - t * t)
 
 
 def conjugate_prox(family: LossFamily, y: float, x_dot_w: float, alpha_prev: float, a: float, n: int, gamma: float) -> float:

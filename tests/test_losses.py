@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robust_dro import losses
 from robust_dro.losses import (
     LOSS_KINDS,
     InvalidLabelError,
@@ -14,6 +15,7 @@ from robust_dro.losses import (
     NormRegularizer,
     conjugate_eval,
     conjugate_prox,
+    conjugate_prox_vec,
     loss_eval,
     loss_subgradients,
     loss_values,
@@ -173,8 +175,6 @@ def test_conjugate_prox_stays_in_domain(kind):
     y = rng.choice(labels_for(kind), size=200)
     m = rng.normal(scale=20.0, size=200)
     p = rng.uniform(-1, 1, size=200)
-    from robust_dro.losses import conjugate_prox_vec
-
     v = conjugate_prox_vec(FAMILIES[kind], y, m, p, 2.0, 50, 0.3)
     assert np.all(np.abs(v) <= 1.0 + 1e-12)
     assert np.all([math.isfinite(conjugate_eval(FAMILIES[kind], float(yy), float(vv) * (1 - 1e-12))) for yy, vv in zip(y, v)])
@@ -185,6 +185,71 @@ def test_conjugate_prox_rejects_bad_steps():
         conjugate_prox(FAMILIES["lad"], 0.0, 0.0, 0.0, 0.0, 1, 1.0)
     with pytest.raises(ValueError):
         conjugate_prox(FAMILIES["lad"], 0.0, 0.0, 0.0, 1.0, 1, 0.0)
+
+
+def reference_logistic_prox(m, p, a, n, gamma):
+    """Interval halving on the logistic stationarity condition in u = y*v,
+    (a/n)(m - log((1+u)/(-u))) - gamma (u - p), which decreases from +inf
+    at -1 to -inf at 0.  The midpoint of the final bracket is within 5e-13
+    of the root."""
+    lo = np.full_like(m, -1.0)
+    hi = np.zeros_like(m)
+    q = a / n
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        positive = q * (m - np.log1p(mid) + np.log(-mid)) - gamma * (mid - p) > 0
+        lo = np.where(positive, mid, lo)
+        hi = np.where(positive, hi, mid)
+        if np.max(hi - lo) <= 1e-12:
+            return 0.5 * (lo + hi)
+    raise AssertionError("reference bisection did not converge")
+
+
+LOGISTIC_N = 1000
+
+
+@pytest.mark.parametrize("p", [-1.0, -1.0 + 1e-15, -0.5, -1e-300, 0.0, 1.0 / LOGISTIC_N, -1.0 / LOGISTIC_N])
+def test_logistic_prox_matches_reference_bisection(p):
+    """|m| up to 1e5 and r = gamma n / a from 1e-3 to 1e3, for both labels:
+    the prox agrees with the reference to 2e-12 and stays in the domain."""
+    mags = np.concatenate([[0.0], np.logspace(-3, 5, 33)])
+    m = np.concatenate([-mags, mags])
+    a = 2.0
+    for r in np.logspace(-3, 3, 13):
+        gamma = r * a / LOGISTIC_N
+        want = reference_logistic_prox(m, np.full_like(m, p), a, LOGISTIC_N, gamma)
+        for y in (-1.0, 1.0):
+            labels = np.full_like(m, y)
+            u = y * conjugate_prox_vec(FAMILIES["logistic"], labels, y * m, labels * p, a, LOGISTIC_N, gamma)
+            assert np.all((u >= -1.0) & (u <= 0.0))
+            assert np.max(np.abs(u - want)) <= 2e-12, (r, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.floats(-1e3, 1e3),
+    p=st.floats(-1.0, 1.0),
+    log_r=st.floats(-3.0, 3.0),
+    y=st.sampled_from([-1.0, 1.0]),
+)
+def test_logistic_prox_is_bracketed_by_the_stationarity_sign(m, p, log_r, y):
+    """The stationarity derivative is >= 0 just left of the returned u and
+    <= 0 just right of it (it is +inf at -1 and -inf at 0)."""
+    n, a = 100, 1.0
+    r = 10.0**log_r
+    u = y * conjugate_prox(FAMILIES["logistic"], y, y * m, y * p, a, n, r * a / n)
+
+    def deriv(t):  # (n/a) times d/du of the prox objective
+        with np.errstate(divide="ignore"):
+            return m - np.log1p(t) + np.log(-t) - r * (t - p)
+
+    assert deriv(max(u - 2e-12, -1.0)) >= 0.0 >= deriv(min(u + 2e-12, 0.0))
+
+
+def test_stalled_logistic_prox_raises(monkeypatch):
+    monkeypatch.setattr(losses, "_NEWTON_MAX_ITERS", 1)
+    with pytest.raises(RuntimeError):
+        conjugate_prox_vec(FAMILIES["logistic"], np.ones(3), np.array([0.5, -2.0, 3.0]), np.full(3, -0.5), 1.0, 10, 0.3)
 
 
 # --- regularizer prox ---------------------------------------------------

@@ -34,6 +34,7 @@ from robust_dro.solver import (
 
 HINGE = LossFamily("hinge")
 LAD = LossFamily("lad")
+LOGISTIC = LossFamily("logistic")
 
 
 def small_problem(seed=3, task="classification", flip=0.1, n=200, d=5):
@@ -288,6 +289,24 @@ def test_pipeline_rejects_a_sample_too_small_to_trim():
     cfg = PDHGConfig(epsilon=0.2, sigma=1.0, dro_radius=0.1)
     with pytest.raises(ValueError):
         pipeline(raw, HINGE, NormRegularizer("2", 0.1), cfg)
+
+
+def test_pipeline_solves_clean_logistic_within_the_promised_excess():
+    """Exact-oracle pipeline on clean logistic data: the excess over the
+    reference optimum is at most 3 ||w*|| delta, and a second call gives
+    the same w_hat bit for bit."""
+    planted = np.zeros(5)
+    planted[1] = 2.0
+    raw = generate_synthetic(5, 2000, planted, task="classification", flip_prob=0.05, seed=31)
+    reg = NormRegularizer("2", 0.1)
+    cfg = PDHGConfig(epsilon=1e-4, sigma=1.0, exact_oracle=True, dro_radius=0.1)
+    res = pipeline(raw, LOGISTIC, reg, cfg)
+    lifted = prepend_ones(raw)
+    orc = oracle_solve(lifted, LOGISTIC, reg, tol=1e-8)
+    assert orc.converged
+    excess = dro_objective_eval(res.w_hat, lifted, LOGISTIC, reg) - orc.objective
+    assert excess <= 3.0 * float(np.linalg.norm(orc.w)) * cfg.delta
+    assert pipeline(raw, LOGISTIC, reg, cfg).w_hat.tobytes() == res.w_hat.tobytes()
 
 
 def test_pipeline_intercept_only_problem():
