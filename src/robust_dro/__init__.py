@@ -35,10 +35,8 @@ from .losses import (
 )
 from .robust_mean import (
     FilterState,
-    StabilityReport,
     inexact_hybrid_gradient_oracle,
     robust_mean_estimation,
-    stability_check,
     stability_filter,
     top_eigenvector,
     trimmed_mean_1d,
@@ -46,7 +44,6 @@ from .robust_mean import (
 from .solver import (
     PDHGConfig,
     SolveResult,
-    clip_weight,
     idealized_solve,
     pdhg_solve,
     pipeline,
@@ -68,9 +65,7 @@ __all__ = [
     "OracleResult",
     "PDHGConfig",
     "SolveResult",
-    "StabilityReport",
     "center_with_estimate",
-    "clip_weight",
     "conjugate_eval",
     "conjugate_prox",
     "contaminate",
@@ -91,7 +86,6 @@ __all__ = [
     "robust_mean_estimation",
     "run_experiment",
     "schedule",
-    "stability_check",
     "stability_filter",
     "top_eigenvector",
     "trimmed_mean_1d",

@@ -53,7 +53,6 @@ def oracle_solve(
     stage_iters: int = 400,
     max_stages: int = 48,
     step_growth: float = 4.0,
-    w0=None,
 ) -> OracleResult:
     """High-accuracy minimizer of mean loss + psi by proximal subgradient.
 
@@ -69,7 +68,7 @@ def oracle_solve(
     """
     x = data.covariates
     y = data.labels
-    w = np.zeros(data.dim) if w0 is None else np.asarray(w0, dtype=float).copy()
+    w = np.zeros(data.dim)
     g0 = _loss_part_subgradient(w, x, y, loss) + reg.weight * norm_subgradient(w, reg.s)
     base_step = step_growth / max(float(np.linalg.norm(g0)), 1e-12)
     w_best = w.copy()
@@ -94,13 +93,13 @@ def oracle_solve(
     return OracleResult(w_best, f_best, converged)
 
 
-def erm_subgradient(data: Dataset, loss: LossFamily, reg: NormRegularizer, iters: int, *, w0=None) -> np.ndarray:
+def erm_subgradient(data: Dataset, loss: LossFamily, reg: NormRegularizer, iters: int) -> np.ndarray:
     """Plain averaged subgradient descent on the (corrupted) empirical
     objective, no filtering; steps c / sqrt(k) with c auto-scaled from
     the initial subgradient norm."""
     x = data.covariates
     y = data.labels
-    w = np.zeros(data.dim) if w0 is None else np.asarray(w0, dtype=float).copy()
+    w = np.zeros(data.dim)
     if iters == 0:
         return w
     g0 = _loss_part_subgradient(w, x, y, loss) + reg.weight * norm_subgradient(w, reg.s)
@@ -119,11 +118,8 @@ def doro_cvar(
     epsilon: float,
     alpha: float = 1.0,
     iters: int = 100,
-    seed: int = 0,
     *,
     reg: NormRegularizer | None = None,
-    w0=None,
-    batch_size: int | None = None,
     record: bool = False,
 ):
     """Trimmed-loss iteration: drop the floor(eps N) highest-loss rows,
@@ -133,8 +129,8 @@ def doro_cvar(
     ``loss`` is a :class:`LossFamily` for GLM losses, or the string
     ``"quadratic"`` for the mean-estimation loss ||w - x||^2 on the
     covariate rows (labels ignored); the quadratic alpha=1 step jumps
-    straight to the mean of the kept rows.  Full-batch and deterministic
-    by default; ``batch_size`` subsamples per iteration from ``seed``.
+    straight to the mean of the kept rows.  Full-batch and deterministic;
+    starts from zero (GLM losses) or the sample mean (quadratic).
     Note this is a heuristic: re-trimming against the current iterate can
     lock onto outliers that sit close to a biased iterate.
     """
@@ -142,33 +138,22 @@ def doro_cvar(
         raise ValueError("alpha must lie in (0, 1]")
     if not (0.0 <= epsilon < 0.5):
         raise ValueError("epsilon must lie in [0, 0.5)")
-    rng = np.random.default_rng(seed)
     quadratic = isinstance(loss, str)
     if quadratic and loss != "quadratic":
         raise ValueError(f"unknown loss {loss!r}")
     x = data.covariates
     y = data.labels
-    if w0 is not None:
-        w = np.asarray(w0, dtype=float).copy()
-    elif quadratic:
-        w = x.mean(axis=0)
-    else:
-        w = np.zeros(data.dim)
+    n = data.n
+    n_drop = int(math.floor(epsilon * n))
+    w = x.mean(axis=0) if quadratic else np.zeros(data.dim)
     trace = [w.copy()]
     step_c: float | None = None
     for k in range(1, iters + 1):
-        if batch_size is None:
-            bx, by = x, y
-        else:
-            pick = rng.choice(data.n, size=batch_size, replace=False)
-            bx, by = x[pick], y[pick]
-        n_batch = bx.shape[0]
         if quadratic:
-            losses = np.sum((w - bx) ** 2, axis=1)
+            losses = np.sum((w - x) ** 2, axis=1)
         else:
-            losses = loss_values(loss, by, bx @ w)
-        n_drop = int(math.floor(epsilon * n_batch))
-        keep = np.argsort(losses)[: n_batch - n_drop] if n_drop else np.arange(n_batch)
+            losses = loss_values(loss, y, x @ w)
+        keep = np.argsort(losses)[: n - n_drop] if n_drop else np.arange(n)
         kept_losses = losses[keep]
         n_kept = keep.size
         if alpha == 1.0:
@@ -182,12 +167,12 @@ def doro_cvar(
             active = keep[kept_losses > eta]
             scale = 1.0 / (alpha * n_kept)
         if quadratic and alpha == 1.0:
-            w = bx[keep].mean(axis=0)
+            w = x[keep].mean(axis=0)
         else:
             if quadratic:
-                g = scale * 2.0 * np.sum(w - bx[active], axis=0)
+                g = scale * 2.0 * np.sum(w - x[active], axis=0)
             else:
-                g = scale * (loss_subgradients(loss, by[active], bx[active] @ w) @ bx[active])
+                g = scale * (loss_subgradients(loss, y[active], x[active] @ w) @ x[active])
             if reg is not None:
                 g = g + reg.weight * norm_subgradient(w, reg.s)
             if step_c is None:

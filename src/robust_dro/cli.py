@@ -3,9 +3,9 @@ baselines, robust mean estimation, benchmark sweeps, and report
 conversion.
 
 Datasets travel as CSV (``x0,...,x{d-1},y``); solver outputs are JSON
-with the learned parameter, the per-iteration objective trace, the
-oracle call count and a config echo.  ``bench`` exits nonzero if any
-grid cell failed.
+with the learned parameter, the oracle call count, the iteration count,
+the number of tuning runs and a config echo.  ``bench`` exits nonzero
+if any grid cell failed.
 """
 
 from __future__ import annotations
@@ -35,16 +35,12 @@ ADVERSARIES = {
 }
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+    """The flags `solve` and `baseline` share: the objective, epsilon and files."""
     p.add_argument("--loss", default="hinge", choices=("lad", "huber", "hinge", "logistic"))
     p.add_argument("--reg-s", default="2", choices=("1", "2", "inf"), help="regularizer norm exponent")
     p.add_argument("--rho", type=float, default=0.1, help="DRO radius")
     p.add_argument("--epsilon", type=float, required=True, help="corruption fraction")
-    p.add_argument("--sigma", type=float, default=1.0, help="covariance operator norm bound (sqrt)")
-    p.add_argument("--delta-const", type=float, default=2.0)
-    p.add_argument("--w0-bound", type=float, default=10.0)
-    p.add_argument("--gamma-dist", type=float, default=None, help="skip tuning and use this distance for gamma")
-    p.add_argument("--exact-oracle", action="store_true", help="use the exact mean oracle (clean data)")
     p.add_argument("--input", required=True, help="input CSV")
     p.add_argument("--output", default=None, help="output JSON (default stdout)")
 
@@ -105,7 +101,6 @@ def _cmd_solve(args) -> int:
     _emit_json(
         {
             "w_hat": [float(v) for v in res.w_hat],
-            "objective_trace": res.objective_trace,
             "oracle_calls": res.oracle_calls,
             "gamma_used": res.gamma_used,
             "iterations": res.t_used,
@@ -118,7 +113,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    ds = datamod.from_csv(args.input, sigma=args.sigma)
+    ds = datamod.from_csv(args.input)
     loss = LossFamily(args.loss)
     reg = dro_regularizer(args.reg_s, args.rho, loss.lipschitz)
     lifted = prepend_ones(ds)
@@ -130,7 +125,7 @@ def _cmd_baseline(args) -> int:
         w = erm_subgradient(lifted, loss, reg, args.iters)
         payload.update(w_hat=[float(v) for v in w], objective=dro_objective_eval(w, lifted, loss, reg))
     elif args.method == "doro":
-        w = doro_cvar(lifted, loss, args.epsilon, alpha=args.alpha, iters=args.iters, seed=args.seed, reg=reg)
+        w = doro_cvar(lifted, loss, args.epsilon, alpha=args.alpha, iters=args.iters, reg=reg)
         payload.update(w_hat=[float(v) for v in w], objective=dro_objective_eval(w, lifted, loss, reg))
     else:
         est = trimmed_mean_estimation(ds.covariates, args.epsilon)
@@ -197,7 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("solve", help="outlier-robust DRO solve of a raw CSV dataset")
-    _add_solver_flags(p)
+    _add_problem_flags(p)
+    p.add_argument("--sigma", type=float, default=1.0, help="covariance operator norm bound (sqrt)")
+    p.add_argument("--delta-const", type=float, default=2.0)
+    p.add_argument("--w0-bound", type=float, default=10.0)
+    p.add_argument("--gamma-dist", type=float, default=None, help="skip tuning and use this distance for gamma")
+    p.add_argument("--exact-oracle", action="store_true", help="use the exact mean oracle (clean data)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("baseline", help="run a baseline method")
@@ -205,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0, help="seed of the doro method")
-    _add_solver_flags(p)
+    _add_problem_flags(p)
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("robust-mean", help="robust mean of CSV points")

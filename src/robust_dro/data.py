@@ -74,11 +74,12 @@ class Dataset:
 class FarCluster:
     """All replaced covariates moved to magnitude * direction.
 
-    The default magnitude 10 * sigma * sqrt(d / epsilon) is far enough to
-    wreck a naive mean while staying inside what the stability filter
-    radius 2 * sigma * sqrt(d / epsilon) flags.  ``label`` overrides the
-    planted outlier label (-1 for classification data, -magnitude
-    otherwise).
+    ``direction`` (normalized; default e1) must have one entry per
+    covariate.  The default magnitude 10 * sigma * sqrt(d / epsilon) is
+    far enough to wreck a naive mean and five times the radius
+    2 * sigma * sqrt(d / epsilon) of ``robust_mean.stability_filter``.
+    ``label`` overrides the planted outlier label (-1 for
+    classification data, -magnitude otherwise).
     """
 
     direction: tuple[float, ...] | None = None
@@ -233,6 +234,8 @@ def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Datase
                 u[0] = 1.0
         else:
             u = np.asarray(adv.direction, dtype=float)
+            if u.shape != (data.dim,):
+                raise ValueError(f"FarCluster direction has length {u.size}, the covariates have {data.dim}")
             nu = np.linalg.norm(u)
             if nu == 0:
                 raise ValueError("FarCluster direction must be nonzero")
@@ -286,19 +289,6 @@ def from_csv(path, sigma: float = 1.0) -> Dataset:
     if arr.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {arr.shape[1]} fields, the header has {len(header)}")
     return Dataset(arr[:, :-1], arr[:, -1], sigma)
-
-
-def to_npz(data: Dataset, path, *, include_corrupted: bool = False) -> None:
-    payload = {"covariates": data.covariates, "labels": data.labels, "sigma": np.asarray(data.sigma)}
-    if include_corrupted:
-        payload["corrupted"] = np.asarray(sorted(data.corrupted_indices), dtype=int)
-    np.savez_compressed(Path(path), **payload)
-
-
-def from_npz(path) -> Dataset:
-    with np.load(Path(path)) as z:
-        corrupted = frozenset(int(i) for i in z["corrupted"]) if "corrupted" in z else frozenset()
-        return Dataset(z["covariates"], z["labels"], float(z["sigma"]), corrupted)
 
 
 def write_sidecar(data: Dataset, path) -> None:

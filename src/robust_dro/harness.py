@@ -70,10 +70,8 @@ class ExperimentConfig:
     student_dof: float | None = None
     delta_constant: float = 2.0
     w0_bound: float = 10.0
-    gamma_dist: float | None = None
     erm_iters: int = 2000
     doro_iters: int = 100
-    doro_alpha: float = 1.0
     oracle_tol: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -209,7 +207,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             if method == "pdhg":
                 solver_cfg = solver_config(
                     eps, loss, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound,
-                    gamma_dist=cfg.gamma_dist, reg_exponent=cfg.reg_exponent, dro_radius=cfg.dro_radius,
+                    reg_exponent=cfg.reg_exponent, dro_radius=cfg.dro_radius,
                 )
                 res = pipeline(corrupted, loss, reg, solver_cfg)
                 w = res.w_hat
@@ -217,10 +215,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             elif method == "erm":
                 w = erm_subgradient(prepend_ones(corrupted), loss, reg, cfg.erm_iters)
             else:
-                w = doro_cvar(
-                    prepend_ones(corrupted), loss, eps, alpha=cfg.doro_alpha,
-                    iters=cfg.doro_iters, seed=seed, reg=reg,
-                )
+                w = doro_cvar(prepend_ones(corrupted), loss, eps, iters=cfg.doro_iters, reg=reg)
             excess = dro_objective_eval(w, eval_ds, loss, reg) - f_star
             param_error = float(np.linalg.norm(w - w_star))
             status = "ok"

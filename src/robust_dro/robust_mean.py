@@ -39,13 +39,6 @@ class FilterState:
     removed_mass_history: list[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    mean_deviation: float
-    cov_opnorm: float
-    is_stable: bool
-
-
 def top_eigenvector(s: np.ndarray):
     """Top eigenpair of a symmetric PSD matrix by a dense LAPACK solve.
 
@@ -137,19 +130,6 @@ def robust_mean_estimation(points, epsilon: float) -> np.ndarray:
     """Robust mean of an epsilon-corrupted point set (0 < epsilon < 1/2)."""
     mu, _ = robust_mean_with_state(points, epsilon)
     return mu
-
-
-def stability_check(points, mu, sigma2: float, epsilon: float, *, c_stab: float = 4.0) -> StabilityReport:
-    """Bounded-covariance stability surrogate: the point set is stable
-    when its mean sits within epsilon of mu and its covariance operator
-    norm is at most c_stab * sigma2."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    mu = np.asarray(mu, dtype=float)
-    mean_dev = float(np.linalg.norm(points.mean(axis=0) - mu))
-    centered = points - points.mean(axis=0)
-    cov = centered.T @ centered / points.shape[0]
-    _, opnorm = top_eigenvector(cov)
-    return StabilityReport(mean_dev, opnorm, mean_dev <= epsilon and opnorm <= c_stab * sigma2)
 
 
 def stability_filter(data: Dataset, epsilon: float) -> np.ndarray:

@@ -44,6 +44,10 @@ from .robust_mean import (
 # oracle; it only sets the iteration budget through delta.
 CLEAN_EPSILON = 1e-6
 
+# C in the tuning search's objective-noise bound
+# C * lipschitz * w0_bound * sigma * sqrt(eps)
+EVAL_CONSTANT = 2.0
+
 
 class ConfigurationError(ValueError):
     """Inconsistent or infeasible solver configuration."""
@@ -71,8 +75,6 @@ class PDHGConfig:
     max_iters_cap   safety cap on T
     exact_oracle    replace the robust mean oracle by the exact weighted
                     mean (clean-data / debugging mode)
-    eval_constant   C in the tuning search's objective-noise bound
-                    C * lipschitz * (||w0|| + w0_bound) * sigma * sqrt(eps)
     """
 
     epsilon: float
@@ -85,7 +87,6 @@ class PDHGConfig:
     dro_radius: float = 0.0
     max_iters_cap: int = 200_000
     exact_oracle: bool = False
-    eval_constant: float = 2.0
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0:
@@ -153,7 +154,6 @@ def num_iterations(cfg: PDHGConfig) -> int:
 @dataclass
 class SolveResult:
     w_hat: np.ndarray
-    objective_trace: list[float]
     oracle_calls: int
     gamma_used: float
     t_used: int
@@ -165,21 +165,14 @@ class SolveResult:
     z_iterates: list[np.ndarray] = field(default_factory=list)
 
 
-def _robust_loss_mean(per_sample: np.ndarray, cfg: PDHGConfig) -> float:
-    # plain mean in exact-oracle mode, where the data is presumed clean;
-    # trimmed_mean_1d raises when the sample is too small to trim
-    if cfg.exact_oracle:
-        return float(per_sample.mean())
-    return trimmed_mean_1d(per_sample, cfg.epsilon)
-
-
 def estimate_objective(w: np.ndarray, data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> float:
     """Regularized objective of w with the sample mean replaced by a
     trimmed mean, so corrupted rows cannot inflate the estimate.  In
     exact-oracle mode the data is presumed clean and the plain mean is
-    used."""
+    used; trimmed_mean_1d raises when the sample is too small to trim."""
     per_sample = loss_values(loss, data.labels, data.covariates @ w)
-    return _robust_loss_mean(per_sample, cfg) + reg.value(w)
+    mean = float(per_sample.mean()) if cfg.exact_oracle else trimmed_mean_1d(per_sample, cfg.epsilon)
+    return mean + reg.value(w)
 
 
 def _gamma(cfg: PDHGConfig, loss: LossFamily, n: int) -> float:
@@ -204,11 +197,10 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult
     a_prev = 0.0
     a_sum = 0.0
     w_accum = np.zeros(data.dim)
-    trace: list[float] = []
     max_dual = float(np.max(np.abs(alpha), initial=0.0))
     max_extrap = 0.0
     result = SolveResult(
-        w_hat=w, objective_trace=trace, oracle_calls=0, gamma_used=gamma,
+        w_hat=w, oracle_calls=0, gamma_used=gamma,
         t_used=t_hor, max_abs_dual=max_dual, max_abs_extrapolated=max_extrap,
     )
     for k in range(1, t_hor + 1):
@@ -222,13 +214,10 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult
         result.oracle_calls += 1
         tau = a * gamma / c_k
         w = reg_prox(reg, w - tau * z, tau)
-        margins = x @ w
         alpha_prev = alpha
-        alpha = conjugate_prox_vec(loss, y, margins, alpha, a, n, gamma)
+        alpha = conjugate_prox_vec(loss, y, x @ w, alpha, a, n, gamma)
         max_dual = max(max_dual, float(np.max(np.abs(alpha), initial=0.0)))
         w_accum += a * w
-        # diagnostics only; never feeds back into the iterates
-        trace.append(_robust_loss_mean(loss_values(loss, y, margins), cfg) + reg.value(w))
         if record:
             result.w_iterates.append(w.copy())
             result.z_iterates.append(np.asarray(z, dtype=float).copy())
@@ -254,7 +243,7 @@ def pdhg_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     return _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record)
 
 
-def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, injected_z, *, w0=None, record: bool = False) -> SolveResult:
+def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, injected_z, *, record: bool = False) -> SolveResult:
     """The same loop with the oracle output replaced by a given sequence.
 
     Feeding it the recorded z sequence of a :func:`pdhg_solve` run makes
@@ -267,10 +256,10 @@ def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: 
     t_hor = num_iterations(cfg)
     if len(injected) != t_hor:
         raise ConfigurationError(f"injected sequence has {len(injected)} entries, schedule needs {t_hor}")
-    return _run_loop(data, loss, reg, cfg, gamma, w0, lambda k, beta: injected[k - 1], record)
+    return _run_loop(data, loss, reg, cfg, gamma, None, lambda k, beta: injected[k - 1], record)
 
 
-def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *, w0=None) -> SolveResult:
+def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> SolveResult:
     """Geometric search over the unknown distance-to-optimum.
 
     Candidates D_j = (delta / lipschitz) * 2^j for j = 0 .. ceil(log2(
@@ -285,8 +274,7 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     if cfg.w0_bound <= d_min:
         raise ConfigurationError(f"w0_bound must exceed delta / lipschitz = {d_min}")
     j_max = int(math.ceil(math.log2(cfg.w0_bound / d_min) - 1e-9))
-    w0_norm = 0.0 if w0 is None else float(np.linalg.norm(w0))
-    noise_bound = cfg.eval_constant * zeta * (w0_norm + cfg.w0_bound) * cfg.sigma * math.sqrt(cfg.epsilon)
+    noise_bound = EVAL_CONSTANT * zeta * cfg.w0_bound * cfg.sigma * math.sqrt(cfg.epsilon)
     best: SolveResult | None = None
     best_est = math.inf
     runs = 0
@@ -294,7 +282,7 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     max_extrap = 0.0
     for j in range(j_max + 1):
         candidate = replace(cfg, gamma_dist=d_min * (2.0 ** j))
-        res = pdhg_solve(data, loss, reg, candidate, w0=w0)
+        res = pdhg_solve(data, loss, reg, candidate)
         est = estimate_objective(res.w_hat, data, loss, reg, cfg)
         runs += 1
         max_dual = max(max_dual, res.max_abs_dual)
@@ -312,7 +300,7 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     return best
 
 
-def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *, w0=None) -> SolveResult:
+def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> SolveResult:
     """End-to-end solve for raw covariates with arbitrary unknown mean.
 
     Robustly estimates the covariate mean, centers, prepends the
@@ -330,28 +318,11 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
         mu_hat = robust_mean_estimation(x, 2.0 * cfg.epsilon)
     lifted = prepend_ones(center_with_estimate(raw, mu_hat))
     if cfg.gamma_dist is not None:
-        res = pdhg_solve(lifted, loss, reg, cfg, w0=w0)
+        res = pdhg_solve(lifted, loss, reg, cfg)
     else:
-        res = tune_gamma(lifted, loss, reg, cfg, w0=w0)
+        res = tune_gamma(lifted, loss, reg, cfg)
     w = res.w_hat.copy()
     w[0] = w[0] - w[1:] @ mu_hat
     res.w_hat = w
     res.center_estimate = mu_hat
     return res
-
-
-def clip_weight(w: np.ndarray, lam: float, sigma: float) -> np.ndarray:
-    """Euclidean projection of w onto the ball of radius 1 / (lam * sigma).
-
-    For hinge classification under anti-concentrated covariates this
-    costs at most O(lam) extra expected loss, which lets error bounds
-    trade the weight norm against lam.
-    """
-    if lam <= 0 or sigma <= 0:
-        raise ValueError("lam and sigma must be positive")
-    w = np.asarray(w, dtype=float)
-    norm = np.linalg.norm(w)
-    radius = 1.0 / (lam * sigma)
-    if norm <= radius:
-        return w.copy()
-    return w * (radius / norm)

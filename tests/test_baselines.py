@@ -63,8 +63,6 @@ def test_oracle_reports_budget_exhaustion():
 def test_erm_zero_iterations_returns_start():
     data = prepend_ones(generate_synthetic(3, 50, np.zeros(3), seed=3))
     assert np.array_equal(erm_subgradient(data, HINGE, NO_REG, 0), np.zeros(3))
-    w0 = np.ones(3)
-    assert np.array_equal(erm_subgradient(data, HINGE, NO_REG, 0, w0=w0), w0)
 
 
 def test_erm_clean_objective_near_oracle():
@@ -91,8 +89,7 @@ def test_doro_matches_plain_subgradient_without_trimming():
                                            task="classification", flip_prob=0.1, seed=6))
     reg = NormRegularizer("2", 0.1)
     iters = 7
-    w_doro, trace = doro_cvar(data, HINGE, epsilon=0.0, alpha=1.0, iters=iters, reg=reg,
-                              w0=np.zeros(3), record=True)
+    w_doro, trace = doro_cvar(data, HINGE, epsilon=0.0, alpha=1.0, iters=iters, reg=reg, record=True)
     # replay: same step rule and op order, no trimming
     w = np.zeros(3)
     step_c = None

@@ -34,9 +34,9 @@ def test_generate_corrupt_solve_flow(tmp_path):
         "--input", str(dirty), "--output", str(out),
     ]) == 0
     payload = json.loads(out.read_text())
+    assert set(payload) == {"w_hat", "oracle_calls", "gamma_used", "iterations", "tuning_runs", "config"}
     assert len(payload["w_hat"]) == 4  # intercept + 3 covariates
     assert payload["oracle_calls"] >= 1
-    assert len(payload["objective_trace"]) == payload["iterations"]
     assert payload["config"]["epsilon"] == 0.1
     assert payload["tuning_runs"] >= 1
 
@@ -64,6 +64,14 @@ def test_corrupt_matches_the_harness_adversary(tmp_path, flags, spec):
     got = from_csv(dirty)
     assert got.covariates.tobytes() == want.covariates.tobytes()
     assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_corrupt_rejects_a_direction_of_the_wrong_length(tmp_path):
+    clean = tmp_path / "clean.csv"
+    main(["generate", "--dim", "5", "--n", "100", "--seed", "7", "--output", str(clean)])
+    with pytest.raises(ValueError, match="length 1, the covariates have 4"):
+        main(["corrupt", "--input", str(clean), "--epsilon", "0.1", "--direction", "1",
+              "--output", str(tmp_path / "dirty.csv")])
 
 
 def test_solve_with_gamma_override_skips_tuning(tmp_path):
@@ -106,6 +114,17 @@ def test_baseline_subcommands(tmp_path):
         "--input", str(clean), "--output", str(out),
     ]) == 0
     assert len(json.loads(out.read_text())["estimate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--seed", "1"], ["--sigma", "1.0"], ["--delta-const", "3.0"], ["--w0-bound", "6.0"],
+     ["--gamma-dist", "1.5"], ["--exact-oracle"]],
+)
+def test_baseline_rejects_solver_only_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--method", "erm", "--epsilon", "0.05", "--input", str(tmp_path / "c.csv"), *flag])
+    assert exc.value.code == 2
 
 
 def test_bench_and_report_round_trip(tmp_path):

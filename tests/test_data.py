@@ -12,13 +12,11 @@ from robust_dro.data import (
     center_with_estimate,
     contaminate,
     from_csv,
-    from_npz,
     generate_synthetic,
     parse_adversary,
     prepend_ones,
     read_sidecar,
     to_csv,
-    to_npz,
     write_sidecar,
 )
 
@@ -126,6 +124,13 @@ def test_contaminate_counts_and_bookkeeping():
     assert len(changed) <= 10
 
 
+@pytest.mark.parametrize("direction", [(1.0,), (1.0, -1.0)])
+def test_far_cluster_rejects_a_direction_of_the_wrong_length(direction):
+    ds = generate_synthetic(5, 100, np.zeros(5), seed=1)  # 4 covariates
+    with pytest.raises(ValueError, match=f"length {len(direction)}, the covariates have 4"):
+        contaminate(ds, ContaminationSpec(0.1, FarCluster(direction=direction)), seed=2)
+
+
 def test_contaminate_requires_a_whole_sample():
     ds = generate_synthetic(3, 5, np.zeros(3), seed=0)
     with pytest.raises(ValueError):
@@ -208,15 +213,6 @@ def test_from_csv_rejects_rows_that_do_not_fit_the_header(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError):
         from_csv(path)
-
-
-def test_npz_round_trip_with_corruption(tmp_path):
-    ds = contaminate(generate_synthetic(3, 30, np.zeros(3), seed=12), ContaminationSpec(0.1, FarCluster()), seed=13)
-    path = tmp_path / "d.npz"
-    to_npz(ds, path, include_corrupted=True)
-    back = from_npz(path)
-    assert np.array_equal(back.covariates, ds.covariates)
-    assert back.corrupted_indices == ds.corrupted_indices
 
 
 def test_sidecar_round_trip(tmp_path):

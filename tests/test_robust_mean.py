@@ -13,7 +13,6 @@ from robust_dro.robust_mean import (
     inexact_hybrid_gradient_oracle,
     robust_mean_estimation,
     robust_mean_with_state,
-    stability_check,
     stability_filter,
     top_eigenvector,
     trimmed_mean_1d,
@@ -171,23 +170,6 @@ def test_robust_mean_epsilon_validation():
 
 
 # --- stability ----------------------------------------------------------
-
-
-def test_stability_check_degenerate_cases():
-    p = np.tile([1.0, 2.0], (20, 1))
-    rep = stability_check(p, [1.0, 2.0], sigma2=1.0, epsilon=0.1)
-    assert rep.mean_deviation == 0.0
-    assert rep.cov_opnorm == 0.0
-    assert rep.is_stable
-    wide = np.vstack([np.full((10, 2), -40.0), np.full((10, 2), 40.0)])
-    assert not stability_check(wide, [0.0, 0.0], sigma2=0.01, epsilon=0.5).is_stable
-
-
-def test_stability_check_gaussian_sample():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((10000, 10))
-    rep = stability_check(x, np.zeros(10), sigma2=1.0, epsilon=0.1)
-    assert rep.is_stable
 
 
 def test_stability_filter_keeps_bulk():
