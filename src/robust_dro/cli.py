@@ -5,7 +5,8 @@ conversion.
 Datasets travel as CSV (``x0,...,x{d-1},y``); solver outputs are JSON
 with the learned parameter, the oracle call count, the iteration count,
 the number of tuning runs and a config echo.  ``bench`` exits nonzero
-if any grid cell failed.
+if any grid cell failed.  Bad input (a ``ValueError`` or ``OSError`` from a
+subcommand) prints ``robust-dro: error: ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_so
 from .data import ContaminationSpec, prepend_ones
 from .harness import ExperimentConfig, all_rows_ok, emit_report, rows_from_csv, rows_from_json, run_experiment
 from .losses import LossFamily
-from .robust_mean import robust_mean_estimation, trimmed_mean_estimation
+from .robust_mean import OracleContractError, robust_mean_estimation, trimmed_mean_estimation
 from .solver import dro_regularizer, pipeline, solver_config
 
 # `corrupt --adversary` names -> data.ADVERSARY_KINDS
@@ -34,13 +36,28 @@ ADVERSARIES = {
     "label-flip": "label_flip",
 }
 
+OBJECTIVE_DEFAULTS = {"loss": "hinge", "reg_s": "2", "rho": 0.1}
 
-def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    """The flags `solve` and `baseline` share: the objective, epsilon and files."""
-    p.add_argument("--loss", default="hinge", choices=("lad", "huber", "hinge", "logistic"))
-    p.add_argument("--reg-s", default="2", choices=("1", "2", "inf"), help="regularizer norm exponent")
-    p.add_argument("--rho", type=float, default=0.1, help="DRO radius")
-    p.add_argument("--epsilon", type=float, required=True, help="corruption fraction")
+# the flags each `baseline --method` reads besides --input and --output;
+# it rejects the others
+BASELINE_FLAGS = {
+    "oracle": ("loss", "reg_s", "rho", "tol"),
+    "erm": ("loss", "reg_s", "rho", "iters"),
+    "doro": ("loss", "reg_s", "rho", "epsilon", "iters", "alpha"),
+    "trimmed-mean": ("epsilon",),
+}
+# --epsilon has no default: a method that reads it requires it
+BASELINE_DEFAULTS = {**OBJECTIVE_DEFAULTS, "iters": 2000, "alpha": 1.0, "tol": 1e-6}
+
+
+def _add_objective_flags(p: argparse.ArgumentParser) -> None:
+    """The objective flags `solve` and `baseline` share; each sets its own defaults."""
+    p.add_argument("--loss", choices=("lad", "huber", "hinge", "logistic"))
+    p.add_argument("--reg-s", choices=("1", "2", "inf"), help="regularizer norm exponent")
+    p.add_argument("--rho", type=float, help="DRO radius")
+
+
+def _add_file_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="input CSV")
     p.add_argument("--output", default=None, help="output JSON (default stdout)")
 
@@ -112,7 +129,20 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_baseline(args) -> int:
+def _baseline_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+    """Reject a flag ``args.method`` does not read, require ``--epsilon``
+    where it is read, and fill in the defaults of the rest."""
+    reads = BASELINE_FLAGS[args.method]
+    for dest in ("epsilon", *BASELINE_DEFAULTS):
+        if hasattr(args, dest) and dest not in reads:
+            parser.error(f"--{dest.replace('_', '-')} is not read by --method {args.method}")
+    if "epsilon" in reads and not hasattr(args, "epsilon"):
+        parser.error(f"--method {args.method} requires --epsilon")
+    return argparse.Namespace(**{**BASELINE_DEFAULTS, **vars(args)})
+
+
+def _cmd_baseline(parser: argparse.ArgumentParser, args) -> int:
+    args = _baseline_args(parser, args)
     ds = datamod.from_csv(args.input)
     loss = LossFamily(args.loss)
     reg = dro_regularizer(args.reg_s, args.rho, loss.lipschitz)
@@ -192,21 +222,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("solve", help="outlier-robust DRO solve of a raw CSV dataset")
-    _add_problem_flags(p)
+    _add_objective_flags(p)
+    p.add_argument("--epsilon", type=float, required=True, help="corruption fraction")
+    _add_file_flags(p)
     p.add_argument("--sigma", type=float, default=1.0, help="covariance operator norm bound (sqrt)")
     p.add_argument("--delta-const", type=float, default=2.0)
     p.add_argument("--w0-bound", type=float, default=10.0)
     p.add_argument("--gamma-dist", type=float, default=None, help="skip tuning and use this distance for gamma")
     p.add_argument("--exact-oracle", action="store_true", help="use the exact mean oracle (clean data)")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, **OBJECTIVE_DEFAULTS)
 
-    p = sub.add_parser("baseline", help="run a baseline method")
-    p.add_argument("--method", required=True, choices=("oracle", "erm", "doro", "trimmed-mean"))
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    _add_problem_flags(p)
-    p.set_defaults(func=_cmd_baseline)
+    # flags left out stay unset, so that _baseline_args can tell them from defaults
+    p = sub.add_parser(
+        "baseline", help="run a baseline method; a flag the method does not read is an error",
+        argument_default=argparse.SUPPRESS,
+    )
+    p.add_argument("--method", required=True, choices=tuple(BASELINE_FLAGS))
+    _add_objective_flags(p)
+    p.add_argument("--epsilon", type=float, help="corruption fraction (doro, trimmed-mean)")
+    p.add_argument("--iters", type=int, help="iterations (erm, doro)")
+    p.add_argument("--alpha", type=float, help="CVaR level (doro)")
+    p.add_argument("--tol", type=float, help="stopping tolerance (oracle)")
+    _add_file_flags(p)
+    p.set_defaults(func=partial(_cmd_baseline, p))
 
     p = sub.add_parser("robust-mean", help="robust mean of CSV points")
     p.add_argument("--input", required=True)
@@ -231,7 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (np.linalg.LinAlgError, OracleContractError):
+        raise  # a numerical or solver fault, not bad input: keep the traceback
+    except (ValueError, OSError) as exc:
+        print(f"robust-dro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Synthetic datasets, covariate transforms, and contamination adversaries.
 
 Datasets are immutable: covariate/label arrays are stored with the
-writeable flag cleared so they can be shared across threads.  The
+writeable flag cleared, so no caller can change rows that another caller
+holds (a sweep hands one clean sample to every cell).  The
 ``corrupted_indices`` bookkeeping records which rows an adversary
 replaced; it exists for test-time accounting only and must never be read
 by a solver.

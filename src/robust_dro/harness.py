@@ -8,9 +8,8 @@ of the learned parameter on the clean stable subset minus that subset's
 oracle optimum, so the headline number is exactly the quantity the
 robustness guarantees bound.
 
-Runs are deterministic for a fixed config; the worker pool size is taken
-from the RD_THREADS environment variable (rows are independent, and the
-report order follows the config grid, not completion order).
+Runs are serial and deterministic for a fixed config; the report order
+follows the config grid.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ import csv
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -152,19 +149,36 @@ def _resolve_adversary(spec, planted: np.ndarray):
     return parse_adversary(kind, **given)
 
 
+def _fit(method: str, corrupted: Dataset, eps: float, cfg: ExperimentConfig, loss, reg) -> tuple[np.ndarray, int]:
+    """The parameter ``method`` learns from the corrupted sample, and its
+    gradient-oracle call count (0 for the baselines)."""
+    if method == "pdhg":
+        solver_cfg = solver_config(
+            eps, loss, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound,
+            reg_exponent=cfg.reg_exponent, dro_radius=cfg.dro_radius,
+        )
+        res = pipeline(corrupted, loss, reg, solver_cfg)
+        return res.w_hat, res.oracle_calls * (res.tuning_runs or 1)
+    if method == "erm":
+        return erm_subgradient(prepend_ones(corrupted), loss, reg, cfg.erm_iters), 0
+    return doro_cvar(prepend_ones(corrupted), loss, eps, iters=cfg.doro_iters, reg=reg), 0
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     """Execute the full grid and return one row per cell, config order."""
     loss = LossFamily(cfg.loss)
     reg = dro_regularizer(cfg.reg_exponent, cfg.dro_radius, loss.lipschitz)
 
-    clean: dict[int, Dataset] = {}
-    planted: dict[int, np.ndarray] = {}
+    # the clean-stable-subset oracle depends only on the seed's sample and
+    # the rows kept, so every epsilon keeping the same rows shares it
+    references: dict[tuple[int, bytes], tuple[Dataset, np.ndarray, float]] = {}
+    rows = []
     for seed in cfg.seeds:
-        planted[seed] = _resolve_planted(cfg, seed)
-        clean[seed] = generate_synthetic(
+        planted = _resolve_planted(cfg, seed)
+        clean = generate_synthetic(
             cfg.dim,
             cfg.n_samples,
-            planted[seed],
+            planted,
             sigma=cfg.sigma,
             task=cfg.task,
             noise_std=cfg.noise_std,
@@ -173,65 +187,38 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             student_dof=cfg.student_dof,
             seed=seed,
         )
-
-    # clean-stable-subset oracle per (seed, epsilon); adversaries share it
-    oracle_cache: dict[tuple[int, float], tuple[Dataset, np.ndarray, float]] = {}
-    for seed in cfg.seeds:
-        for eps in cfg.epsilons:
-            ds = clean[seed]
-            idx = np.arange(ds.n) if eps == 0.0 else stability_filter(ds, eps)
-            eval_ds = prepend_ones(ds.subset(idx))
-            res = oracle_solve(eval_ds, loss, reg, tol=cfg.oracle_tol)
-            oracle_cache[(seed, eps)] = (eval_ds, res.w, res.objective)
-
-    tasks = []
-    for seed in cfg.seeds:
         for eps_index, eps in enumerate(cfg.epsilons):
+            idx = np.arange(clean.n) if eps == 0.0 else stability_filter(clean, eps)
+            key = (seed, idx.tobytes())
+            if key not in references:
+                eval_ds = prepend_ones(clean.subset(idx))
+                res = oracle_solve(eval_ds, loss, reg, tol=cfg.oracle_tol)
+                references[key] = (eval_ds, res.w, res.objective)
+            eval_ds, w_star, f_star = references[key]
             for adv_index, adv_spec in enumerate(cfg.adversaries):
+                adv_name = adv_spec if isinstance(adv_spec, str) else adv_spec.get("kind", "none")
                 for method in cfg.methods:
-                    tasks.append((seed, eps_index, eps, adv_index, adv_spec, method))
-
-    def run_cell(task) -> MetricsRow:
-        seed, eps_index, eps, adv_index, adv_spec, method = task
-        adv_name = adv_spec if isinstance(adv_spec, str) else adv_spec.get("kind", "none")
-        eval_ds, w_star, f_star = oracle_cache[(seed, eps)]
-        start = time.perf_counter()
-        oracle_calls = 0
-        try:
-            adversary = _resolve_adversary(adv_spec, planted[seed])
-            if eps == 0.0 or adversary is None:
-                corrupted = clean[seed]
-            else:
-                contam_seed = seed * 9973 + eps_index * 131 + adv_index * 17 + 1
-                corrupted = contaminate(clean[seed], ContaminationSpec(eps, adversary), seed=contam_seed)
-            if method == "pdhg":
-                solver_cfg = solver_config(
-                    eps, loss, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound,
-                    reg_exponent=cfg.reg_exponent, dro_radius=cfg.dro_radius,
-                )
-                res = pipeline(corrupted, loss, reg, solver_cfg)
-                w = res.w_hat
-                oracle_calls = res.oracle_calls * (res.tuning_runs or 1)
-            elif method == "erm":
-                w = erm_subgradient(prepend_ones(corrupted), loss, reg, cfg.erm_iters)
-            else:
-                w = doro_cvar(prepend_ones(corrupted), loss, eps, iters=cfg.doro_iters, reg=reg)
-            excess = dro_objective_eval(w, eval_ds, loss, reg) - f_star
-            param_error = float(np.linalg.norm(w - w_star))
-            status = "ok"
-        except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
-            excess = math.nan
-            param_error = math.nan
-            status = f"error: {exc}"
-        wallclock = time.perf_counter() - start
-        return MetricsRow(method, adv_name, eps, seed, excess, param_error, wallclock, oracle_calls, status)
-
-    workers = max(int(os.environ.get("RD_THREADS", "1")), 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, tasks))
-    else:
-        rows = [run_cell(t) for t in tasks]
+                    start = time.perf_counter()
+                    oracle_calls = 0
+                    try:
+                        adversary = _resolve_adversary(adv_spec, planted)
+                        if eps == 0.0 or adversary is None:
+                            corrupted = clean
+                        else:
+                            contam_seed = seed * 9973 + eps_index * 131 + adv_index * 17 + 1
+                            corrupted = contaminate(clean, ContaminationSpec(eps, adversary), seed=contam_seed)
+                        w, oracle_calls = _fit(method, corrupted, eps, cfg, loss, reg)
+                        excess = dro_objective_eval(w, eval_ds, loss, reg) - f_star
+                        param_error = float(np.linalg.norm(w - w_star))
+                        status = "ok"
+                    except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
+                        excess = math.nan
+                        param_error = math.nan
+                        status = f"error: {exc}"
+                    wallclock = time.perf_counter() - start
+                    rows.append(
+                        MetricsRow(method, adv_name, eps, seed, excess, param_error, wallclock, oracle_calls, status)
+                    )
     return rows
 
 

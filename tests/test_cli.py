@@ -66,12 +66,14 @@ def test_corrupt_matches_the_harness_adversary(tmp_path, flags, spec):
     assert got.labels.tobytes() == want.labels.tobytes()
 
 
-def test_corrupt_rejects_a_direction_of_the_wrong_length(tmp_path):
+def test_corrupt_rejects_a_direction_of_the_wrong_length(tmp_path, capsys):
     clean = tmp_path / "clean.csv"
     main(["generate", "--dim", "5", "--n", "100", "--seed", "7", "--output", str(clean)])
-    with pytest.raises(ValueError, match="length 1, the covariates have 4"):
-        main(["corrupt", "--input", str(clean), "--epsilon", "0.1", "--direction", "1",
-              "--output", str(tmp_path / "dirty.csv")])
+    assert main(["corrupt", "--input", str(clean), "--epsilon", "0.1", "--direction", "1",
+                 "--output", str(tmp_path / "dirty.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robust-dro: error: ")
+    assert "length 1, the covariates have 4" in err
 
 
 def test_solve_with_gamma_override_skips_tuning(tmp_path):
@@ -99,11 +101,14 @@ def test_baseline_subcommands(tmp_path):
     clean = tmp_path / "c.csv"
     main(["generate", "--dim", "3", "--n", "150", "--task", "classification",
           "--flip-prob", "0.1", "--seed", "3", "--output", str(clean)])
-    for method in ("oracle", "erm", "doro"):
+    for method, flags in (
+        ("oracle", ["--tol", "1e-6"]),
+        ("erm", ["--iters", "200"]),
+        ("doro", ["--epsilon", "0.05", "--iters", "200"]),
+    ):
         out = tmp_path / f"{method}.json"
         assert main([
-            "baseline", "--method", method, "--loss", "hinge", "--epsilon", "0.05",
-            "--iters", "200", "--input", str(clean), "--output", str(out),
+            "baseline", "--method", method, "--loss", "hinge", *flags, "--input", str(clean), "--output", str(out),
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["method"] == method
@@ -124,6 +129,29 @@ def test_baseline_subcommands(tmp_path):
 def test_baseline_rejects_solver_only_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["baseline", "--method", "erm", "--epsilon", "0.05", "--input", str(tmp_path / "c.csv"), *flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "method, flag",
+    [("trimmed-mean", ["--loss", "hinge"]), ("trimmed-mean", ["--reg-s", "1"]), ("trimmed-mean", ["--rho", "0.2"]),
+     ("trimmed-mean", ["--iters", "10"]), ("trimmed-mean", ["--alpha", "0.5"]), ("trimmed-mean", ["--tol", "1e-3"]),
+     ("erm", ["--epsilon", "0.05"]), ("erm", ["--alpha", "0.5"]), ("erm", ["--tol", "1e-3"]),
+     ("oracle", ["--epsilon", "0.05"]), ("oracle", ["--iters", "10"]), ("oracle", ["--alpha", "0.5"]),
+     ("doro", ["--tol", "1e-3"])],
+)
+def test_baseline_rejects_flags_its_method_ignores(tmp_path, capsys, method, flag):
+    eps = ["--epsilon", "0.05"] if method in ("doro", "trimmed-mean") else []
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--method", method, *eps, "--input", str(tmp_path / "c.csv"), *flag])
+    assert exc.value.code == 2
+    assert f"{flag[0]} is not read by --method {method}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["doro", "trimmed-mean"])
+def test_baseline_requires_epsilon_where_read(tmp_path, method):
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--method", method, "--input", str(tmp_path / "c.csv")])
     assert exc.value.code == 2
 
 

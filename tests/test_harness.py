@@ -5,8 +5,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from robust_dro import harness
 from robust_dro.harness import (
     REPORT_COLUMNS,
     ExperimentConfig,
@@ -138,10 +140,34 @@ def test_doro_method_runs():
     assert rows[0].method == "doro"
 
 
-def test_worker_pool_matches_serial(monkeypatch):
-    cfg = tiny_config(seeds=(0, 1), epsilons=(0.1,), methods=("pdhg", "erm"))
-    monkeypatch.setenv("RD_THREADS", "1")
-    serial = emit_report(run_experiment(cfg), "csv", include_wallclock=False)
-    monkeypatch.setenv("RD_THREADS", "3")
-    pooled = emit_report(run_experiment(cfg), "csv", include_wallclock=False)
-    assert serial == pooled
+def counting_oracle(monkeypatch) -> list:
+    """Record the rows of every reference solve ``run_experiment`` makes."""
+    calls = []
+    solve = harness.oracle_solve
+
+    def counted(data, *args, **kwargs):
+        calls.append(data.covariates.tobytes())
+        return solve(data, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "oracle_solve", counted)
+    return calls
+
+
+def test_reference_solved_once_per_seed_when_every_epsilon_keeps_all_rows(monkeypatch):
+    calls = counting_oracle(monkeypatch)
+    rows = run_experiment(tiny_config(seeds=(0, 1), epsilons=(0.0, 0.05, 0.1), methods=("erm",), erm_iters=50))
+    assert len(rows) == 6 and all_rows_ok(rows)
+    assert len(calls) == 2
+
+
+def test_reference_solved_once_per_distinct_kept_row_set(monkeypatch):
+    calls = counting_oracle(monkeypatch)
+    # keep all rows at 0.05 and 0.1, one fewer at 0.02, two fewer at 0.2
+    kept = {0.02: slice(1, None), 0.05: slice(None), 0.1: slice(None), 0.2: slice(2, None)}
+    monkeypatch.setattr(harness, "stability_filter", lambda data, eps: np.arange(data.n)[kept[eps]])
+    cfg = tiny_config(seeds=(0, 1), epsilons=(0.0, 0.02, 0.05, 0.1, 0.2), methods=("erm",), erm_iters=50)
+    rows = run_experiment(cfg)
+    assert len(rows) == 10 and all_rows_ok(rows)
+    # per seed: all rows (epsilon 0, 0.05, 0.1), rows 1.., rows 2..
+    assert len(calls) == 2 * 3
+    assert len(set(calls)) == 2 * 3
