@@ -3,7 +3,7 @@ baselines, robust mean estimation, benchmark sweeps, and report
 conversion.
 
 Datasets travel as CSV (``x0,...,x{d-1},y``); solver outputs are JSON
-with the learned parameter, the oracle call count, the iteration count,
+with the learned parameter, the gradient-oracle evaluations, the iteration count,
 the number of tuning runs and a config echo.  ``bench`` exits nonzero
 if any grid cell failed.  Bad input (a ``ValueError`` or ``OSError`` from a
 subcommand) prints ``robust-dro: error: ...`` and exits 2.

@@ -150,15 +150,15 @@ def _resolve_adversary(spec, planted: np.ndarray):
 
 
 def _fit(method: str, corrupted: Dataset, eps: float, cfg: ExperimentConfig, loss, reg) -> tuple[np.ndarray, int]:
-    """The parameter ``method`` learns from the corrupted sample, and its
-    gradient-oracle call count (0 for the baselines)."""
+    """The parameter ``method`` learns from the corrupted sample, and the
+    gradient-oracle evaluations of its whole solve (0 for the baselines)."""
     if method == "pdhg":
         solver_cfg = solver_config(
             eps, loss, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound,
             reg_exponent=cfg.reg_exponent, dro_radius=cfg.dro_radius,
         )
         res = pipeline(corrupted, loss, reg, solver_cfg)
-        return res.w_hat, res.oracle_calls * (res.tuning_runs or 1)
+        return res.w_hat, res.oracle_calls
     if method == "erm":
         return erm_subgradient(prepend_ones(corrupted), loss, reg, cfg.erm_iters), 0
     return doro_cvar(prepend_ones(corrupted), loss, eps, iters=cfg.doro_iters, reg=reg), 0

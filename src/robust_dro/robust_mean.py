@@ -7,6 +7,13 @@ until the surviving weight drops below 1 - 2*epsilon.  On an
 epsilon-corrupted version of a stable point set this recovers the stable
 mean up to O(sigma * sqrt(epsilon)), dimension-free.
 
+A pass costs one SYRK-shaped product, one dense eigensolve and a partial
+selection: the points are centred once (and re-centred only when the
+weighted mean drifts farther than the spread), the covariance is taken
+in Gram form, and the threshold orders only the top scores.  The
+filter's diagnostics record the mass removed and the top eigenvalue of
+every pass.
+
 Everything is deterministic: the top eigenvector comes from LAPACK
 ``eigh``, which is reproducible for a fixed BLAS thread count, and the
 filter breaks ties by exact float comparisons, so identical inputs give
@@ -31,12 +38,14 @@ class FilterState:
     """Diagnostics of one filtering run.
 
     Weights start at 1/N each, only ever decrease, and stay in [0, 1/N];
-    ``removed_mass_history`` records the weight removed per pass.
+    ``removed_mass_history`` records the weight removed per pass and
+    ``lambda_history`` the top covariance eigenvalue each pass filtered on.
     """
 
     weights: np.ndarray
     iterations: int = 0
     removed_mass_history: list[float] = field(default_factory=list)
+    lambda_history: list[float] = field(default_factory=list)
 
 
 def top_eigenvector(s: np.ndarray):
@@ -70,23 +79,58 @@ def top_eigenvector(s: np.ndarray):
     return v, lam
 
 
-def _weighted_moments(points: np.ndarray, q: np.ndarray, total: float):
-    mu = (q @ points) / total
-    centered = points - mu
-    cov = (centered * q[:, None]).T @ centered / total
-    return mu, centered, cov
+def _weighted_moments(xc: np.ndarray, q: np.ndarray, total: float):
+    """Weighted mean m and covariance of the centred points xc.
+
+    The covariance is taken in Gram form, Y^T Y / total - m m^T with
+    Y = xc * sqrt(q): one SYRK-shaped product and a single N x d
+    temporary.  The caller keeps ||m||^2 within tr(cov) by re-centring,
+    so the subtraction cannot cancel away the digits.
+    """
+    m = (q @ xc) / total
+    y = xc * np.sqrt(q)[:, None]
+    cov = (y.T @ y) / total - np.outer(m, m)
+    return m, cov
+
+
+def _threshold(h: np.ndarray, q: np.ndarray, epsilon: float) -> float:
+    """The score at which the weight of the scores, taken in descending
+    order, first reaches epsilon (the smallest score if it never does):
+    the largest t whose superlevel set {h >= t} carries mass >= epsilon.
+
+    Only the top scores are ordered.  ``argpartition`` selects enough of
+    them to hold epsilon mass at full weight 1/N; while the selection
+    holds less (its points were downweighted or removed), it is doubled.
+    t does not depend on how tied scores are ordered, so it is exactly
+    the threshold a full sort gives.
+    """
+    n = h.size
+    k = min(n, 2 * math.ceil(epsilon * n))
+    while True:
+        top = np.argpartition(-h, k - 1)[:k] if k < n else np.arange(n)
+        order = top[np.argsort(-h[top])]
+        cum = np.cumsum(q[order])
+        if cum[-1] >= epsilon or k == n:
+            cross = min(int(np.searchsorted(cum, epsilon, side="left")), k - 1)
+            return float(h[order[cross]])
+        k = min(n, 2 * k)
 
 
 def robust_mean_with_state(points, epsilon: float) -> tuple[np.ndarray, FilterState]:
     """Robust mean of an epsilon-corrupted point set, with diagnostics.
 
-    Loop per pass: weighted mean and covariance; top eigenvector v of the
-    covariance; scores h_i = (v . (x_i - mu))^2; the largest threshold t
-    whose superlevel set {h >= t} carries weight mass >= epsilon; then
-    every thresholded point is downweighted by the factor
+    Loop per pass: weighted mean and covariance; top eigenpair (v, lam)
+    of the covariance; scores h_i = (v . (x_i - mu))^2; the largest
+    threshold t whose superlevel set {h >= t} carries weight mass >=
+    epsilon; then every thresholded point is downweighted by the factor
     (1 - h_i / max h).  The pass ends when total weight < 1 - 2*epsilon.
     If every score is zero (e.g. all points identical) the loop exits
     immediately with the current weighted mean.
+
+    The points are centred once, on their plain mean, and re-centred on
+    the current weighted mean whenever its squared offset exceeds the
+    covariance trace (a removed far cluster moves the mean that much); a
+    re-centre is not a pass and calls no eigensolve.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, k = points.shape
@@ -98,23 +142,26 @@ def robust_mean_with_state(points, epsilon: float) -> tuple[np.ndarray, FilterSt
     state = FilterState(weights=q)
     if k == 0:
         return np.zeros(0), state
-    mu = points.mean(axis=0)
+    centre = points.mean(axis=0)
+    xc = points - centre
     total = 1.0
     # scores at rounding-noise level mean the weighted cloud is a point
     score_floor = 1e-24 * max(1.0, float(np.max(np.abs(points))) ** 2)
     while total >= 1.0 - 2.0 * epsilon:
-        mu, centered, cov = _weighted_moments(points, q, total)
-        v, _ = top_eigenvector(cov)
-        h = (centered @ v) ** 2
+        m, cov = _weighted_moments(xc, q, total)
+        if m @ m > np.trace(cov):
+            centre = centre + m
+            xc = points - centre
+            m, cov = _weighted_moments(xc, q, total)
+        if not np.trace(cov) > 0.0:
+            break  # no spread left above rounding: the weighted cloud is a point
+        v, lam = top_eigenvector(cov)
+        h = (xc @ v - m @ v) ** 2
         alive = q > 0.0
         fmax = float(np.max(h[alive], initial=0.0))
         if fmax <= score_floor:
             break
-        order = np.argsort(-h)
-        cum = np.cumsum(q[order])
-        cross = int(np.searchsorted(cum, epsilon, side="left"))
-        cross = min(cross, n - 1)
-        t = h[order[cross]]
+        t = _threshold(h, q, epsilon)
         f = np.where(h >= t, h, 0.0)
         factor = 1.0 - f / fmax
         removed = float(np.sum(q * (1.0 - factor)))
@@ -122,8 +169,9 @@ def robust_mean_with_state(points, epsilon: float) -> tuple[np.ndarray, FilterSt
         total = float(q.sum())
         state.iterations += 1
         state.removed_mass_history.append(removed)
+        state.lambda_history.append(lam)
     state.weights = q
-    return mu, state
+    return centre + m, state
 
 
 def robust_mean_estimation(points, epsilon: float) -> np.ndarray:

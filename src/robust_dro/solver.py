@@ -153,6 +153,17 @@ def num_iterations(cfg: PDHGConfig) -> int:
 
 @dataclass
 class SolveResult:
+    """Outcome of a solve.
+
+    ``oracle_calls`` counts the gradient-oracle evaluations the solve ran:
+    T for a lone :func:`pdhg_solve` run, the whole search for
+    :func:`tune_gamma` (the first call, shared by every candidate,
+    counted once), and 0 for :func:`idealized_solve`, which runs none.
+    ``gamma_used`` and ``t_used`` describe the returned run,
+    ``tuning_runs`` the number of candidates tried (None without a
+    search), and the max-dual fields cover every run of the solve.
+    """
+
     w_hat: np.ndarray
     oracle_calls: int
     gamma_used: float
@@ -184,7 +195,41 @@ def _gamma(cfg: PDHGConfig, loss: LossFamily, n: int) -> float:
     return cfg.gamma_dist / (loss.lipschitz * math.sqrt(n))
 
 
-def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult:
+class GradientOracle:
+    """The primal step's estimate z of (1/N) sum_i beta_i x_i: the exact
+    weighted mean in exact-oracle mode, else
+    :func:`inexact_hybrid_gradient_oracle`.
+
+    It keeps its first output for reuse.  Every run of one tuning search
+    starts from beta = alpha_0 = 1/N (a_prev = 0 at k = 1), whatever its
+    gamma or w0, so candidates sharing one oracle evaluate that first
+    call once.  The memo is reused only for a beta bitwise equal to its
+    input.  ``evaluations`` counts the estimates actually computed.
+    """
+
+    def __init__(self, covariates: np.ndarray, cfg: PDHGConfig, lipschitz: float) -> None:
+        self.x = covariates
+        self.cfg = cfg
+        self.lipschitz = lipschitz
+        self.evaluations = 0
+        self._first: tuple[bytes, np.ndarray] | None = None
+
+    def __call__(self, beta: np.ndarray) -> np.ndarray:
+        key = beta.tobytes()
+        if self._first is not None and self._first[0] == key:
+            return self._first[1]
+        if self.cfg.exact_oracle:
+            z = (beta @ self.x) / self.x.shape[0]
+        else:
+            z = inexact_hybrid_gradient_oracle(beta, self.x, self.cfg.epsilon, self.lipschitz)
+        self.evaluations += 1
+        if self._first is None:
+            z.flags.writeable = False  # handed to every run that shares the memo
+            self._first = (key, z)
+        return z
+
+
+def _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record) -> SolveResult:
     x = data.covariates
     y = data.labels
     n = data.n
@@ -210,8 +255,7 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))
         if max_extrap > 3.0 * zeta * (1.0 + 1e-9):
             raise ConfigurationError(f"extrapolated dual weight {max_extrap} exceeded 3 * lipschitz")
-        z = oracle_fn(k, beta)
-        result.oracle_calls += 1
+        z = oracle(beta)
         tau = a * gamma / c_k
         w = reg_prox(reg, w - tau * z, tau)
         alpha_prev = alpha
@@ -228,19 +272,24 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record) -> SolveResult
     return result
 
 
-def pdhg_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *, w0=None, record: bool = False) -> SolveResult:
+def pdhg_solve(
+    data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *,
+    w0=None, record: bool = False, oracle: GradientOracle | None = None,
+) -> SolveResult:
     """Run the primal-dual loop on (intercept-carrying) data.
 
     Requires ``cfg.gamma_dist``: gamma = gamma_dist / (lipschitz sqrt(N)).
     Use :func:`tune_gamma` when the distance to the optimum is unknown.
+    ``oracle``, if given, is a :class:`GradientOracle` on ``data``'s
+    covariates shared with other runs; by default the run builds its own.
     """
     gamma = _gamma(cfg, loss, data.n)
-    x = data.covariates
-    if cfg.exact_oracle:
-        oracle_fn = lambda k, beta: (beta @ x) / data.n
-    else:
-        oracle_fn = lambda k, beta: inexact_hybrid_gradient_oracle(beta, x, cfg.epsilon, loss.lipschitz)
-    return _run_loop(data, loss, reg, cfg, gamma, w0, oracle_fn, record)
+    if oracle is None:
+        oracle = GradientOracle(data.covariates, cfg, loss.lipschitz)
+    done = oracle.evaluations
+    result = _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record)
+    result.oracle_calls = oracle.evaluations - done
+    return result
 
 
 def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, injected_z, *, record: bool = False) -> SolveResult:
@@ -256,7 +305,8 @@ def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: 
     t_hor = num_iterations(cfg)
     if len(injected) != t_hor:
         raise ConfigurationError(f"injected sequence has {len(injected)} entries, schedule needs {t_hor}")
-    return _run_loop(data, loss, reg, cfg, gamma, None, lambda k, beta: injected[k - 1], record)
+    queue = iter(injected)
+    return _run_loop(data, loss, reg, cfg, gamma, None, lambda beta: next(queue), record)
 
 
 def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> SolveResult:
@@ -268,6 +318,12 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     stops early once an estimate exceeds the best seen by three times the
     estimation noise bound.  Returns the run with the smallest estimate
     (ties prefer the smaller D_j).
+
+    The candidates share one :class:`GradientOracle`, so their common
+    first oracle output is computed once; each still runs through
+    :func:`pdhg_solve`, and every result is bitwise what independent
+    runs give.  The returned ``oracle_calls`` counts the evaluations of
+    the whole search.
     """
     zeta = loss.lipschitz
     d_min = cfg.delta / zeta
@@ -280,9 +336,10 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     runs = 0
     max_dual = 0.0
     max_extrap = 0.0
+    oracle = GradientOracle(data.covariates, cfg, zeta)
     for j in range(j_max + 1):
         candidate = replace(cfg, gamma_dist=d_min * (2.0 ** j))
-        res = pdhg_solve(data, loss, reg, candidate)
+        res = pdhg_solve(data, loss, reg, candidate, oracle=oracle)
         est = estimate_objective(res.w_hat, data, loss, reg, cfg)
         runs += 1
         max_dual = max(max_dual, res.max_abs_dual)
@@ -294,6 +351,7 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
             break
     assert best is not None
     best.tuning_runs = runs
+    best.oracle_calls = oracle.evaluations
     # feasibility diagnostics cover every candidate run, not just the winner
     best.max_abs_dual = max_dual
     best.max_abs_extrapolated = max_extrap

@@ -171,3 +171,20 @@ def test_reference_solved_once_per_distinct_kept_row_set(monkeypatch):
     # per seed: all rows (epsilon 0, 0.05, 0.1), rows 1.., rows 2..
     assert len(calls) == 2 * 3
     assert len(set(calls)) == 2 * 3
+
+
+def test_pdhg_rows_report_the_oracle_evaluations_of_the_search(monkeypatch):
+    results = []
+    solve = harness.pipeline
+
+    def captured(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "pipeline", captured)
+    rows = run_experiment(tiny_config(seeds=(0,), methods=("pdhg",)))
+    assert all_rows_ok(rows)
+    assert [r.oracle_calls for r in rows] == [res.oracle_calls for res in results]
+    for res in results:
+        # every candidate runs t_used iterations and shares its first call
+        assert res.oracle_calls == res.tuning_runs * res.t_used - (res.tuning_runs - 1)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_dro.data import Dataset
+from robust_dro.data import ContaminationSpec, Dataset, DoroCounterexample, FarCluster, contaminate
 from robust_dro.robust_mean import (
     POWER_ITER_TOL,
     OracleContractError,
+    _threshold,
     inexact_hybrid_gradient_oracle,
     robust_mean_estimation,
     robust_mean_with_state,
@@ -167,6 +168,106 @@ def test_robust_mean_epsilon_validation():
             robust_mean_estimation(x, bad)
     with pytest.raises(ValueError):
         robust_mean_estimation(np.zeros((1, 2)), 0.1)
+
+
+def test_lambda_history_shows_the_far_cluster_removed():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2000, 8))
+    x[:200] = 10 * np.sqrt(8 / 0.1) * np.eye(8)[0]
+    _, state = robust_mean_with_state(x, 0.2)
+    assert len(state.lambda_history) == state.iterations
+    assert state.lambda_history[1] * 100 <= state.lambda_history[0]
+
+
+# --- equivalence with the two-pass filter -------------------------------
+
+
+def full_sort_threshold(h, q, epsilon):
+    order = np.argsort(-h)
+    cum = np.cumsum(q[order])
+    cross = min(int(np.searchsorted(cum, epsilon, side="left")), h.size - 1)
+    return h[order[cross]]
+
+
+def two_pass_filter(points, epsilon):
+    """The filter as it was before the Gram-form moments: it re-centres
+    every point on the weighted mean each pass and sorts every score."""
+    n = points.shape[0]
+    q = np.full(n, 1.0 / n)
+    total = 1.0
+    passes = 0
+    score_floor = 1e-24 * max(1.0, float(np.max(np.abs(points))) ** 2)
+    while total >= 1.0 - 2.0 * epsilon:
+        mu = (q @ points) / total
+        centered = points - mu
+        cov = (centered * q[:, None]).T @ centered / total
+        v, _ = top_eigenvector(cov)
+        h = (centered @ v) ** 2
+        fmax = float(np.max(h[q > 0.0], initial=0.0))
+        if fmax <= score_floor:
+            break
+        t = full_sort_threshold(h, q, epsilon)
+        q = q * (1.0 - np.where(h >= t, h, 0.0) / fmax)
+        total = float(q.sum())
+        passes += 1
+    return mu, passes
+
+
+@pytest.mark.parametrize(
+    "adversary",
+    [FarCluster(), FarCluster(magnitude=1e4), DoroCounterexample()],
+    ids=["far-cluster", "far-cluster-1e4", "doro-spike"],
+)
+@pytest.mark.parametrize("eps", [0.02, 0.1])
+def test_filter_matches_the_two_pass_filter(adversary, eps):
+    rng = np.random.default_rng(13)
+    clean = Dataset(rng.standard_normal((5000, 12)), np.zeros(5000), sigma=1.0)
+    x = contaminate(clean, ContaminationSpec(eps, adversary), seed=14).covariates
+    mu, state = robust_mean_with_state(x, 2 * eps)
+    ref_mu, ref_passes = two_pass_filter(x, 2 * eps)
+    assert state.iterations == ref_passes
+    assert np.linalg.norm(mu - ref_mu) <= 1e-12 * np.linalg.norm(ref_mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_partial_selection_threshold_equals_full_sort(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    eps = float(rng.uniform(0.001, 0.5))
+    # few distinct scores, so ties are common
+    h = rng.integers(0, int(rng.integers(1, 20)), size=n).astype(float) ** 2
+    q = rng.uniform(0.0, 1.0 / n, size=n)
+    q[rng.random(n) < rng.uniform(0.0, 0.9)] = 0.0
+    if rng.random() < 0.5:
+        q[h >= np.quantile(h, 0.5)] = 0.0  # mass sits below the top scores: widening
+    assert _threshold(h, q, eps) == full_sort_threshold(h, q, eps)
+
+
+def test_partial_selection_widens_past_weightless_top_scores():
+    n, eps = 1000, 0.1
+    h = np.arange(n, 0, -1, dtype=float)
+    q = np.full(n, 1.0 / n)
+    q[:600] = 0.0  # the first selection holds 2 * eps * n weightless points
+    t = _threshold(h, q, eps)
+    assert t == full_sort_threshold(h, q, eps)
+    assert t < h[2 * int(np.ceil(eps * n)) - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_robust_mean_is_translation_equivariant(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 300))
+    d = int(rng.integers(1, 7))
+    eps = float(rng.uniform(0.02, 0.45))
+    x = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0)
+    k = int(rng.integers(0, n // 5 + 1))
+    x[:k] = rng.uniform(5.0, 50.0) * rng.standard_normal(d)
+    u = rng.standard_normal(d)
+    c = u / np.linalg.norm(u) * 10 ** rng.uniform(0.0, 6.0)
+    shifted = robust_mean_estimation(x + c, eps)
+    assert np.linalg.norm(shifted - c - robust_mean_estimation(x, eps)) <= 1e-11 * (1.0 + np.linalg.norm(c))
 
 
 # --- stability ----------------------------------------------------------

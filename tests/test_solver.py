@@ -22,7 +22,9 @@ from robust_dro.solver import (
     CLEAN_EPSILON,
     ConfigurationError,
     EVAL_CONSTANT,
+    GradientOracle,
     PDHGConfig,
+    estimate_objective,
     idealized_solve,
     num_iterations,
     pdhg_solve,
@@ -249,6 +251,74 @@ def test_tune_gamma_tolerates_noise_within_allowance(monkeypatch):
     monkeypatch.setattr(solver_mod, "estimate_objective", inflated)
     tuned = tune_gamma(data, HINGE, reg, cfg)
     assert tuned.tuning_runs == baseline.tuning_runs  # no premature stop
+
+
+def contaminated_problem(seed=23, n=400, d=5, eps=0.1):
+    planted = np.zeros(d)
+    planted[1] = 2.0
+    clean = generate_synthetic(d, n, planted, task="classification", flip_prob=0.05, seed=seed)
+    return prepend_ones(contaminate(clean, ContaminationSpec(eps, FarCluster()), seed=seed + 1))
+
+
+def independent_search(data, loss, reg, cfg):
+    """tune_gamma's search with every candidate solved on its own."""
+    d_min = cfg.delta / loss.lipschitz
+    j_max = int(math.ceil(math.log2(cfg.w0_bound / d_min) - 1e-9))
+    noise_bound = EVAL_CONSTANT * loss.lipschitz * cfg.w0_bound * cfg.sigma * math.sqrt(cfg.epsilon)
+    best, best_est, runs = None, math.inf, []
+    for j in range(j_max + 1):
+        res = pdhg_solve(data, loss, reg, replace(cfg, gamma_dist=d_min * 2.0**j))
+        runs.append(res)
+        est = estimate_objective(res.w_hat, data, loss, reg, cfg)
+        if est < best_est:
+            best, best_est = res, est
+        elif est > best_est + 3.0 * noise_bound:
+            break
+    return best, runs
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_tune_gamma_shares_the_first_oracle_call(monkeypatch, exact):
+    import robust_dro.solver as solver_mod
+
+    data = contaminated_problem()
+    reg = NormRegularizer("2", 0.1)
+    cfg = PDHGConfig(epsilon=0.1, sigma=1.0, w0_bound=10.0, dro_radius=0.1, delta_constant=3.0, exact_oracle=exact)
+    best, runs = independent_search(data, HINGE, reg, cfg)
+
+    real_oracle = solver_mod.inexact_hybrid_gradient_oracle
+    calls = {"n": 0}
+
+    def counting(*args):
+        calls["n"] += 1
+        return real_oracle(*args)
+
+    monkeypatch.setattr(solver_mod, "inexact_hybrid_gradient_oracle", counting)
+    tuned = tune_gamma(data, HINGE, reg, cfg)
+    assert len(runs) > 1
+    assert np.array_equal(tuned.w_hat, best.w_hat)
+    assert tuned.gamma_used == best.gamma_used
+    assert tuned.tuning_runs == len(runs)
+    assert tuned.max_abs_dual == max(r.max_abs_dual for r in runs)
+    assert tuned.max_abs_extrapolated == max(r.max_abs_extrapolated for r in runs)
+    evaluations = sum(r.t_used for r in runs) - (len(runs) - 1)
+    assert tuned.oracle_calls == evaluations
+    assert calls["n"] == (0 if exact else evaluations)
+
+
+def test_gradient_oracle_memo_needs_a_bitwise_equal_beta():
+    data = contaminated_problem()
+    cfg = PDHGConfig(epsilon=0.1, sigma=1.0)
+    oracle = GradientOracle(data.covariates, cfg, 1.0)
+    beta = np.full(data.n, 1.0 / data.n)
+    first = oracle(beta)
+    nudged = beta.copy()
+    nudged[7] = np.nextafter(nudged[7], 1.0)
+    second = oracle(nudged)
+    assert oracle.evaluations == 2
+    assert np.array_equal(second, GradientOracle(data.covariates, cfg, 1.0)(nudged))
+    assert oracle(beta.copy()) is first
+    assert oracle.evaluations == 2
 
 
 # --- pipeline -----------------------------------------------------------
