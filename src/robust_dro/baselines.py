@@ -36,10 +36,6 @@ class OracleResult:
     converged: bool
 
 
-def _objective(w, x, y, loss, reg) -> float:
-    return float(loss_values(loss, y, x @ w).mean()) + reg.value(w)
-
-
 def _loss_part_subgradient(w, x, y, loss) -> np.ndarray:
     return loss_subgradients(loss, y, x @ w) @ x / x.shape[0]
 
@@ -68,24 +64,27 @@ def oracle_solve(
     """
     x = data.covariates
     y = data.labels
+    n = x.shape[0]
     w = np.zeros(data.dim)
-    g0 = _loss_part_subgradient(w, x, y, loss) + reg.weight * norm_subgradient(w, reg.s)
+    z = x @ w  # the margins of w, shared by its objective and its subgradient
+    g0 = loss_subgradients(loss, y, z) @ x / n + reg.weight * norm_subgradient(w, reg.s)
     base_step = step_growth / max(float(np.linalg.norm(g0)), 1e-12)
-    w_best = w.copy()
-    f_best = _objective(w, x, y, loss, reg)
+    w_best, z_best = w, z
+    f_best = float(loss_values(loss, y, z).mean()) + reg.value(w)
     stalled = 0
     converged = False
     for stage in range(max_stages):
         step = base_step / (2.0 ** stage)
         f_enter = f_best
-        w = w_best.copy()
+        w, z = w_best, z_best
         for _ in range(stage_iters):
-            g = _loss_part_subgradient(w, x, y, loss)
+            g = loss_subgradients(loss, y, z) @ x / n
             w = reg_prox(reg, w - step * g, step)
-            f = _objective(w, x, y, loss, reg)
+            z = x @ w
+            f = float(loss_values(loss, y, z).mean()) + reg.value(w)
             if f < f_best:
                 f_best = f
-                w_best = w.copy()
+                w_best, z_best = w, z
         stalled = stalled + 1 if f_enter - f_best < tol else 0
         if stalled >= 3:
             converged = True

@@ -274,8 +274,9 @@ def to_csv(data: Dataset, path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(data.dim)] + ["y"])
-        for row, label in zip(data.covariates, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])
+        # csv writes Python floats by repr; converting one row at a time
+        # keeps no list copy of the whole table alive
+        writer.writerows([*row.tolist(), float(label)] for row, label in zip(data.covariates, data.labels))
 
 
 def from_csv(path, sigma: float = 1.0) -> Dataset:

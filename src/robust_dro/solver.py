@@ -44,10 +44,6 @@ from .robust_mean import (
 # oracle; it only sets the iteration budget through delta.
 CLEAN_EPSILON = 1e-6
 
-# C in the tuning search's objective-noise bound
-# C * lipschitz * w0_bound * sigma * sqrt(eps)
-EVAL_CONSTANT = 2.0
-
 
 class ConfigurationError(ValueError):
     """Inconsistent or infeasible solver configuration."""
@@ -66,7 +62,8 @@ class PDHGConfig:
     delta_constant  C in delta = C * sigma * lipschitz * sqrt(epsilon);
                     trades iterations T = ceil(2 / (C sqrt(eps))) against
                     accuracy
-    w0_bound        upper bound on ||w_0 - w*|| used by the tuning search
+    w0_bound        upper bound on ||w_0 - w*||; sets the tuning search's
+                    largest candidate distance
     gamma_dist      optional distance D; when set, gamma = D / (lipschitz
                     sqrt(N)) and no tuning search is run
     reg_exponent    s of the norm regularizer ("1" | "2" | "inf")
@@ -160,8 +157,9 @@ class SolveResult:
     :func:`tune_gamma` (the first call, shared by every candidate,
     counted once), and 0 for :func:`idealized_solve`, which runs none.
     ``gamma_used`` and ``t_used`` describe the returned run,
-    ``tuning_runs`` the number of candidates tried (None without a
-    search), and the max-dual fields cover every run of the solve.
+    ``tuning_runs`` the number of candidates the search ran (its whole
+    ladder; None without a search), and the max-dual fields cover every
+    run of the solve.
     """
 
     w_hat: np.ndarray
@@ -236,7 +234,7 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record) -> SolveResult:
     zeta = loss.lipschitz
     t_hor = num_iterations(cfg)
 
-    w = np.zeros(data.dim) if w0 is None else np.asarray(w0, dtype=float).copy()
+    w = np.zeros(data.dim) if w0 is None else w0.copy()
     alpha = np.full(n, 1.0 / n)
     alpha_prev = alpha.copy()
     a_prev = 0.0
@@ -280,10 +278,15 @@ def pdhg_solve(
 
     Requires ``cfg.gamma_dist``: gamma = gamma_dist / (lipschitz sqrt(N)).
     Use :func:`tune_gamma` when the distance to the optimum is unknown.
+    ``w0``, if given, is the starting point, of shape ``(data.dim,)``.
     ``oracle``, if given, is a :class:`GradientOracle` on ``data``'s
     covariates shared with other runs; by default the run builds its own.
     """
     gamma = _gamma(cfg, loss, data.n)
+    if w0 is not None:
+        w0 = np.asarray(w0, dtype=float)
+        if w0.shape != (data.dim,):
+            raise ValueError(f"w0 must have shape ({data.dim},), got {w0.shape}")
     if oracle is None:
         oracle = GradientOracle(data.covariates, cfg, loss.lipschitz)
     done = oracle.evaluations
@@ -314,10 +317,9 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
 
     Candidates D_j = (delta / lipschitz) * 2^j for j = 0 .. ceil(log2(
     w0_bound * lipschitz / delta)); each runs the solver with gamma
-    derived from D_j, its objective is estimated robustly, and the search
-    stops early once an estimate exceeds the best seen by three times the
-    estimation noise bound.  Returns the run with the smallest estimate
-    (ties prefer the smaller D_j).
+    derived from D_j and its objective is estimated robustly.  The search
+    runs the whole ladder and returns the run with the smallest estimate
+    (ties prefer the smaller D_j; a NaN estimate is never chosen).
 
     The candidates share one :class:`GradientOracle`, so their common
     first oracle output is computed once; each still runs through
@@ -330,10 +332,8 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     if cfg.w0_bound <= d_min:
         raise ConfigurationError(f"w0_bound must exceed delta / lipschitz = {d_min}")
     j_max = int(math.ceil(math.log2(cfg.w0_bound / d_min) - 1e-9))
-    noise_bound = EVAL_CONSTANT * zeta * cfg.w0_bound * cfg.sigma * math.sqrt(cfg.epsilon)
     best: SolveResult | None = None
     best_est = math.inf
-    runs = 0
     max_dual = 0.0
     max_extrap = 0.0
     oracle = GradientOracle(data.covariates, cfg, zeta)
@@ -341,16 +341,13 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
         candidate = replace(cfg, gamma_dist=d_min * (2.0 ** j))
         res = pdhg_solve(data, loss, reg, candidate, oracle=oracle)
         est = estimate_objective(res.w_hat, data, loss, reg, cfg)
-        runs += 1
         max_dual = max(max_dual, res.max_abs_dual)
         max_extrap = max(max_extrap, res.max_abs_extrapolated)
         if est < best_est:
             best_est = est
             best = res
-        elif est > best_est + 3.0 * noise_bound:
-            break
     assert best is not None
-    best.tuning_runs = runs
+    best.tuning_runs = j_max + 1
     best.oracle_calls = oracle.evaluations
     # feasibility diagnostics cover every candidate run, not just the winner
     best.max_abs_dual = max_dual

@@ -14,7 +14,7 @@ from robust_dro.baselines import (
     oracle_solve,
 )
 from robust_dro.data import ContaminationSpec, Dataset, DoroCounterexample, contaminate, generate_synthetic, prepend_ones
-from robust_dro.losses import LossFamily, NormRegularizer, loss_subgradients, norm_subgradient
+from robust_dro.losses import LossFamily, NormRegularizer, loss_subgradients, loss_values, norm_subgradient, reg_prox
 
 HINGE = LossFamily("hinge")
 LAD = LossFamily("lad")
@@ -55,6 +55,44 @@ def test_oracle_reports_budget_exhaustion():
     res = oracle_solve(data, LAD, NormRegularizer("2", 0.05), tol=0.0, max_stages=4)
     assert isinstance(res, OracleResult)
     assert not res.converged
+
+
+@pytest.mark.parametrize("kind, task", [("hinge", "classification"), ("logistic", "classification"), ("lad", "regression")])
+def test_oracle_matches_a_replay_that_recomputes_margins(kind, task):
+    loss = LossFamily(kind)
+    data = prepend_ones(generate_synthetic(4, 150, np.array([0.2, 1.0, -0.5, 0.3]), task=task,
+                                           noise_std=0.3, flip_prob=0.1, seed=3))
+    reg = NormRegularizer("2", 0.05)
+    stage_iters, max_stages, tol = 15, 10, 1e-9
+    res = oracle_solve(data, loss, reg, tol=tol, stage_iters=stage_iters, max_stages=max_stages)
+    # replay: x @ w recomputed for every objective and subgradient, each
+    # stage restarted from a copy of the best iterate
+    x, y, n = data.covariates, data.labels, data.n
+
+    def objective(w):
+        return float(loss_values(loss, y, x @ w).mean()) + reg.value(w)
+
+    def subgradient(w):
+        return loss_subgradients(loss, y, x @ w) @ x / n
+
+    w = np.zeros(data.dim)
+    base_step = 4.0 / max(float(np.linalg.norm(subgradient(w) + reg.weight * norm_subgradient(w, reg.s))), 1e-12)
+    w_best, f_best, stalled, converged = w.copy(), objective(w), 0, False
+    for stage in range(max_stages):
+        step = base_step / 2.0**stage
+        f_enter = f_best
+        w = w_best.copy()
+        for _ in range(stage_iters):
+            w = reg_prox(reg, w - step * subgradient(w), step)
+            if objective(w) < f_best:
+                f_best, w_best = objective(w), w.copy()
+        stalled = stalled + 1 if f_enter - f_best < tol else 0
+        if stalled >= 3:
+            converged = True
+            break
+    assert np.array_equal(res.w, w_best)
+    assert res.objective == f_best
+    assert res.converged == converged
 
 
 # --- vanilla ERM ---------------------------------------------------------

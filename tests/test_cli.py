@@ -38,7 +38,7 @@ def test_generate_corrupt_solve_flow(tmp_path):
     assert len(payload["w_hat"]) == 4  # intercept + 3 covariates
     assert payload["oracle_calls"] >= 1
     assert payload["config"]["epsilon"] == 0.1
-    assert payload["tuning_runs"] >= 1
+    assert payload["tuning_runs"] == 4  # the whole ladder: ceil(log2(6.0 / (3.0 * sqrt(0.1)))) + 1
 
 
 @pytest.mark.parametrize(
