@@ -185,8 +185,8 @@ def doro_cvar(
 def dro_objective_eval(w, data: Dataset, loss: LossFamily, reg: NormRegularizer) -> float:
     """(1/N) sum_i l_{y_i}(x_i . w) + weight * ||w||_s: the regularized
     form that equals the Wasserstein-1 worst case for these loss/cost
-    pairs when weight = rho * lipschitz and s is dual to the ground cost
-    exponent."""
+    pairs (every loss is 1-Lipschitz) when weight = rho and s is dual to
+    the ground cost exponent."""
     w = np.asarray(w, dtype=float)
     return float(loss_values(loss, data.labels, data.covariates @ w).mean()) + reg.value(w)
 

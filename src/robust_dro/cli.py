@@ -24,9 +24,9 @@ from . import data as datamod
 from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_solve
 from .data import ContaminationSpec, prepend_ones
 from .harness import ExperimentConfig, all_rows_ok, emit_report, rows_from_csv, rows_from_json, run_experiment
-from .losses import LossFamily
+from .losses import LossFamily, NormRegularizer
 from .robust_mean import OracleContractError, robust_mean_estimation, trimmed_mean_estimation
-from .solver import dro_regularizer, pipeline, solver_config
+from .solver import pipeline, solver_config
 
 # `corrupt --adversary` names -> data.ADVERSARY_KINDS
 ADVERSARIES = {
@@ -109,12 +109,11 @@ def _cmd_corrupt(args) -> int:
 
 def _cmd_solve(args) -> int:
     ds = datamod.from_csv(args.input, sigma=args.sigma)
-    loss = LossFamily(args.loss)
     cfg = solver_config(
-        args.epsilon, loss, sigma=args.sigma, delta_constant=args.delta_const, w0_bound=args.w0_bound,
-        gamma_dist=args.gamma_dist, reg_exponent=args.reg_s, dro_radius=args.rho, exact_oracle=args.exact_oracle,
+        args.epsilon, sigma=args.sigma, delta_constant=args.delta_const, w0_bound=args.w0_bound,
+        gamma_dist=args.gamma_dist, reg_exponent=args.reg_s, dro_radius=args.rho,
     )
-    res = pipeline(ds, loss, cfg.regularizer(), cfg)
+    res = pipeline(ds, LossFamily(args.loss), NormRegularizer(args.reg_s, args.rho), cfg)
     _emit_json(
         {
             "w_hat": [float(v) for v in res.w_hat],
@@ -145,7 +144,7 @@ def _cmd_baseline(parser: argparse.ArgumentParser, args) -> int:
     args = _baseline_args(parser, args)
     ds = datamod.from_csv(args.input)
     loss = LossFamily(args.loss)
-    reg = dro_regularizer(args.reg_s, args.rho, loss.lipschitz)
+    reg = NormRegularizer(args.reg_s, args.rho)
     lifted = prepend_ones(ds)
     payload: dict = {"method": args.method}
     if args.method == "oracle":
@@ -223,13 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="outlier-robust DRO solve of a raw CSV dataset")
     _add_objective_flags(p)
-    p.add_argument("--epsilon", type=float, required=True, help="corruption fraction")
+    p.add_argument("--epsilon", type=float, required=True, help="corruption fraction; 0 runs the exact mean oracle")
     _add_file_flags(p)
     p.add_argument("--sigma", type=float, default=1.0, help="covariance operator norm bound (sqrt)")
     p.add_argument("--delta-const", type=float, default=2.0)
     p.add_argument("--w0-bound", type=float, default=10.0)
     p.add_argument("--gamma-dist", type=float, default=None, help="skip tuning and use this distance for gamma")
-    p.add_argument("--exact-oracle", action="store_true", help="use the exact mean oracle (clean data)")
     p.set_defaults(func=_cmd_solve, **OBJECTIVE_DEFAULTS)
 
     # flags left out stay unset, so that _baseline_args can tell them from defaults

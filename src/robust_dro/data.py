@@ -32,8 +32,9 @@ class Dataset:
     """Covariates (N x d), labels (N,), and provenance bookkeeping.
 
     ``sigma`` is the known upper bound on the square root of the
-    covariate covariance operator norm; it travels with the data because
-    the solver schedules depend on it.
+    covariate covariance operator norm.  The default far-cluster
+    magnitude, the stability filter and the sidecar read it; the solver
+    schedules read ``PDHGConfig.sigma`` instead.
     """
 
     covariates: np.ndarray

@@ -19,7 +19,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -27,9 +27,9 @@ import numpy as np
 
 from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_solve
 from .data import ContaminationSpec, Dataset, contaminate, generate_synthetic, parse_adversary, prepend_ones
-from .losses import LossFamily
+from .losses import LossFamily, NormRegularizer
 from .robust_mean import stability_filter
-from .solver import dro_regularizer, pipeline, solver_config
+from .solver import pipeline, solver_config
 
 METHODS = ("pdhg", "erm", "doro")
 
@@ -83,6 +83,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
+        _check_keys("sweep config", raw, cls)
         for key in ("seeds", "epsilons", "adversaries", "methods"):
             if key in raw and isinstance(raw[key], list):
                 raw[key] = tuple(tuple(v) if isinstance(v, list) else v for v in raw[key])
@@ -109,6 +110,15 @@ class MetricsRow:
 REPORT_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
+def _check_keys(what: str, given: dict, cls) -> None:
+    """Raise a ValueError naming the keys of ``given`` that are not fields
+    of the dataclass ``cls``, or else the fields without a default it lacks."""
+    unknown = sorted(set(given) - {f.name for f in fields(cls)})
+    missing = sorted(f.name for f in fields(cls) if f.default is MISSING and f.name not in given)
+    if unknown or missing:
+        raise ValueError(f"{what} has unknown keys {unknown}" if unknown else f"{what} lacks keys {missing}")
+
+
 def _resolve_planted(cfg: ExperimentConfig, seed: int) -> np.ndarray:
     spec = cfg.planted
     if spec is None:
@@ -119,17 +129,17 @@ def _resolve_planted(cfg: ExperimentConfig, seed: int) -> np.ndarray:
             raise ValueError(f"planted coefficients must have length {cfg.dim}")
         return w
     kind = spec.get("kind", "first_axis")
+    if kind not in ("first_axis", "random"):
+        raise ValueError(f"unknown planted kind {kind!r}")
     norm = float(spec.get("norm", 2.0))
     w = np.zeros(cfg.dim)
     w[0] = float(spec.get("intercept", 0.0))
     if cfg.dim > 1:
         if kind == "first_axis":
             w[1] = norm
-        elif kind == "random":
+        else:
             u = np.random.default_rng(seed + 710_117).standard_normal(cfg.dim - 1)
             w[1:] = norm * u / np.linalg.norm(u)
-        else:
-            raise ValueError(f"unknown planted kind {kind!r}")
     return w
 
 
@@ -154,7 +164,7 @@ def _fit(method: str, corrupted: Dataset, eps: float, cfg: ExperimentConfig, los
     gradient-oracle evaluations of its whole solve (0 for the baselines)."""
     if method == "pdhg":
         solver_cfg = solver_config(
-            eps, loss, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound,
+            eps, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound,
             reg_exponent=cfg.reg_exponent, dro_radius=cfg.dro_radius,
         )
         res = pipeline(corrupted, loss, reg, solver_cfg)
@@ -167,7 +177,7 @@ def _fit(method: str, corrupted: Dataset, eps: float, cfg: ExperimentConfig, los
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     """Execute the full grid and return one row per cell, config order."""
     loss = LossFamily(cfg.loss)
-    reg = dro_regularizer(cfg.reg_exponent, cfg.dro_radius, loss.lipschitz)
+    reg = NormRegularizer(cfg.reg_exponent, cfg.dro_radius)
 
     # the clean-stable-subset oracle depends only on the seed's sample and
     # the rows kept, so every epsilon keeping the same rows shares it
@@ -256,7 +266,9 @@ def emit_report(rows: list[MetricsRow], fmt: str, path=None, *, include_wallcloc
 
 def _report_row(values: dict) -> MetricsRow:
     # a report written with include_wallclock=False reads wallclock as 0.0
-    return MetricsRow(**{"wallclock": 0.0, **values})
+    values = {"wallclock": 0.0, **values}
+    _check_keys("report row", values, MetricsRow)
+    return MetricsRow(**values)
 
 
 def rows_from_json(text: str) -> list[MetricsRow]:
@@ -267,7 +279,8 @@ def rows_from_csv(text: str) -> list[MetricsRow]:
     types = get_type_hints(MetricsRow)
     return [
         _report_row({name: types[name](rec[name]) for name in REPORT_COLUMNS if name in rec})
-        for rec in csv.DictReader(io.StringIO(text))
+        # a short row reads its missing fields as "", which fails to parse as a number
+        for rec in csv.DictReader(io.StringIO(text), restval="")
     ]
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,21 +42,20 @@ class InvalidLabelError(ValueError):
 
 @dataclass(frozen=True)
 class LossFamily:
-    """A loss kind together with its Lipschitz modulus.
+    """One of the loss kinds in ``LOSS_KINDS``.
 
-    All built-in kinds are 1-Lipschitz, so ``lipschitz`` is 1.0 for each
-    of them; it is carried explicitly because the solver schedules and
-    the dual-domain checks are stated in terms of it.
+    Every kind is 1-Lipschitz in the margin, so ``lipschitz`` is the
+    class constant 1.0 rather than a setting: the conjugate prox clips
+    every dual to [-1, 1], and the Wasserstein-1 worst case equals the
+    regularized risk with weight rho only at that modulus.
     """
 
     kind: str
-    lipschitz: float = 1.0
+    lipschitz: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
-        if self.lipschitz <= 0:
-            raise ValueError("lipschitz modulus must be positive")
 
     @property
     def is_classification(self) -> bool:
@@ -66,8 +66,9 @@ class LossFamily:
 class NormRegularizer:
     """psi(w) = weight * ||w||_s for s in {1, 2, inf}.
 
-    ``weight`` is the product of the DRO radius and the loss Lipschitz
-    modulus; weight 0 turns every prox into the identity.
+    ``weight`` is the DRO radius rho (every loss is 1-Lipschitz, so
+    the Wasserstein-1 worst case adds exactly rho * ||w||_s); weight 0
+    turns every prox into the identity.
     """
 
     s: str

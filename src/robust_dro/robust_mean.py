@@ -217,21 +217,21 @@ class OracleContractError(ValueError):
     """The scaling sequence fed to the gradient oracle broke its bound."""
 
 
-def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, lipschitz: float) -> np.ndarray:
+def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float) -> np.ndarray:
     """Robust estimate of (1/N) sum_i beta_i x_i for the underlying
     stable rows of an epsilon-corrupted covariate set.
 
-    Requires |beta_i| <= 3 * lipschitz (a violation indicates a solver
-    bug, not bad data) and epsilon < 1/4.  Scaling by a bounded sequence
-    preserves stability, so this is robust mean estimation on the scaled
-    points at corruption level 2*epsilon; the error is
-    O(sigma * lipschitz * sqrt(epsilon)).
+    Requires |beta_i| <= 3, three times the 1-Lipschitz losses' dual
+    bound (a violation indicates a solver bug, not bad data), and
+    epsilon < 1/4.  Scaling by a bounded sequence preserves stability,
+    so this is robust mean estimation on the scaled points at corruption
+    level 2*epsilon; the error is O(sigma * sqrt(epsilon)).
     """
     beta = np.asarray(beta, dtype=float)
     x = np.atleast_2d(np.asarray(covariates, dtype=float))
     if beta.shape != (x.shape[0],):
         raise ValueError("beta must have one entry per covariate row")
-    bound = 3.0 * lipschitz
+    bound = 3.0
     worst = float(np.max(np.abs(beta), initial=0.0))
     if worst > bound * (1.0 + 1e-12):
         raise OracleContractError(f"max |beta_i| = {worst} exceeds {bound}")

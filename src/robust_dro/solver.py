@@ -11,17 +11,17 @@ The driver below is a primal-dual hybrid gradient loop with two twists:
     scale with the initial distance ||w_0 - w*|| instead of the diameter
     of the iterate region.
 
-With the robust oracle's error bound delta = delta_constant * sigma *
-lipschitz * sqrt(epsilon), the iteration count T = ceil(2 * lipschitz *
-sigma / delta) balances optimization and estimation error, and the
-averaged output is suboptimal on the underlying stable subset by at most
-3 * ||w_0 - w*|| * delta.
+Every loss is 1-Lipschitz, so with the robust oracle's error bound
+delta = delta_constant * sigma * sqrt(epsilon), the iteration count
+T = ceil(2 * sigma / delta) balances optimization and estimation error,
+and the averaged output is suboptimal on the underlying stable subset
+by at most 3 * ||w_0 - w*|| * delta.
 
 Dual updates are per-sample 1-d conjugate-prox steps on the raw
 (corrupted) rows; only the primal step is robustified.  The dual
-iterates stay in the conjugate domain [-lipschitz, lipschitz], and the
-extrapolated weights stay within 3x of it, which is exactly the contract
-the gradient oracle requires.
+iterates stay in the conjugate domain [-1, 1], and the extrapolated
+weights stay within [-3, 3], which is exactly the contract the gradient
+oracle requires.
 """
 
 from __future__ import annotations
@@ -58,17 +58,16 @@ class PDHGConfig:
                     oracle with ``CLEAN_EPSILON``, which then only sets
                     the iteration budget via delta)
     sigma           covariance operator-norm bound (square root)
-    lipschitz       loss Lipschitz modulus
-    delta_constant  C in delta = C * sigma * lipschitz * sqrt(epsilon);
-                    trades iterations T = ceil(2 / (C sqrt(eps))) against
+    delta_constant  C in delta = C * sigma * sqrt(epsilon); trades
+                    iterations T = ceil(2 / (C sqrt(eps))) against
                     accuracy
     w0_bound        upper bound on ||w_0 - w*||; sets the tuning search's
                     largest candidate distance
-    gamma_dist      optional distance D; when set, gamma = D / (lipschitz
-                    sqrt(N)) and no tuning search is run
+    gamma_dist      optional distance D; when set, gamma = D / sqrt(N)
+                    and no tuning search is run
     reg_exponent    s of the norm regularizer ("1" | "2" | "inf")
-    dro_radius      DRO radius rho; the regularizer weight is
-                    rho * lipschitz
+    dro_radius      DRO radius rho, the weight of
+                    ``NormRegularizer(reg_exponent, dro_radius)``
     max_iters_cap   safety cap on T
     exact_oracle    replace the robust mean oracle by the exact weighted
                     mean (clean-data / debugging mode)
@@ -76,7 +75,6 @@ class PDHGConfig:
 
     epsilon: float
     sigma: float
-    lipschitz: float = 1.0
     delta_constant: float = 2.0
     w0_bound: float = 10.0
     gamma_dist: float | None = None
@@ -87,39 +85,26 @@ class PDHGConfig:
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0:
-            raise ConfigurationError("epsilon must be positive (use exact_oracle with a small epsilon for clean data)")
+            raise ConfigurationError("epsilon must be positive (for clean data, solve --epsilon 0 or solver_config(0.0))")
         if not self.exact_oracle and self.epsilon >= 0.25:
             raise ConfigurationError("robust oracle mode requires epsilon < 1/4")
-        if self.sigma <= 0 or self.lipschitz <= 0 or self.delta_constant <= 0:
-            raise ConfigurationError("sigma, lipschitz and delta_constant must be positive")
+        if self.sigma <= 0 or self.delta_constant <= 0:
+            raise ConfigurationError("sigma and delta_constant must be positive")
         if self.dro_radius < 0:
             raise ConfigurationError("dro_radius must be nonnegative")
 
     @property
     def delta(self) -> float:
-        """Oracle error scale delta = C * sigma * lipschitz * sqrt(eps)."""
-        return self.delta_constant * self.sigma * self.lipschitz * math.sqrt(self.epsilon)
-
-    def regularizer(self) -> NormRegularizer:
-        return dro_regularizer(self.reg_exponent, self.dro_radius, self.lipschitz)
+        """Oracle error scale delta = C * sigma * sqrt(eps)."""
+        return self.delta_constant * self.sigma * math.sqrt(self.epsilon)
 
 
-def dro_regularizer(reg_exponent: str, dro_radius: float, lipschitz: float) -> NormRegularizer:
-    """The s-norm regularizer of DRO radius rho, with weight rho * lipschitz."""
-    return NormRegularizer(reg_exponent, dro_radius * lipschitz)
-
-
-def solver_config(epsilon: float, loss: LossFamily, *, exact_oracle: bool = False, **fields) -> PDHGConfig:
-    """The :class:`PDHGConfig` of every front end: lipschitz from the loss,
-    epsilon = 0 -> the exact-mean oracle at ``CLEAN_EPSILON``, and the other
-    fields as given or defaulted."""
+def solver_config(epsilon: float, **fields) -> PDHGConfig:
+    """The :class:`PDHGConfig` of every front end: epsilon = 0 -> the
+    exact-mean oracle at ``CLEAN_EPSILON``, and the other fields as given
+    or defaulted."""
     clean = epsilon == 0.0
-    return PDHGConfig(
-        epsilon=CLEAN_EPSILON if clean else epsilon,
-        lipschitz=loss.lipschitz,
-        exact_oracle=exact_oracle or clean,
-        **fields,
-    )
+    return PDHGConfig(epsilon=CLEAN_EPSILON if clean else epsilon, exact_oracle=clean, **fields)
 
 
 def schedule(cfg: PDHGConfig, n: int, k: int) -> tuple[float, float, int]:
@@ -141,7 +126,7 @@ def _steps(cfg: PDHGConfig, n: int, k: int, t_hor: int) -> tuple[float, float]:
 
 def num_iterations(cfg: PDHGConfig) -> int:
     # tiny slop keeps exact-arithmetic cases like 2/(C sqrt(eps)) stable
-    t_hor = int(math.ceil(2.0 * cfg.lipschitz * cfg.sigma / cfg.delta - 1e-9))
+    t_hor = int(math.ceil(2.0 * cfg.sigma / cfg.delta - 1e-9))
     t_hor = max(t_hor, 1)
     if t_hor > cfg.max_iters_cap:
         raise ConfigurationError(f"schedule needs T={t_hor} iterations, above the cap {cfg.max_iters_cap}")
@@ -184,13 +169,13 @@ def estimate_objective(w: np.ndarray, data: Dataset, loss: LossFamily, reg: Norm
     return mean + reg.value(w)
 
 
-def _gamma(cfg: PDHGConfig, loss: LossFamily, n: int) -> float:
-    """gamma = gamma_dist / (lipschitz sqrt(N)) for a solve with a known distance."""
+def _gamma(cfg: PDHGConfig, n: int) -> float:
+    """gamma = gamma_dist / sqrt(N) for a solve with a known distance."""
     if cfg.gamma_dist is None:
         raise ConfigurationError("the solve needs cfg.gamma_dist; use tune_gamma to search for it")
     if cfg.gamma_dist <= 0:
         raise ConfigurationError("gamma_dist must be positive")
-    return cfg.gamma_dist / (loss.lipschitz * math.sqrt(n))
+    return cfg.gamma_dist / math.sqrt(n)
 
 
 class GradientOracle:
@@ -205,10 +190,9 @@ class GradientOracle:
     input.  ``evaluations`` counts the estimates actually computed.
     """
 
-    def __init__(self, covariates: np.ndarray, cfg: PDHGConfig, lipschitz: float) -> None:
+    def __init__(self, covariates: np.ndarray, cfg: PDHGConfig) -> None:
         self.x = covariates
         self.cfg = cfg
-        self.lipschitz = lipschitz
         self.evaluations = 0
         self._first: tuple[bytes, np.ndarray] | None = None
 
@@ -219,7 +203,7 @@ class GradientOracle:
         if self.cfg.exact_oracle:
             z = (beta @ self.x) / self.x.shape[0]
         else:
-            z = inexact_hybrid_gradient_oracle(beta, self.x, self.cfg.epsilon, self.lipschitz)
+            z = inexact_hybrid_gradient_oracle(beta, self.x, self.cfg.epsilon)
         self.evaluations += 1
         if self._first is None:
             z.flags.writeable = False  # handed to every run that shares the memo
@@ -231,7 +215,6 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record) -> SolveResult:
     x = data.covariates
     y = data.labels
     n = data.n
-    zeta = loss.lipschitz
     t_hor = num_iterations(cfg)
 
     w = np.zeros(data.dim) if w0 is None else w0.copy()
@@ -251,8 +234,8 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record) -> SolveResult:
         a_sum += a
         beta = alpha + (a_prev / a) * (alpha - alpha_prev)
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))
-        if max_extrap > 3.0 * zeta * (1.0 + 1e-9):
-            raise ConfigurationError(f"extrapolated dual weight {max_extrap} exceeded 3 * lipschitz")
+        if max_extrap > 3.0 * (1.0 + 1e-9):
+            raise ConfigurationError(f"extrapolated dual weight {max_extrap} exceeded 3")
         z = oracle(beta)
         tau = a * gamma / c_k
         w = reg_prox(reg, w - tau * z, tau)
@@ -276,19 +259,19 @@ def pdhg_solve(
 ) -> SolveResult:
     """Run the primal-dual loop on (intercept-carrying) data.
 
-    Requires ``cfg.gamma_dist``: gamma = gamma_dist / (lipschitz sqrt(N)).
+    Requires ``cfg.gamma_dist``: gamma = gamma_dist / sqrt(N).
     Use :func:`tune_gamma` when the distance to the optimum is unknown.
     ``w0``, if given, is the starting point, of shape ``(data.dim,)``.
     ``oracle``, if given, is a :class:`GradientOracle` on ``data``'s
     covariates shared with other runs; by default the run builds its own.
     """
-    gamma = _gamma(cfg, loss, data.n)
+    gamma = _gamma(cfg, data.n)
     if w0 is not None:
         w0 = np.asarray(w0, dtype=float)
         if w0.shape != (data.dim,):
             raise ValueError(f"w0 must have shape ({data.dim},), got {w0.shape}")
     if oracle is None:
-        oracle = GradientOracle(data.covariates, cfg, loss.lipschitz)
+        oracle = GradientOracle(data.covariates, cfg)
     done = oracle.evaluations
     result = _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record)
     result.oracle_calls = oracle.evaluations - done
@@ -303,7 +286,7 @@ def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: 
     rows supplied here; the dual iterates may differ on rows where the
     two datasets disagree.
     """
-    gamma = _gamma(cfg, loss, data.n)
+    gamma = _gamma(cfg, data.n)
     injected = [np.asarray(z, dtype=float) for z in injected_z]
     t_hor = num_iterations(cfg)
     if len(injected) != t_hor:
@@ -315,9 +298,9 @@ def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: 
 def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> SolveResult:
     """Geometric search over the unknown distance-to-optimum.
 
-    Candidates D_j = (delta / lipschitz) * 2^j for j = 0 .. ceil(log2(
-    w0_bound * lipschitz / delta)); each runs the solver with gamma
-    derived from D_j and its objective is estimated robustly.  The search
+    Candidates D_j = delta * 2^j for j = 0 .. ceil(log2(w0_bound /
+    delta)); each runs the solver with gamma derived from D_j and its
+    objective is estimated robustly.  The search
     runs the whole ladder and returns the run with the smallest estimate
     (ties prefer the smaller D_j; a NaN estimate is never chosen).
 
@@ -327,16 +310,15 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     runs give.  The returned ``oracle_calls`` counts the evaluations of
     the whole search.
     """
-    zeta = loss.lipschitz
-    d_min = cfg.delta / zeta
+    d_min = cfg.delta
     if cfg.w0_bound <= d_min:
-        raise ConfigurationError(f"w0_bound must exceed delta / lipschitz = {d_min}")
+        raise ConfigurationError(f"w0_bound must exceed delta = {d_min}")
     j_max = int(math.ceil(math.log2(cfg.w0_bound / d_min) - 1e-9))
     best: SolveResult | None = None
     best_est = math.inf
     max_dual = 0.0
     max_extrap = 0.0
-    oracle = GradientOracle(data.covariates, cfg, zeta)
+    oracle = GradientOracle(data.covariates, cfg)
     for j in range(j_max + 1):
         candidate = replace(cfg, gamma_dist=d_min * (2.0 ** j))
         res = pdhg_solve(data, loss, reg, candidate, oracle=oracle)

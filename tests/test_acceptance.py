@@ -323,8 +323,8 @@ def test_gate_09_tuning_search():
         tuned = tune_gamma(lifted, loss, reg, cfg)
         e_tuned = dro_objective_eval(tuned.w_hat, lifted, loss, reg) - orc.objective
         budget = math.ceil(math.log2(100.0 * d0 * loss.lipschitz / cfg.delta)) + 1
-        ok = ok and e_tuned <= 2.0 * e_direct and tuned.tuning_runs <= budget
-        details.append(f"{kind}: tuned={e_tuned:.1e} vs 2x direct={2*e_direct:.1e}, runs={tuned.tuning_runs}<= {budget}")
+        ok = ok and e_tuned <= 2.0 * e_direct and tuned.tuning_runs == budget
+        details.append(f"{kind}: tuned={e_tuned:.1e} vs 2x direct={2*e_direct:.1e}, runs={tuned.tuning_runs}=={budget}")
     report("gate 09 gamma-tuning", ok, " | ".join(details) + f" elapsed={time.perf_counter()-start:.1f}s")
 
 

@@ -8,6 +8,8 @@ import pytest
 from robust_dro.cli import main
 from robust_dro.data import ContaminationSpec, contaminate, from_csv, read_sidecar
 from robust_dro.harness import _resolve_adversary
+from robust_dro.losses import LossFamily, NormRegularizer
+from robust_dro.solver import CLEAN_EPSILON, pipeline, solver_config
 
 
 def test_generate_corrupt_solve_flow(tmp_path):
@@ -88,6 +90,23 @@ def test_solve_with_gamma_override_skips_tuning(tmp_path):
     assert payload["tuning_runs"] is None
 
 
+def test_solve_with_zero_epsilon_runs_the_exact_oracle(tmp_path):
+    clean = tmp_path / "clean.csv"
+    out = tmp_path / "sol.json"
+    main(["generate", "--dim", "3", "--n", "200", "--seed", "2", "--output", str(clean)])
+    assert main([
+        "solve", "--loss", "logistic", "--rho", "0.2", "--epsilon", "0", "--delta-const", "100",
+        "--input", str(clean), "--output", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["exact_oracle"] is True
+    assert payload["config"]["epsilon"] == CLEAN_EPSILON == 1e-6
+    assert "lipschitz" not in payload["config"]
+    cfg = solver_config(0.0, sigma=1.0, delta_constant=100.0, dro_radius=0.2)
+    res = pipeline(from_csv(clean), LossFamily("logistic"), NormRegularizer("2", 0.2), cfg)
+    assert payload["w_hat"] == [float(v) for v in res.w_hat]
+
+
 def test_robust_mean_subcommand(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     main(["generate", "--dim", "4", "--n", "500", "--seed", "2", "--output", str(pts)])
@@ -124,7 +143,7 @@ def test_baseline_subcommands(tmp_path):
 @pytest.mark.parametrize(
     "flag",
     [["--seed", "1"], ["--sigma", "1.0"], ["--delta-const", "3.0"], ["--w0-bound", "6.0"],
-     ["--gamma-dist", "1.5"], ["--exact-oracle"]],
+     ["--gamma-dist", "1.5"]],
 )
 def test_baseline_rejects_solver_only_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
@@ -201,3 +220,37 @@ def test_bench_exit_code_on_failed_cell(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["bench", "--config", str(cfg_path), "--output", str(tmp_path / "r.csv")]) == 1
+
+
+BENCH_CONFIG = {"dim": 3, "n_samples": 100, "seeds": [0], "epsilons": [0.1], "methods": ["erm"]}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [({**BENCH_CONFIG, "methodz": ["erm"]}, "sweep config has unknown keys ['methodz']"),
+     ({k: v for k, v in BENCH_CONFIG.items() if k != "dim"}, "sweep config lacks keys ['dim']")],
+)
+def test_bench_rejects_a_malformed_config(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(cfg_path), "--output", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"robust-dro: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [("r.json", json.dumps([{"method": "erm", "adversary": "none", "epsilon": 0.1, "seed": 0,
+                              "excess_clean_objective": 0.5, "param_error": 0.5, "oracle_calls": 0,
+                              "status": "ok", "note": "x"}]),
+      "report row has unknown keys ['note']"),
+     ("r.csv", "method,adversary,epsilon,seed\nerm,none,0.1,0\n",
+      "report row lacks keys ['excess_clean_objective', 'oracle_calls', 'param_error']"),
+     ("r.csv", "method,adversary,epsilon,seed,excess_clean_objective,param_error,wallclock,oracle_calls,status\n"
+               "erm,none,0.1,0,0.5,0.5\n",
+      "could not convert string to float: ''")],
+)
+def test_report_rejects_a_malformed_report(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["report", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"robust-dro: error: {message}\n"

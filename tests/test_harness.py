@@ -131,6 +131,9 @@ def test_planted_spec_variants():
     assert all_rows_ok(rows)
     cfg = tiny_config(planted={"kind": "random", "norm": 1.5}, seeds=(0,), epsilons=(0.0,), methods=("erm",))
     assert all_rows_ok(run_experiment(cfg))
+    for dim in (1, 4):
+        with pytest.raises(ValueError, match="unknown planted kind 'bogus'"):
+            harness._resolve_planted(tiny_config(dim=dim, planted={"kind": "bogus"}), 0)
 
 
 def test_doro_method_runs():

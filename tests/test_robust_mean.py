@@ -335,7 +335,7 @@ def test_trimmed_mean_estimation_coordinatewise():
 def test_oracle_zero_weights_give_zero_vector():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((100, 3))
-    z = inexact_hybrid_gradient_oracle(np.zeros(100), x, 0.1, 1.0)
+    z = inexact_hybrid_gradient_oracle(np.zeros(100), x, 0.1)
     assert np.allclose(z, 0.0)
 
 
@@ -345,16 +345,16 @@ def test_oracle_contract_breach_raises():
     beta = np.zeros(50)
     beta[0] = 3.2
     with pytest.raises(OracleContractError):
-        inexact_hybrid_gradient_oracle(beta, x, 0.1, 1.0)
+        inexact_hybrid_gradient_oracle(beta, x, 0.1)
     with pytest.raises(ValueError):
-        inexact_hybrid_gradient_oracle(np.ones(50), x, 0.3, 1.0)
+        inexact_hybrid_gradient_oracle(np.ones(50), x, 0.3)
 
 
 def test_oracle_clean_weighted_mean():
     rng = np.random.default_rng(11)
     n, d, eps = 5000, 6, 0.04
     x = rng.standard_normal((n, d))
-    z = inexact_hybrid_gradient_oracle(np.ones(n), x, eps, 1.0)
+    z = inexact_hybrid_gradient_oracle(np.ones(n), x, eps)
     assert np.linalg.norm(z - x.mean(axis=0)) <= np.sqrt(eps)
 
 
@@ -366,7 +366,7 @@ def test_oracle_corrupted_tracks_clean_subset_mean():
     x[bad] = 10 * np.sqrt(d / eps) * np.eye(d)[0]
     clean = np.setdiff1d(np.arange(n), bad)
     clean_mean = x[clean].mean(axis=0)
-    z = inexact_hybrid_gradient_oracle(np.ones(n), x, eps, 1.0)
+    z = inexact_hybrid_gradient_oracle(np.ones(n), x, eps)
     naive = x.mean(axis=0)
     assert np.linalg.norm(z - clean_mean) <= 3 * np.sqrt(eps)
     assert np.linalg.norm(naive - clean_mean) >= 0.5 * np.sqrt(d * eps)

@@ -76,16 +76,25 @@ def test_schedule_rejects_bad_k_and_cap():
 
 
 def test_solver_config_maps_clean_epsilon_to_exact_oracle():
-    clean = solver_config(0.0, HINGE, sigma=2.0, dro_radius=0.1)
+    clean = solver_config(0.0, sigma=2.0, dro_radius=0.1)
     assert clean.exact_oracle and clean.epsilon == CLEAN_EPSILON
-    assert clean.lipschitz == HINGE.lipschitz and clean.sigma == 2.0 and clean.dro_radius == 0.1
+    assert clean.sigma == 2.0 and clean.dro_radius == 0.1
     assert clean.max_iters_cap == PDHGConfig(epsilon=0.1, sigma=1.0).max_iters_cap
-    robust = solver_config(0.1, LossFamily("lad", lipschitz=2.0), sigma=1.0, reg_exponent="1", dro_radius=0.3)
-    assert not robust.exact_oracle and robust.epsilon == 0.1 and robust.lipschitz == 2.0
-    assert robust.regularizer() == NormRegularizer("1", 0.6)  # weight rho * lipschitz
-    assert solver_config(0.1, HINGE, sigma=1.0, exact_oracle=True).exact_oracle
+    robust = solver_config(0.1, sigma=1.0, reg_exponent="1", dro_radius=0.3)
+    assert robust == PDHGConfig(epsilon=0.1, sigma=1.0, reg_exponent="1", dro_radius=0.3)
+    assert not robust.exact_oracle
     with pytest.raises(ConfigurationError):
-        solver_config(-0.1, HINGE, sigma=1.0)
+        solver_config(-0.1, sigma=1.0)
+
+
+def test_the_lipschitz_modulus_is_not_a_setting():
+    # every loss is 1-Lipschitz; a second modulus would silently break the
+    # worst-case = regularized identity, so neither type accepts one
+    assert LAD.lipschitz == 1.0
+    with pytest.raises(TypeError):
+        LossFamily("lad", lipschitz=2.0)
+    with pytest.raises(TypeError):
+        PDHGConfig(epsilon=0.1, sigma=1.0, lipschitz=2.0)
 
 
 def test_config_validation():
@@ -314,14 +323,14 @@ def test_tune_gamma_shares_the_first_oracle_call(monkeypatch, exact):
 def test_gradient_oracle_memo_needs_a_bitwise_equal_beta():
     data = contaminated_problem()
     cfg = PDHGConfig(epsilon=0.1, sigma=1.0)
-    oracle = GradientOracle(data.covariates, cfg, 1.0)
+    oracle = GradientOracle(data.covariates, cfg)
     beta = np.full(data.n, 1.0 / data.n)
     first = oracle(beta)
     nudged = beta.copy()
     nudged[7] = np.nextafter(nudged[7], 1.0)
     second = oracle(nudged)
     assert oracle.evaluations == 2
-    assert np.array_equal(second, GradientOracle(data.covariates, cfg, 1.0)(nudged))
+    assert np.array_equal(second, GradientOracle(data.covariates, cfg)(nudged))
     assert oracle(beta.copy()) is first
     assert oracle.evaluations == 2
 
