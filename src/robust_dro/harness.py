@@ -21,7 +21,8 @@ import math
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -82,8 +83,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"sweep config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         _check_keys("sweep config", raw, cls)
+        _check_types("sweep config", raw, cls)
         for key in ("seeds", "epsilons", "adversaries", "methods"):
             if key in raw and isinstance(raw[key], list):
                 raw[key] = tuple(tuple(v) if isinstance(v, list) else v for v in raw[key])
@@ -117,6 +121,42 @@ def _check_keys(what: str, given: dict, cls) -> None:
     missing = sorted(f.name for f in fields(cls) if f.default is MISSING and f.name not in given)
     if unknown or missing:
         raise ValueError(f"{what} has unknown keys {unknown}" if unknown else f"{what} lacks keys {missing}")
+
+
+# how a config error names the type a field's annotation asks for
+_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"), str: ("a string", "strings"),
+               type(None): ("null", "nulls")}
+
+
+def _check_types(what: str, given: dict, cls) -> None:
+    """Raise a ValueError naming the first key of ``given`` whose value does
+    not have the type annotated on that field of the dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    for key, value in given.items():
+        if not _fits(value, hints[key]):
+            raise ValueError(f"{what} key {key!r} must be {_type_name(hints[key])}, got {value!r}")
+
+
+def _fits(value, hint) -> bool:
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is object:
+        return True
+    if hint is tuple or origin is tuple:  # a JSON list; tuple[X, ...] also types its items
+        return isinstance(value, (list, tuple)) and (not args or all(_fits(item, args[0]) for item in value))
+    if origin is UnionType:
+        return any(_fits(value, option) for option in args)
+    if isinstance(value, bool):  # JSON true/false is not a number
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _type_name(hint) -> str:
+    if hint is tuple or get_origin(hint) is tuple:
+        args = get_args(hint)
+        return f"a list of {_TYPE_NAMES[args[0]][1]}" if args else "a list"
+    if get_origin(hint) is UnionType:
+        return " or ".join(_type_name(option) for option in get_args(hint))
+    return _TYPE_NAMES[hint][0]
 
 
 def _resolve_planted(cfg: ExperimentConfig, seed: int) -> np.ndarray:

@@ -31,7 +31,10 @@ REG_EXPONENTS = ("1", "2", "inf")
 _CLASSIFICATION = frozenset({"hinge", "logistic"})
 
 #: Accuracy in u of the logistic dual prox, and a hard cap on its
-#: safeguarded Newton steps (a few per row when warm-started).
+#: evaluations.  One evaluation computes g and a Newton step on every row
+#: at once, so the slowest row sets the count: about three per call when
+#: warm-started by the solver, a few dozen when safeguards bisect rows
+#: with a large step ratio r.
 _NEWTON_MAX_ITERS = 200
 _NEWTON_TOL = 1e-12
 
@@ -217,43 +220,74 @@ def _logistic_dual_newton(m: np.ndarray, p: np.ndarray, a: float, n: int, gamma:
 
     with g' = 1 + r sigmoid(s)(1 - sigmoid(s)) >= 1 and the root inside
     [-m - r(1+p), -m - rp].  Newton steps start from p (clipped into the
-    domain) and fall back to bisecting that bracket when a step leaves
-    it or fails to halve |g|.  As g' >= 1 and |du/ds| <= 1/4, a row is
-    done once |g| <= 4 tol, or once its bracket spans <= tol in u (for
-    |m| so large that one ulp of s exceeds the first test's reach).
+    domain).  As g' >= 1 and |du/ds| <= 1/4, a row is done once
+    |g| <= 4 tol, and every returned u is then within tol of its root.
+
+    Every evaluation makes the same passes over all rows: the sigmoid,
+    g, the |g| test and the Newton step.  The bracket is read by the
+    safeguard test on every row but written only for the rows that test
+    flags, through index sets that are almost always empty:
+      - a row whose step leaves its bracket, or fails to halve |g|,
+        narrows the bracket to its point and bisects it; the midpoint
+        narrows it again at the next evaluation, so each bisection at
+        least halves the bracket;
+      - a flagged row is done, and holds its point, once its bracket
+        spans <= tol in u (for |m| so large that one ulp of s moves g by
+        more than 4 tol);
+      - a flagged row that passed the |g| test at the previous
+        evaluation (rounding puts its |g| near 4 tol) goes back to that
+        point and holds it.
     """
-    # 1-d rows, so that bisection steps can be assigned in place
+    # 1-d rows, so that flagged rows can be assigned in place
     shape = np.broadcast(m, p).shape
     m, p = (v.ravel() for v in np.broadcast_arrays(m, p))
     r = gamma * n / a
     lo = -m - r * (1.0 + p)
     hi = -m - r * p
-    sig_lo, _ = _sigmoid(lo)
-    sig_hi, _ = _sigmoid(hi)
     pc = np.clip(p, -1.0, 0.0)
     with np.errstate(divide="ignore"):
         s = np.clip(np.log(-pc) - np.log1p(pc), lo, hi)
-    g_prev = np.full_like(m, np.inf)
+    s_prev = s
+    half_g = np.full_like(m, np.inf)  # half of each row's |g| at the previous evaluation
+    held = bisected = np.empty(0, dtype=np.intp)
     for _ in range(_NEWTON_MAX_ITERS):
         sig, slope = _sigmoid(s)
         g = (m + s) + r * (sig + p)
-        above = g > 0
-        hi = np.where(above, s, hi)
-        sig_hi = np.where(above, sig, sig_hi)
-        lo = np.where(above, lo, s)
-        sig_lo = np.where(above, sig_lo, sig)
         abs_g = np.abs(g)
-        done = (abs_g <= 4.0 * _NEWTON_TOL) | (sig_hi - sig_lo <= _NEWTON_TOL)
+        done = abs_g <= 4.0 * _NEWTON_TOL
+        done[held] = True
         if done.all():
             return -sig.reshape(shape)
+        if bisected.size:
+            _narrow(lo, hi, bisected, s, g)
         step = s - g / (1.0 + r * slope)
-        bisect = (step <= lo) | (step >= hi) | (abs_g > 0.5 * g_prev)
-        step[bisect] = 0.5 * (lo[bisect] + hi[bisect])
-        abs_g[bisect] = np.inf  # the step after a bisection is not held to halving
-        g_prev = abs_g
-        # a finished row keeps its s, so it reads as finished again
-        s = np.where(done, s, step)
-    raise RuntimeError("logistic dual prox (safeguarded Newton) failed to converge")
+        step[held] = s[held]
+        flagged = bisected = np.flatnonzero((step <= lo) | (step >= hi) | (abs_g > half_g))
+        if flagged.size:
+            flagged = flagged[~done[flagged]]
+            lost = half_g[flagged] <= 2.0 * _NEWTON_TOL
+            back, flagged = flagged[lost], flagged[~lost]
+            step[back] = s_prev[back]
+            _narrow(lo, hi, flagged, s, g)
+            spanned = _sigmoid(hi[flagged])[0] - _sigmoid(lo[flagged])[0] <= _NEWTON_TOL
+            finished, bisected = flagged[spanned], flagged[~spanned]
+            step[finished] = s[finished]
+            step[bisected] = 0.5 * (lo[bisected] + hi[bisected])
+            held = np.concatenate([held, back, finished])
+        half_g = 0.5 * abs_g
+        half_g[bisected] = np.inf  # the step after a bisection is not held to halving
+        s_prev, s = s, step
+    raise RuntimeError(
+        f"logistic dual prox (safeguarded Newton) failed to converge: {np.count_nonzero(~done)} of {done.size} "
+        f"rows not done after {_NEWTON_MAX_ITERS} evaluations, worst |g| {abs_g[~done].max():.3g}"
+    )
+
+
+def _narrow(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, s: np.ndarray, g: np.ndarray) -> None:
+    # move the bracket end on each row's side of the root to the row's point s
+    above = g[rows] > 0
+    hi[rows[above]] = s[rows[above]]
+    lo[rows[~above]] = s[rows[~above]]
 
 
 def _sigmoid(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -228,7 +228,12 @@ BENCH_CONFIG = {"dim": 3, "n_samples": 100, "seeds": [0], "epsilons": [0.1], "me
 @pytest.mark.parametrize(
     "config, message",
     [({**BENCH_CONFIG, "methodz": ["erm"]}, "sweep config has unknown keys ['methodz']"),
-     ({k: v for k, v in BENCH_CONFIG.items() if k != "dim"}, "sweep config lacks keys ['dim']")],
+     ({k: v for k, v in BENCH_CONFIG.items() if k != "dim"}, "sweep config lacks keys ['dim']"),
+     ([1, 2], "sweep config must be a JSON object, got list"),
+     ({**BENCH_CONFIG, "seeds": 5}, "sweep config key 'seeds' must be a list of integers, got 5"),
+     ({**BENCH_CONFIG, "dim": "10"}, "sweep config key 'dim' must be an integer, got '10'"),
+     ({**BENCH_CONFIG, "methods": "pdhg"}, "sweep config key 'methods' must be a list of strings, got 'pdhg'"),
+     ({**BENCH_CONFIG, "epsilons": "0.1"}, "sweep config key 'epsilons' must be a list of numbers, got '0.1'")],
 )
 def test_bench_rejects_a_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"

@@ -246,9 +246,71 @@ def test_logistic_prox_is_bracketed_by_the_stationarity_sign(m, p, log_r, y):
     assert deriv(max(u - 2e-12, -1.0)) >= 0.0 >= deriv(min(u + 2e-12, 0.0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.floats(-1e8, 1e8),
+    p=st.floats(-1.0, 1.0),
+    log_r=st.floats(-3.0, 3.0),
+    y=st.sampled_from([-1.0, 1.0]),
+)
+def test_logistic_prox_matches_reference_bisection_on_any_row(m, p, log_r, y):
+    """|m| up to 1e8, where one ulp of s moves g by more than 4 tol, so a
+    row can only finish on its bracket: the prox agrees with the
+    reference to 2e-12."""
+    n, a = 100, 1.0
+    gamma = 10.0**log_r * a / n
+    want = reference_logistic_prox(np.array([m]), np.array([p]), a, n, gamma)[0]
+    u = y * conjugate_prox(FAMILIES["logistic"], y, y * m, y * p, a, n, gamma)
+    assert abs(u - want) <= 2e-12
+
+
+@pytest.mark.parametrize(
+    "m, p, r",
+    [
+        (50.0, -1.0, 100.0),  # each step from a saturated end lands on the other end, a 2-cycle
+        (11.0, -0.98, 27.3),  # the second step overshoots the bracket of the first two points
+        (0.0, -1e-4, 10.24),  # the first step fails to halve |g|
+        (1e8, -0.3, 0.7),  # saturated: |g| cannot get below 4 tol
+        (-1e8, 0.3, 0.7),
+    ],
+)
+def test_logistic_prox_safeguards_fire_and_keep_accuracy(monkeypatch, m, p, r):
+    """On rows where plain Newton leaves its bracket, fails to halve |g| or
+    cannot reach the |g| test, a safeguard narrows a bracket, and every
+    row still matches the reference to 2e-12."""
+    narrowed = []
+    narrow = losses._narrow
+    monkeypatch.setattr(losses, "_narrow", lambda lo, hi, rows, s, g: (narrowed.append(rows.size), narrow(lo, hi, rows, s, g)))
+    n, a = 100, 1.0
+    gamma = r * a / n
+    want = reference_logistic_prox(np.array([m]), np.array([p]), a, n, gamma)
+    for y in (-1.0, 1.0):
+        u = y * conjugate_prox_vec(FAMILIES["logistic"], np.array([y]), np.array([y * m]), np.array([y * p]), a, n, gamma)
+        assert np.abs(u - want).max() <= 2e-12
+    assert sum(narrowed) > 0
+
+
+@pytest.mark.parametrize("r, budget", [(1e2, 30), (1e3, 30), (1e4, 30), (1e5, 80)])
+def test_logistic_prox_finishes_spread_rows_within_budget(monkeypatch, r, budget):
+    """2000 rows with roots spread over the steep part of g, where Newton
+    steps overshoot and bisections are common.  Each bisection at least
+    halves its bracket, and a row whose |g| sits near 4 tol (r = 1e5: it
+    passes the |g| test at one evaluation and fails it at the next) goes
+    back to the point that passed, so every row finishes within the
+    budget (about 20 evaluations, 60 at r = 1e5) and matches the reference."""
+    monkeypatch.setattr(losses, "_NEWTON_MAX_ITERS", budget)
+    rng = np.random.default_rng(0)
+    n, a = 100, 1.0
+    p = rng.uniform(-1.0, 1.0, 2000)
+    root = rng.normal(scale=4.0, size=2000)
+    m = -root - r * (1.0 / (1.0 + np.exp(-root)) + p)
+    u = conjugate_prox_vec(FAMILIES["logistic"], np.ones_like(m), m, p, a, n, r * a / n)
+    assert np.abs(u - reference_logistic_prox(m, p, a, n, r * a / n)).max() <= 2e-12
+
+
 def test_stalled_logistic_prox_raises(monkeypatch):
     monkeypatch.setattr(losses, "_NEWTON_MAX_ITERS", 1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"3 of 3 rows not done after 1 evaluations, worst \|g\| 1\.13$"):
         conjugate_prox_vec(FAMILIES["logistic"], np.ones(3), np.array([0.5, -2.0, 3.0]), np.full(3, -0.5), 1.0, 10, 0.3)
 
 

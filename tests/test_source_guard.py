@@ -1,13 +1,18 @@
 """The library takes its settings from arguments only: no module reads the
-environment or starts threads, so a run is fixed by its inputs."""
+environment or starts threads, so a run is fixed by its inputs.  It imports
+only the standard library, numpy (the one dependency pyproject.toml lists)
+and its own modules, so an installed but undeclared package such as scipy
+cannot creep in."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "robust_dro"
 FORBIDDEN_IMPORTS = ("concurrent", "threading")
+ALLOWED_TOP_LEVEL = sys.stdlib_module_names | {"numpy", "robust_dro"}
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -28,9 +33,27 @@ def _violations(tree: ast.AST) -> list[str]:
     return found
 
 
+def _undeclared_imports(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # level > 0 is a relative import
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_no_environment_and_starts_no_threads(path):
     assert _violations(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_stdlib_numpy_and_itself(path):
+    assert _undeclared_imports(ast.parse(path.read_text())) == []
 
 
 def test_guard_catches_each_form():
@@ -43,3 +66,17 @@ n = os.environ.get("RD_THREADS")
 m = os.getenv("X")
 """
     assert len(_violations(ast.parse(source))) == 5
+
+
+def test_import_guard_catches_each_form():
+    source = """
+from __future__ import annotations
+import math, scipy.special
+from scipy.special import expit
+import numpy as np
+from numpy.linalg import eigh
+from . import data
+from .losses import LossFamily
+import robust_dro.solver
+"""
+    assert _undeclared_imports(ast.parse(source)) == ["line 3: scipy.special", "line 4: scipy.special"]
