@@ -73,6 +73,13 @@ class ExperimentConfig:
     oracle_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for key in ("dim", "n_samples"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"sweep config key {key!r} must be positive, got {getattr(self, key)!r}")
+        _check_planted(self.planted, self.dim)
+        for adv in self.adversaries:
+            if not isinstance(adv, (str, dict)):
+                raise ValueError(f"sweep config key 'adversaries' must hold names or objects, got {adv!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if list(self.epsilons) != sorted(self.epsilons):
@@ -159,27 +166,43 @@ def _type_name(hint) -> str:
     return _TYPE_NAMES[hint][0]
 
 
+@dataclass(frozen=True)
+class _PlantedSpec:
+    """The object form of a sweep config's ``planted`` entry."""
+
+    kind: str = "first_axis"
+    norm: float = 2.0
+    intercept: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("first_axis", "random"):
+            raise ValueError(f"unknown planted kind {self.kind!r}")
+
+
+def _check_planted(spec, dim: int) -> None:
+    if isinstance(spec, dict):
+        _check_keys("planted spec", spec, _PlantedSpec)
+        _check_types("planted spec", spec, _PlantedSpec)
+        _PlantedSpec(**spec)
+    elif isinstance(spec, (list, tuple, np.ndarray)):
+        if not _fits(list(spec), tuple[float, ...]) or len(spec) != dim:
+            raise ValueError(f"planted coefficients must be {dim} numbers")
+    elif spec is not None:
+        raise ValueError(f"sweep config key 'planted' must be null, a list of numbers or an object, got {spec!r}")
+
+
 def _resolve_planted(cfg: ExperimentConfig, seed: int) -> np.ndarray:
-    spec = cfg.planted
-    if spec is None:
-        spec = {"kind": "first_axis", "norm": 2.0, "intercept": 0.0}
-    if isinstance(spec, (list, tuple, np.ndarray)):
-        w = np.asarray(spec, dtype=float)
-        if w.shape != (cfg.dim,):
-            raise ValueError(f"planted coefficients must have length {cfg.dim}")
-        return w
-    kind = spec.get("kind", "first_axis")
-    if kind not in ("first_axis", "random"):
-        raise ValueError(f"unknown planted kind {kind!r}")
-    norm = float(spec.get("norm", 2.0))
+    if isinstance(cfg.planted, (list, tuple, np.ndarray)):
+        return np.asarray(cfg.planted, dtype=float)
+    spec = _PlantedSpec(**(cfg.planted or {}))
     w = np.zeros(cfg.dim)
-    w[0] = float(spec.get("intercept", 0.0))
+    w[0] = spec.intercept
     if cfg.dim > 1:
-        if kind == "first_axis":
-            w[1] = norm
+        if spec.kind == "first_axis":
+            w[1] = spec.norm
         else:
             u = np.random.default_rng(seed + 710_117).standard_normal(cfg.dim - 1)
-            w[1:] = norm * u / np.linalg.norm(u)
+            w[1:] = spec.norm * u / np.linalg.norm(u)
     return w
 
 

@@ -33,8 +33,8 @@ _CLASSIFICATION = frozenset({"hinge", "logistic"})
 #: Accuracy in u of the logistic dual prox, and a hard cap on its
 #: evaluations.  One evaluation computes g and a Newton step on every row
 #: at once, so the slowest row sets the count: about three per call when
-#: warm-started by the solver, a few dozen when safeguards bisect rows
-#: with a large step ratio r.
+#: warm-started by the solver, and about twenty from a cold start with a
+#: step ratio r up to 1e12.
 _NEWTON_MAX_ITERS = 200
 _NEWTON_TOL = 1e-12
 
@@ -157,8 +157,11 @@ def _xlogx(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def conjugate_eval(family: LossFamily, y: float, alpha: float) -> float:
+def conjugate_eval(family: LossFamily, y, alpha):
     """The convex conjugate l_y*(alpha); +inf outside its domain.
+
+    Broadcasts y against alpha like :func:`loss_values`; a call with two
+    scalars returns a float.
 
     Closed forms (u = y*alpha for the classification losses):
         lad       alpha*y               on [-1, 1]
@@ -168,18 +171,19 @@ def conjugate_eval(family: LossFamily, y: float, alpha: float) -> float:
     The y = -1 classification forms follow from the y = +1 ones by the
     substitution alpha -> -alpha.
     """
-    _check_labels(family, np.asarray(float(y)))
-    a = float(alpha)
-    if family.kind == "lad":
-        return a * y if abs(a) <= 1.0 else math.inf
-    if family.kind == "huber":
-        return a * y + 0.5 * a * a if abs(a) <= 1.0 else math.inf
-    u = y * a
-    if not (-1.0 <= u <= 0.0):
-        return math.inf
-    if family.kind == "hinge":
-        return u
-    return float(_xlogx(np.asarray(-u)) + _xlogx(np.asarray(1.0 + u)))
+    y = np.asarray(y, dtype=float)
+    a = np.asarray(alpha, dtype=float)
+    _check_labels(family, y)
+    if family.kind in ("lad", "huber"):
+        inside = np.abs(a) <= 1.0
+        a = np.clip(a, -1.0, 1.0)  # the same values inside; no overflow outside
+        value = a * y if family.kind == "lad" else a * y + 0.5 * a * a
+    else:
+        u = y * a
+        inside = (u >= -1.0) & (u <= 0.0)
+        value = u if family.kind == "hinge" else _xlogx(-u) + _xlogx(1.0 + u)
+    out = np.where(inside, value, math.inf)
+    return float(out) if out.ndim == 0 else out
 
 
 def conjugate_prox_vec(family: LossFamily, y, x_dot_w, alpha_prev, a: float, n: int, gamma: float) -> np.ndarray:
@@ -188,7 +192,8 @@ def conjugate_prox_vec(family: LossFamily, y, x_dot_w, alpha_prev, a: float, n: 
         (a/n) * (v * x_dot_w_i - l_{y_i}*(v)) - (gamma/2) * (v - alpha_prev_i)^2.
 
     Closed form (a quadratic maximizer clipped to the conjugate domain)
-    for lad/huber/hinge; a safeguarded Newton solve for logistic.
+    for lad/huber/hinge; for logistic, a Newton solve that is monotone on
+    every row and returns each v within 1e-12 of the maximizer.
     """
     if gamma <= 0 or a <= 0:
         raise ValueError("conjugate_prox requires gamma > 0 and a > 0")
@@ -218,82 +223,43 @@ def _logistic_dual_newton(m: np.ndarray, p: np.ndarray, a: float, n: int, gamma:
 
         g(s) = (m + s) + r (sigmoid(s) + p) = 0,   r = gamma n / a,
 
-    with g' = 1 + r sigmoid(s)(1 - sigmoid(s)) >= 1 and the root inside
-    [-m - r(1+p), -m - rp].  Newton steps start from p (clipped into the
-    domain).  As g' >= 1 and |du/ds| <= 1/4, a row is done once
-    |g| <= 4 tol, and every returned u is then within tol of its root.
+    with g increasing and the root inside [-m - r(1+p), -m - rp].  With
+    c = g(0) and t = tanh(s/2), g = (c + s) + (r/2) t and
+    g' = 1 + r/4 - (r/4) t^2.
 
-    Every evaluation makes the same passes over all rows: the sigmoid,
-    g, the |g| test and the Newton step.  The bracket is read by the
-    safeguard test on every row but written only for the rows that test
-    flags, through index sets that are almost always empty:
-      - a row whose step leaves its bracket, or fails to halve |g|,
-        narrows the bracket to its point and bisects it; the midpoint
-        narrows it again at the next evaluation, so each bisection at
-        least halves the bracket;
-      - a flagged row is done, and holds its point, once its bracket
-        spans <= tol in u (for |m| so large that one ulp of s moves g by
-        more than 4 tol);
-      - a flagged row that passed the |g| test at the previous
-        evaluation (rounding puts its |g| near 4 tol) goes back to that
-        point and holds it.
+    - A row with c < 0 (root at s > 0) is solved as the mirror row
+      (m, p) -> (-m, -1 - p), whose g is -g(-s) and whose u is -1 - u.
+      So every root lies at s <= 0, where g is convex: Newton steps
+      clipped at 0 are monotone after the first step (Ortega and
+      Rheinboldt 1970), and need no bracket or safeguard.  Every
+      evaluation steps every row; a done row only moves closer to its
+      root.
+    - g(s) is (n/a) times the prox objective's derivative in u, which
+      falls with slope at least r + 4, so |g| <= (r + 4) tol puts u
+      within tol of its root.  A row whose bracket top is <= -40 has
+      sigmoid < 1e-17 on its bracket, so it is within tol at its
+      start point: its tolerance is infinite.
     """
-    # 1-d rows, so that flagged rows can be assigned in place
-    shape = np.broadcast(m, p).shape
-    m, p = (v.ravel() for v in np.broadcast_arrays(m, p))
     r = gamma * n / a
-    lo = -m - r * (1.0 + p)
-    hi = -m - r * p
+    c = m + r * (p + 0.5)
+    mirror = c < 0
+    m, p, c = np.where(mirror, -m, m), np.where(mirror, -1.0 - p, p), np.abs(c)
+    top = -m - r * p
+    tol = np.where(top <= -40.0, np.inf, (r + 4.0) * _NEWTON_TOL)
     pc = np.clip(p, -1.0, 0.0)
     with np.errstate(divide="ignore"):
-        s = np.clip(np.log(-pc) - np.log1p(pc), lo, hi)
-    s_prev = s
-    half_g = np.full_like(m, np.inf)  # half of each row's |g| at the previous evaluation
-    held = bisected = np.empty(0, dtype=np.intp)
+        s = np.clip(np.log(-pc) - np.log1p(pc), top - r, np.minimum(top, 0.0))
     for _ in range(_NEWTON_MAX_ITERS):
-        sig, slope = _sigmoid(s)
-        g = (m + s) + r * (sig + p)
-        abs_g = np.abs(g)
-        done = abs_g <= 4.0 * _NEWTON_TOL
-        done[held] = True
+        t = np.tanh(0.5 * s)
+        g = (c + s) + (0.5 * r) * t
+        done = np.abs(g) <= tol
         if done.all():
-            return -sig.reshape(shape)
-        if bisected.size:
-            _narrow(lo, hi, bisected, s, g)
-        step = s - g / (1.0 + r * slope)
-        step[held] = s[held]
-        flagged = bisected = np.flatnonzero((step <= lo) | (step >= hi) | (abs_g > half_g))
-        if flagged.size:
-            flagged = flagged[~done[flagged]]
-            lost = half_g[flagged] <= 2.0 * _NEWTON_TOL
-            back, flagged = flagged[lost], flagged[~lost]
-            step[back] = s_prev[back]
-            _narrow(lo, hi, flagged, s, g)
-            spanned = _sigmoid(hi[flagged])[0] - _sigmoid(lo[flagged])[0] <= _NEWTON_TOL
-            finished, bisected = flagged[spanned], flagged[~spanned]
-            step[finished] = s[finished]
-            step[bisected] = 0.5 * (lo[bisected] + hi[bisected])
-            held = np.concatenate([held, back, finished])
-        half_g = 0.5 * abs_g
-        half_g[bisected] = np.inf  # the step after a bisection is not held to halving
-        s_prev, s = s, step
+            return np.where(mirror, -0.5 * (1.0 - t), -0.5 * (1.0 + t))
+        s = np.minimum(s - g / (1.0 + 0.25 * r - (0.25 * r) * (t * t)), 0.0)
     raise RuntimeError(
-        f"logistic dual prox (safeguarded Newton) failed to converge: {np.count_nonzero(~done)} of {done.size} "
-        f"rows not done after {_NEWTON_MAX_ITERS} evaluations, worst |g| {abs_g[~done].max():.3g}"
+        f"logistic dual prox (Newton) failed to converge: {np.count_nonzero(~done)} of {done.size} "
+        f"rows not done after {_NEWTON_MAX_ITERS} evaluations, worst |g| {np.abs(g)[~done].max():.3g}"
     )
-
-
-def _narrow(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, s: np.ndarray, g: np.ndarray) -> None:
-    # move the bracket end on each row's side of the root to the row's point s
-    above = g[rows] > 0
-    hi[rows[above]] = s[rows[above]]
-    lo[rows[~above]] = s[rows[~above]]
-
-
-def _sigmoid(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # sigmoid(s) and its derivative through tanh, which cannot overflow
-    t = np.tanh(0.5 * s)
-    return 0.5 + 0.5 * t, 0.25 * (1.0 - t * t)
 
 
 def conjugate_prox(family: LossFamily, y: float, x_dot_w: float, alpha_prev: float, a: float, n: int, gamma: float) -> float:

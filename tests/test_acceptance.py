@@ -104,9 +104,7 @@ def _conjugate_grid(kind, y, step=1e-5):
     key = (kind, y)
     if key not in _CONJ_GRIDS:
         v = np.arange(-1.0, 1.0 + step, step)
-        fam = LossFamily(kind)
-        conj = np.array([conjugate_eval(fam, y, float(t)) for t in v])
-        _CONJ_GRIDS[key] = (v, conj)
+        _CONJ_GRIDS[key] = (v, conjugate_eval(LossFamily(kind), y, v))
     return _CONJ_GRIDS[key]
 
 

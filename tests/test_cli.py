@@ -233,7 +233,12 @@ BENCH_CONFIG = {"dim": 3, "n_samples": 100, "seeds": [0], "epsilons": [0.1], "me
      ({**BENCH_CONFIG, "seeds": 5}, "sweep config key 'seeds' must be a list of integers, got 5"),
      ({**BENCH_CONFIG, "dim": "10"}, "sweep config key 'dim' must be an integer, got '10'"),
      ({**BENCH_CONFIG, "methods": "pdhg"}, "sweep config key 'methods' must be a list of strings, got 'pdhg'"),
-     ({**BENCH_CONFIG, "epsilons": "0.1"}, "sweep config key 'epsilons' must be a list of numbers, got '0.1'")],
+     ({**BENCH_CONFIG, "epsilons": "0.1"}, "sweep config key 'epsilons' must be a list of numbers, got '0.1'"),
+     ({**BENCH_CONFIG, "n_samples": 0}, "sweep config key 'n_samples' must be positive, got 0"),
+     ({**BENCH_CONFIG, "dim": 0}, "sweep config key 'dim' must be positive, got 0"),
+     ({**BENCH_CONFIG, "planted": "x"}, "sweep config key 'planted' must be null, a list of numbers or an object, got 'x'"),
+     ({**BENCH_CONFIG, "planted": {"kind": "first_axis", "nrom": 3}}, "planted spec has unknown keys ['nrom']"),
+     ({**BENCH_CONFIG, "adversaries": [5]}, "sweep config key 'adversaries' must hold names or objects, got 5")],
 )
 def test_bench_rejects_a_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"

@@ -44,8 +44,7 @@ def conjugate_on_grid(kind, y, step=1e-5):
     key = (kind, y, step)
     if key not in _CONJ_CACHE:
         v = np.arange(-1.0, 1.0 + step, step)
-        conj = np.array([conjugate_eval(FAMILIES[kind], y, float(t)) for t in v])
-        _CONJ_CACHE[key] = (v, conj)
+        _CONJ_CACHE[key] = (v, conjugate_eval(FAMILIES[kind], y, v))
     return _CONJ_CACHE[key]
 
 
@@ -123,6 +122,19 @@ def test_conjugate_domain_is_lipschitz_bounded(kind):
         assert max(abs(a) for a in finite) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_conjugate_array_form_matches_scalar_calls(kind):
+    """The array form broadcasts y against alpha and equals the scalar
+    calls bit for bit, out of the domain too; a scalar call gives a float."""
+    y = np.array(labels_for(kind))[:, None]
+    alpha = np.concatenate([np.linspace(-1.0, 1.0, 41), [-1.0 - 1e-16, 1.0 + 1e-16, 2.0, -np.inf, np.inf, np.nan]])
+    got = conjugate_eval(FAMILIES[kind], y, alpha)
+    want = [[conjugate_eval(FAMILIES[kind], float(yy), float(aa)) for aa in alpha] for yy in y[:, 0]]
+    assert got.shape == (y.size, alpha.size)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert type(conjugate_eval(FAMILIES[kind], float(y[0, 0]), -0.5)) is float
+
+
 def test_conjugate_frozen_values():
     assert conjugate_eval(FAMILIES["hinge"], 1.0, -0.5) == pytest.approx(-0.5)
     assert math.isinf(conjugate_eval(FAMILIES["lad"], 0.0, 2.0))
@@ -138,7 +150,7 @@ def test_fenchel_moreau_recovery(kind):
     """l(z) is recovered as max_alpha alpha*z - l*(alpha) on a grid."""
     for y in labels_for(kind):
         alphas_c = np.linspace(-1, 1, 2001)
-        conj = np.array([conjugate_eval(FAMILIES[kind], y, float(a)) for a in alphas_c])
+        conj = conjugate_eval(FAMILIES[kind], y, alphas_c)
         finite = np.isfinite(conj)
         for z in np.linspace(-8, 8, 33):
             recovered = np.max(alphas_c[finite] * z - conj[finite])
@@ -270,35 +282,31 @@ def test_logistic_prox_matches_reference_bisection_on_any_row(m, p, log_r, y):
         (50.0, -1.0, 100.0),  # each step from a saturated end lands on the other end, a 2-cycle
         (11.0, -0.98, 27.3),  # the second step overshoots the bracket of the first two points
         (0.0, -1e-4, 10.24),  # the first step fails to halve |g|
-        (1e8, -0.3, 0.7),  # saturated: |g| cannot get below 4 tol
+        (1e8, -0.3, 0.7),  # saturated: |g| cannot get below (r + 4) tol
         (-1e8, 0.3, 0.7),
     ],
 )
-def test_logistic_prox_safeguards_fire_and_keep_accuracy(monkeypatch, m, p, r):
-    """On rows where plain Newton leaves its bracket, fails to halve |g| or
-    cannot reach the |g| test, a safeguard narrows a bracket, and every
-    row still matches the reference to 2e-12."""
-    narrowed = []
-    narrow = losses._narrow
-    monkeypatch.setattr(losses, "_narrow", lambda lo, hi, rows, s, g: (narrowed.append(rows.size), narrow(lo, hi, rows, s, g)))
+def test_logistic_prox_keeps_accuracy_where_plain_newton_fails(m, p, r):
+    """On rows where plain Newton from p, neither mirrored nor clipped at
+    0, leaves its bracket, fails to halve |g| or cannot reach the |g|
+    test, the prox still matches the reference to 2e-12."""
     n, a = 100, 1.0
     gamma = r * a / n
     want = reference_logistic_prox(np.array([m]), np.array([p]), a, n, gamma)
     for y in (-1.0, 1.0):
         u = y * conjugate_prox_vec(FAMILIES["logistic"], np.array([y]), np.array([y * m]), np.array([y * p]), a, n, gamma)
         assert np.abs(u - want).max() <= 2e-12
-    assert sum(narrowed) > 0
 
 
-@pytest.mark.parametrize("r, budget", [(1e2, 30), (1e3, 30), (1e4, 30), (1e5, 80)])
-def test_logistic_prox_finishes_spread_rows_within_budget(monkeypatch, r, budget):
-    """2000 rows with roots spread over the steep part of g, where Newton
-    steps overshoot and bisections are common.  Each bisection at least
-    halves its bracket, and a row whose |g| sits near 4 tol (r = 1e5: it
-    passes the |g| test at one evaluation and fails it at the next) goes
-    back to the point that passed, so every row finishes within the
-    budget (about 20 evaluations, 60 at r = 1e5) and matches the reference."""
-    monkeypatch.setattr(losses, "_NEWTON_MAX_ITERS", budget)
+@pytest.mark.parametrize("r", [1e2, 1e3, 1e4, 1e5, 1e8, 1e12])
+def test_logistic_prox_finishes_spread_rows_within_budget(monkeypatch, r):
+    """2000 rows with roots spread over the steep part of g and starts
+    from p in [-1, 1].  Newton steps are monotone once right of the root,
+    and from s = 0 they descend about one unit of s per evaluation while
+    the sigmoid term dominates g', so every row finishes within 20
+    evaluations (8 at r = 1e2, 17 at r = 1e8 and 1e12) and matches the
+    reference."""
+    monkeypatch.setattr(losses, "_NEWTON_MAX_ITERS", 20)
     rng = np.random.default_rng(0)
     n, a = 100, 1.0
     p = rng.uniform(-1.0, 1.0, 2000)

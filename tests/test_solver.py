@@ -377,7 +377,9 @@ def test_pipeline_rejects_a_sample_too_small_to_trim():
 def test_pipeline_solves_clean_logistic_within_the_promised_excess():
     """Exact-oracle pipeline on clean logistic data: the excess over the
     reference optimum is at most 3 ||w*|| delta, and a second call gives
-    the same w_hat bit for bit."""
+    the same w_hat bit for bit.  The excess is 3.7e-5 here; it stays
+    under 1e-4, which a dual prox that returns the constant -y/2 fails
+    (4.7e-4) though it meets the 3 ||w*|| delta bound (0.084)."""
     planted = np.zeros(5)
     planted[1] = 2.0
     raw = generate_synthetic(5, 2000, planted, task="classification", flip_prob=0.05, seed=31)
@@ -389,6 +391,7 @@ def test_pipeline_solves_clean_logistic_within_the_promised_excess():
     assert orc.converged
     excess = dro_objective_eval(res.w_hat, lifted, LOGISTIC, reg) - orc.objective
     assert excess <= 3.0 * float(np.linalg.norm(orc.w)) * cfg.delta
+    assert excess <= 1e-4
     assert pipeline(raw, LOGISTIC, reg, cfg).w_hat.tobytes() == res.w_hat.tobytes()
 
 
