@@ -28,6 +28,10 @@ from .losses import (
 
 _DUAL_EXPONENT = {"1": "inf", "2": "2", "inf": "1"}
 
+# oracle_solve's stage budget, and its first step as a multiple of 1 / G
+MAX_STAGES = 48
+STEP_GROWTH = 4.0
+
 
 @dataclass
 class OracleResult:
@@ -47,33 +51,33 @@ def oracle_solve(
     tol: float = 1e-6,
     *,
     stage_iters: int = 400,
-    max_stages: int = 48,
-    step_growth: float = 4.0,
 ) -> OracleResult:
     """High-accuracy minimizer of mean loss + psi by proximal subgradient.
 
-    Deterministic stagewise schedule: the step starts at step_growth / G
+    Deterministic stagewise schedule: the step starts at STEP_GROWTH / G
     (G = the subgradient norm at the start) and halves every stage; each
     stage warm-starts from the best iterate so far.  On the polyhedral
     objectives used here this contracts geometrically, unlike a single
     1/sqrt(k) schedule.  Stops once three consecutive stages each improve
-    the best objective by less than tol; if the stage budget runs out
-    first, the best iterate is returned with ``converged=False``.
+    the best objective by less than tol >= 0; if the MAX_STAGES budget
+    runs out first, the best iterate is returned with ``converged=False``.
 
     Intended for desk-scale instances (N * d up to ~1e6).
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     x = data.covariates
     y = data.labels
     n = x.shape[0]
     w = np.zeros(data.dim)
     z = x @ w  # the margins of w, shared by its objective and its subgradient
     g0 = loss_subgradients(loss, y, z) @ x / n + reg.weight * norm_subgradient(w, reg.s)
-    base_step = step_growth / max(float(np.linalg.norm(g0)), 1e-12)
+    base_step = STEP_GROWTH / max(float(np.linalg.norm(g0)), 1e-12)
     w_best, z_best = w, z
     f_best = float(loss_values(loss, y, z).mean()) + reg.value(w)
     stalled = 0
     converged = False
-    for stage in range(max_stages):
+    for stage in range(MAX_STAGES):
         step = base_step / (2.0 ** stage)
         f_enter = f_best
         w, z = w_best, z_best
@@ -96,6 +100,8 @@ def erm_subgradient(data: Dataset, loss: LossFamily, reg: NormRegularizer, iters
     """Plain averaged subgradient descent on the (corrupted) empirical
     objective, no filtering; steps c / sqrt(k) with c auto-scaled from
     the initial subgradient norm."""
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
     x = data.covariates
     y = data.labels
     w = np.zeros(data.dim)
@@ -137,6 +143,8 @@ def doro_cvar(
         raise ValueError("alpha must lie in (0, 1]")
     if not (0.0 <= epsilon < 0.5):
         raise ValueError("epsilon must lie in [0, 0.5)")
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
     quadratic = isinstance(loss, str)
     if quadratic and loss != "quadratic":
         raise ValueError(f"unknown loss {loss!r}")

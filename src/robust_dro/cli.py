@@ -111,7 +111,7 @@ def _cmd_solve(args) -> int:
     ds = datamod.from_csv(args.input, sigma=args.sigma)
     cfg = solver_config(
         args.epsilon, sigma=args.sigma, delta_constant=args.delta_const, w0_bound=args.w0_bound,
-        gamma_dist=args.gamma_dist, reg_exponent=args.reg_s, dro_radius=args.rho,
+        gamma_dist=args.gamma_dist, dro_radius=args.rho,
     )
     res = pipeline(ds, LossFamily(args.loss), NormRegularizer(args.reg_s, args.rho), cfg)
     _emit_json(

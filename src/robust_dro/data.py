@@ -174,6 +174,10 @@ def generate_synthetic(
         raise ValueError(f"covariate_law must be one of {COVARIATE_LAWS}")
     if task not in ("regression", "classification"):
         raise ValueError("task must be 'regression' or 'classification'")
+    if not 0.0 <= flip_prob <= 1.0:
+        raise ValueError(f"flip_prob must lie in [0, 1], got {flip_prob}")
+    if not noise_std >= 0.0:
+        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
     rng = np.random.default_rng(seed)
     k = d - 1
     if covariate_law == "gaussian":

@@ -227,8 +227,7 @@ def _fit(method: str, corrupted: Dataset, eps: float, cfg: ExperimentConfig, los
     gradient-oracle evaluations of its whole solve (0 for the baselines)."""
     if method == "pdhg":
         solver_cfg = solver_config(
-            eps, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound,
-            reg_exponent=cfg.reg_exponent, dro_radius=cfg.dro_radius,
+            eps, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound, dro_radius=cfg.dro_radius,
         )
         res = pipeline(corrupted, loss, reg, solver_cfg)
         return res.w_hat, res.oracle_calls
@@ -301,25 +300,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_report(rows: list[MetricsRow], fmt: str, path=None, *, include_wallclock: bool = True) -> str:
+def emit_report(rows: list[MetricsRow], fmt: str, path=None) -> str:
     """Serialize rows (CSV with fixed column order and 9-significant-digit
     floats, or JSON with native doubles).  Returns the text; also writes
     it when a path is given."""
-    columns = [c for c in REPORT_COLUMNS if include_wallclock or c != "wallclock"]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(REPORT_COLUMNS)
         for row in rows:
             d = asdict(row)
-            writer.writerow([_fmt(d[c]) for c in columns])
+            writer.writerow([_fmt(d[c]) for c in REPORT_COLUMNS])
         text = buf.getvalue()
     elif fmt == "json":
-        payload = []
-        for row in rows:
-            d = asdict(row)
-            payload.append({c: d[c] for c in columns})
-        text = json.dumps(payload, indent=1) + "\n"
+        text = json.dumps([asdict(row) for row in rows], indent=1) + "\n"
     else:
         raise ValueError("format must be 'csv' or 'json'")
     if path is not None:
@@ -328,8 +322,6 @@ def emit_report(rows: list[MetricsRow], fmt: str, path=None, *, include_wallcloc
 
 
 def _report_row(values: dict) -> MetricsRow:
-    # a report written with include_wallclock=False reads wallclock as 0.0
-    values = {"wallclock": 0.0, **values}
     _check_keys("report row", values, MetricsRow)
     return MetricsRow(**values)
 

@@ -15,7 +15,10 @@ Every loss is 1-Lipschitz, so with the robust oracle's error bound
 delta = delta_constant * sigma * sqrt(epsilon), the iteration count
 T = ceil(2 * sigma / delta) balances optimization and estimation error,
 and the averaged output is suboptimal on the underlying stable subset
-by at most 3 * ||w_0 - w*|| * delta.
+by at most 3 * ||w_0 - w*|| * delta, from the start w_0 = 0.  The step
+weight sqrt(N) / sigma is constant, so the dual extrapolation is the
+plain beta = alpha + (alpha - alpha_prev) and the output is the plain
+average of the T primal iterates.
 
 Dual updates are per-sample 1-d conjugate-prox steps on the raw
 (corrupted) rows; only the primal step is robustified.  The dual
@@ -34,6 +37,7 @@ import numpy as np
 from .data import Dataset, center_with_estimate, prepend_ones
 from .losses import LossFamily, NormRegularizer, conjugate_prox_vec, loss_values, reg_prox
 from .robust_mean import (
+    OracleContractError,
     inexact_hybrid_gradient_oracle,
     robust_mean_estimation,
     trimmed_mean_1d,
@@ -43,6 +47,9 @@ from .robust_mean import (
 # Scheduling epsilon of a clean (epsilon = 0) solve, which runs the exact-mean
 # oracle; it only sets the iteration budget through delta.
 CLEAN_EPSILON = 1e-6
+
+# safety cap on the iteration count T
+MAX_ITERATIONS = 200_000
 
 
 class ConfigurationError(ValueError):
@@ -65,10 +72,8 @@ class PDHGConfig:
                     largest candidate distance
     gamma_dist      optional distance D; when set, gamma = D / sqrt(N)
                     and no tuning search is run
-    reg_exponent    s of the norm regularizer ("1" | "2" | "inf")
-    dro_radius      DRO radius rho, the weight of
-                    ``NormRegularizer(reg_exponent, dro_radius)``
-    max_iters_cap   safety cap on T
+    dro_radius      DRO radius rho; echoed only, the solve reads the
+                    regularizer it is handed
     exact_oracle    replace the robust mean oracle by the exact weighted
                     mean (clean-data / debugging mode)
     """
@@ -78,9 +83,7 @@ class PDHGConfig:
     delta_constant: float = 2.0
     w0_bound: float = 10.0
     gamma_dist: float | None = None
-    reg_exponent: str = "2"
     dro_radius: float = 0.0
-    max_iters_cap: int = 200_000
     exact_oracle: bool = False
 
     def __post_init__(self) -> None:
@@ -108,7 +111,7 @@ def solver_config(epsilon: float, **fields) -> PDHGConfig:
 
 
 def schedule(cfg: PDHGConfig, n: int, k: int) -> tuple[float, float, int]:
-    """Step weight a_k, damping c_k and horizon T at iteration k >= 1.
+    """Step weight a, damping c_k and horizon T at iteration k >= 1.
 
     The step weight is the constant sqrt(N) / sigma; the damping
     decreases linearly from c_0 = 2 to c_T = 1.
@@ -116,20 +119,15 @@ def schedule(cfg: PDHGConfig, n: int, k: int) -> tuple[float, float, int]:
     if k < 1:
         raise ValueError("k must be >= 1")
     t_hor = num_iterations(cfg)
-    return (*_steps(cfg, n, k, t_hor), t_hor)
-
-
-def _steps(cfg: PDHGConfig, n: int, k: int, t_hor: int) -> tuple[float, float]:
-    """a_k and c_k of :func:`schedule` for a horizon T computed by the caller."""
-    return math.sqrt(n) / cfg.sigma, 2.0 - k / t_hor
+    return math.sqrt(n) / cfg.sigma, 2.0 - k / t_hor, t_hor
 
 
 def num_iterations(cfg: PDHGConfig) -> int:
     # tiny slop keeps exact-arithmetic cases like 2/(C sqrt(eps)) stable
     t_hor = int(math.ceil(2.0 * cfg.sigma / cfg.delta - 1e-9))
     t_hor = max(t_hor, 1)
-    if t_hor > cfg.max_iters_cap:
-        raise ConfigurationError(f"schedule needs T={t_hor} iterations, above the cap {cfg.max_iters_cap}")
+    if t_hor > MAX_ITERATIONS:
+        raise ConfigurationError(f"schedule needs T={t_hor} iterations, above the cap {MAX_ITERATIONS}")
     return t_hor
 
 
@@ -184,10 +182,10 @@ class GradientOracle:
     :func:`inexact_hybrid_gradient_oracle`.
 
     It keeps its first output for reuse.  Every run of one tuning search
-    starts from beta = alpha_0 = 1/N (a_prev = 0 at k = 1), whatever its
-    gamma or w0, so candidates sharing one oracle evaluate that first
-    call once.  The memo is reused only for a beta bitwise equal to its
-    input.  ``evaluations`` counts the estimates actually computed.
+    starts from beta = alpha_0 = 1/N (alpha_prev = alpha at k = 1),
+    whatever its gamma, so candidates sharing one oracle evaluate that
+    first call once.  The memo is reused only for a beta bitwise equal to
+    its input.  ``evaluations`` counts the estimates actually computed.
     """
 
     def __init__(self, covariates: np.ndarray, cfg: PDHGConfig) -> None:
@@ -211,18 +209,16 @@ class GradientOracle:
         return z
 
 
-def _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record) -> SolveResult:
+def _run_loop(data, loss, reg, cfg, gamma, oracle, record) -> SolveResult:
     x = data.covariates
     y = data.labels
     n = data.n
     t_hor = num_iterations(cfg)
 
-    w = np.zeros(data.dim) if w0 is None else w0.copy()
+    w = np.zeros(data.dim)
     alpha = np.full(n, 1.0 / n)
-    alpha_prev = alpha.copy()
-    a_prev = 0.0
-    a_sum = 0.0
-    w_accum = np.zeros(data.dim)
+    alpha_prev = alpha
+    w_sum = np.zeros(data.dim)
     max_dual = float(np.max(np.abs(alpha), initial=0.0))
     max_extrap = 0.0
     result = SolveResult(
@@ -230,24 +226,22 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record) -> SolveResult:
         t_used=t_hor, max_abs_dual=max_dual, max_abs_extrapolated=max_extrap,
     )
     for k in range(1, t_hor + 1):
-        a, c_k = _steps(cfg, n, k, t_hor)
-        a_sum += a
-        beta = alpha + (a_prev / a) * (alpha - alpha_prev)
+        a, c_k, _ = schedule(cfg, n, k)
+        beta = alpha + (alpha - alpha_prev)
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))
         if max_extrap > 3.0 * (1.0 + 1e-9):
-            raise ConfigurationError(f"extrapolated dual weight {max_extrap} exceeded 3")
+            raise OracleContractError(f"extrapolated dual weight {max_extrap} exceeded 3")
         z = oracle(beta)
         tau = a * gamma / c_k
         w = reg_prox(reg, w - tau * z, tau)
         alpha_prev = alpha
         alpha = conjugate_prox_vec(loss, y, x @ w, alpha, a, n, gamma)
         max_dual = max(max_dual, float(np.max(np.abs(alpha), initial=0.0)))
-        w_accum += a * w
+        w_sum += w
         if record:
             result.w_iterates.append(w.copy())
             result.z_iterates.append(np.asarray(z, dtype=float).copy())
-        a_prev = a
-    result.w_hat = w_accum / a_sum
+    result.w_hat = w_sum / t_hor
     result.max_abs_dual = max_dual
     result.max_abs_extrapolated = max_extrap
     return result
@@ -255,25 +249,20 @@ def _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record) -> SolveResult:
 
 def pdhg_solve(
     data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *,
-    w0=None, record: bool = False, oracle: GradientOracle | None = None,
+    record: bool = False, oracle: GradientOracle | None = None,
 ) -> SolveResult:
-    """Run the primal-dual loop on (intercept-carrying) data.
+    """Run the primal-dual loop on (intercept-carrying) data from w_0 = 0.
 
     Requires ``cfg.gamma_dist``: gamma = gamma_dist / sqrt(N).
     Use :func:`tune_gamma` when the distance to the optimum is unknown.
-    ``w0``, if given, is the starting point, of shape ``(data.dim,)``.
     ``oracle``, if given, is a :class:`GradientOracle` on ``data``'s
     covariates shared with other runs; by default the run builds its own.
     """
     gamma = _gamma(cfg, data.n)
-    if w0 is not None:
-        w0 = np.asarray(w0, dtype=float)
-        if w0.shape != (data.dim,):
-            raise ValueError(f"w0 must have shape ({data.dim},), got {w0.shape}")
     if oracle is None:
         oracle = GradientOracle(data.covariates, cfg)
     done = oracle.evaluations
-    result = _run_loop(data, loss, reg, cfg, gamma, w0, oracle, record)
+    result = _run_loop(data, loss, reg, cfg, gamma, oracle, record)
     result.oracle_calls = oracle.evaluations - done
     return result
 
@@ -292,7 +281,7 @@ def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: 
     if len(injected) != t_hor:
         raise ConfigurationError(f"injected sequence has {len(injected)} entries, schedule needs {t_hor}")
     queue = iter(injected)
-    return _run_loop(data, loss, reg, cfg, gamma, None, lambda beta: next(queue), record)
+    return _run_loop(data, loss, reg, cfg, gamma, lambda beta: next(queue), record)
 
 
 def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> SolveResult:
@@ -347,9 +336,7 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
     w0_orig = w0_centered - w_rest . mu_hat.
     """
     x = raw.covariates
-    if raw.dim == 0:
-        mu_hat = np.zeros(0)
-    elif cfg.exact_oracle:
+    if cfg.exact_oracle:
         mu_hat = x.mean(axis=0)
     else:
         mu_hat = robust_mean_estimation(x, 2.0 * cfg.epsilon)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_dro.baselines import (
+    MAX_STAGES,
     OracleResult,
     doro_cvar,
     dro_objective_eval,
@@ -43,8 +44,8 @@ def test_oracle_self_consistent_across_schedules():
                                            task="regression", noise_std=0.3, seed=1))
     reg = NormRegularizer("2", 0.05)
     tol = 1e-6
-    a = oracle_solve(data, LAD, reg, tol=tol, stage_iters=400, step_growth=4.0)
-    b = oracle_solve(data, LAD, reg, tol=tol, stage_iters=700, step_growth=2.0)
+    a = oracle_solve(data, LAD, reg, tol=tol, stage_iters=400)
+    b = oracle_solve(data, LAD, reg, tol=tol, stage_iters=700)
     assert a.converged and b.converged
     assert abs(a.objective - b.objective) <= 2 * tol * 100  # schedules agree to ~1e-4
 
@@ -52,9 +53,23 @@ def test_oracle_self_consistent_across_schedules():
 def test_oracle_reports_budget_exhaustion():
     data = prepend_ones(generate_synthetic(4, 150, np.array([0.2, 1.0, -0.5, 0.3]),
                                            task="regression", noise_std=0.3, seed=2))
-    res = oracle_solve(data, LAD, NormRegularizer("2", 0.05), tol=0.0, max_stages=4)
+    res = oracle_solve(data, LAD, NormRegularizer("2", 0.05), tol=0.0, stage_iters=5)
     assert isinstance(res, OracleResult)
     assert not res.converged
+
+
+@pytest.mark.parametrize("removed", [{"max_stages": 4}, {"step_growth": 2.0}])
+def test_oracle_stage_budget_and_first_step_are_not_settings(removed):
+    data = Dataset(np.array([[1.0, 0.0]]), np.array([0.0]))
+    with pytest.raises(TypeError):
+        oracle_solve(data, LAD, NO_REG, tol=1e-8, **removed)
+
+
+@pytest.mark.parametrize("tol", [-1e-6, float("nan")])
+def test_oracle_rejects_a_negative_tolerance(tol):
+    data = Dataset(np.array([[1.0, 0.0]]), np.array([0.0]))
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        oracle_solve(data, LAD, NO_REG, tol=tol)
 
 
 @pytest.mark.parametrize("kind, task", [("hinge", "classification"), ("logistic", "classification"), ("lad", "regression")])
@@ -63,8 +78,8 @@ def test_oracle_matches_a_replay_that_recomputes_margins(kind, task):
     data = prepend_ones(generate_synthetic(4, 150, np.array([0.2, 1.0, -0.5, 0.3]), task=task,
                                            noise_std=0.3, flip_prob=0.1, seed=3))
     reg = NormRegularizer("2", 0.05)
-    stage_iters, max_stages, tol = 15, 10, 1e-9
-    res = oracle_solve(data, loss, reg, tol=tol, stage_iters=stage_iters, max_stages=max_stages)
+    stage_iters, tol = 15, 1e-9
+    res = oracle_solve(data, loss, reg, tol=tol, stage_iters=stage_iters)
     # replay: x @ w recomputed for every objective and subgradient, each
     # stage restarted from a copy of the best iterate
     x, y, n = data.covariates, data.labels, data.n
@@ -78,7 +93,7 @@ def test_oracle_matches_a_replay_that_recomputes_margins(kind, task):
     w = np.zeros(data.dim)
     base_step = 4.0 / max(float(np.linalg.norm(subgradient(w) + reg.weight * norm_subgradient(w, reg.s))), 1e-12)
     w_best, f_best, stalled, converged = w.copy(), objective(w), 0, False
-    for stage in range(max_stages):
+    for stage in range(MAX_STAGES):
         step = base_step / 2.0**stage
         f_enter = f_best
         w = w_best.copy()
@@ -101,6 +116,14 @@ def test_oracle_matches_a_replay_that_recomputes_margins(kind, task):
 def test_erm_zero_iterations_returns_start():
     data = prepend_ones(generate_synthetic(3, 50, np.zeros(3), seed=3))
     assert np.array_equal(erm_subgradient(data, HINGE, NO_REG, 0), np.zeros(3))
+
+
+def test_baselines_reject_a_negative_iteration_count():
+    data = prepend_ones(generate_synthetic(3, 50, np.zeros(3), seed=3))
+    with pytest.raises(ValueError, match="iters must be nonnegative, got -1"):
+        erm_subgradient(data, HINGE, NO_REG, -1)
+    with pytest.raises(ValueError, match="iters must be nonnegative, got -1"):
+        doro_cvar(data, HINGE, 0.1, iters=-1)
 
 
 def test_erm_clean_objective_near_oracle():

@@ -1,5 +1,6 @@
 """End-to-end command line flows in temp directories."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from robust_dro.cli import main
 from robust_dro.data import ContaminationSpec, contaminate, from_csv, read_sidecar
 from robust_dro.harness import _resolve_adversary
 from robust_dro.losses import LossFamily, NormRegularizer
+from robust_dro.robust_mean import OracleContractError
 from robust_dro.solver import CLEAN_EPSILON, pipeline, solver_config
 
 
@@ -101,10 +103,42 @@ def test_solve_with_zero_epsilon_runs_the_exact_oracle(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["config"]["exact_oracle"] is True
     assert payload["config"]["epsilon"] == CLEAN_EPSILON == 1e-6
-    assert "lipschitz" not in payload["config"]
+    assert not {"lipschitz", "reg_exponent", "max_iters_cap"} & set(payload["config"])
     cfg = solver_config(0.0, sigma=1.0, delta_constant=100.0, dro_radius=0.2)
     res = pipeline(from_csv(clean), LossFamily("logistic"), NormRegularizer("2", 0.2), cfg)
     assert payload["w_hat"] == [float(v) for v in res.w_hat]
+
+
+@pytest.mark.parametrize("epsilon", ["0", "0.1"])
+def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, monkeypatch, epsilon):
+    # duals alternating +-1.5 break the |beta| <= 3 contract: a solver
+    # bug, so main keeps the traceback rather than printing an input error
+    import robust_dro.solver as solver_mod
+
+    duals = itertools.cycle((-1.5, 1.5))
+    clean = tmp_path / "clean.csv"
+    main(["generate", "--dim", "3", "--n", "200", "--seed", "1", "--output", str(clean)])
+    monkeypatch.setattr(solver_mod, "conjugate_prox_vec", lambda loss, y, m, p, a, n, gamma: np.full(n, next(duals)))
+    with pytest.raises(OracleContractError, match="extrapolated dual weight"):
+        main(["solve", "--loss", "lad", "--epsilon", epsilon, "--gamma-dist", "1.5",
+              "--input", str(clean), "--output", str(tmp_path / "sol.json")])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["generate", "--dim", "3", "--n", "50", "--flip-prob", "2"], "flip_prob must lie in [0, 1], got 2.0"),
+     (["generate", "--dim", "3", "--n", "50", "--noise-std", "-1"], "noise_std must be nonnegative, got -1.0"),
+     (["baseline", "--method", "oracle", "--tol", "-1"], "tol must be nonnegative, got -1.0"),
+     (["baseline", "--method", "erm", "--iters", "-1"], "iters must be nonnegative, got -1"),
+     (["baseline", "--method", "doro", "--epsilon", "0.1", "--iters", "-1"], "iters must be nonnegative, got -1")],
+)
+def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
+    clean = tmp_path / "clean.csv"
+    main(["generate", "--dim", "3", "--n", "100", "--task", "classification", "--seed", "3", "--output", str(clean)])
+    capsys.readouterr()
+    files = ["--output", str(clean)] if argv[0] == "generate" else ["--input", str(clean)]
+    assert main([*argv, *files]) == 2
+    assert capsys.readouterr().err == f"robust-dro: error: {message}\n"
 
 
 def test_robust_mean_subcommand(tmp_path, capsys):
@@ -248,13 +282,26 @@ def test_bench_rejects_a_malformed_config(tmp_path, capsys, config, message):
 
 
 @pytest.mark.parametrize(
+    "override",
+    [{"flip_prob": 2.0}, {"noise_std": -1.0}, {"oracle_tol": -1.0}, {"erm_iters": -1},
+     {"methods": ["doro"], "doro_iters": -1}],
+)
+def test_bench_does_not_pass_an_out_of_range_value(tmp_path, override):
+    # sample and reference values fail the run (exit 2), a method's
+    # iteration count fails its cell (exit 1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BENCH_CONFIG, **override}))
+    assert main(["bench", "--config", str(cfg_path), "--output", str(tmp_path / "r.csv")]) != 0
+
+
+@pytest.mark.parametrize(
     "name, text, message",
     [("r.json", json.dumps([{"method": "erm", "adversary": "none", "epsilon": 0.1, "seed": 0,
                               "excess_clean_objective": 0.5, "param_error": 0.5, "oracle_calls": 0,
                               "status": "ok", "note": "x"}]),
       "report row has unknown keys ['note']"),
      ("r.csv", "method,adversary,epsilon,seed\nerm,none,0.1,0\n",
-      "report row lacks keys ['excess_clean_objective', 'oracle_calls', 'param_error']"),
+      "report row lacks keys ['excess_clean_objective', 'oracle_calls', 'param_error', 'wallclock']"),
      ("r.csv", "method,adversary,epsilon,seed,excess_clean_objective,param_error,wallclock,oracle_calls,status\n"
                "erm,none,0.1,0,0.5,0.5\n",
       "could not convert string to float: ''")],

@@ -59,6 +59,19 @@ def test_generate_classification_labels_and_flip():
     assert 0.1 < float(np.mean(flipped.labels != ds.labels)) < 0.5
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [({"flip_prob": 2.0}, "flip_prob must lie in [0, 1], got 2.0"),
+     ({"flip_prob": -0.1}, "flip_prob must lie in [0, 1], got -0.1"),
+     ({"noise_std": -1.0}, "noise_std must be nonnegative, got -1.0")],
+)
+def test_generate_rejects_out_of_range_noise(flags, message):
+    for task in ("regression", "classification"):
+        with pytest.raises(ValueError) as exc:
+            generate_synthetic(3, 100, np.zeros(3), task=task, **flags)
+        assert str(exc.value) == message
+
+
 def test_dataset_shape_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(4))

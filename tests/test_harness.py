@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,8 +73,8 @@ def test_run_experiment_grid_and_metrics():
 
 def test_run_experiment_deterministic_reports():
     cfg = tiny_config(seeds=(3,), epsilons=(0.1,), methods=("pdhg",))
-    text_a = emit_report(run_experiment(cfg), "csv", include_wallclock=False)
-    text_b = emit_report(run_experiment(cfg), "csv", include_wallclock=False)
+    text_a = emit_report([replace(r, wallclock=0.0) for r in run_experiment(cfg)], "csv")
+    text_b = emit_report([replace(r, wallclock=0.0) for r in run_experiment(cfg)], "csv")
     assert text_a == text_b
 
 
@@ -104,13 +105,19 @@ def test_report_csv_schema_and_parse():
     assert back[0].oracle_calls == 42
 
 
-def test_report_without_wallclock_parses():
+def test_report_without_wallclock_is_rejected():
+    # every report carries the column; one without it is malformed
     rows = [MetricsRow("erm", "far_cluster", 0.05, 8, 0.25, 0.5, 1.25, 3, status="error: boom")]
-    text = emit_report(rows, "csv", include_wallclock=False)
-    assert "wallclock" not in text
-    expected = [MetricsRow("erm", "far_cluster", 0.05, 8, 0.25, 0.5, 0.0, 3, status="error: boom")]
-    assert rows_from_csv(text) == expected
-    assert rows_from_json(emit_report(rows, "json", include_wallclock=False)) == expected
+    with pytest.raises(TypeError):
+        emit_report(rows, "csv", include_wallclock=False)
+    text = "method,adversary,epsilon,seed,excess_clean_objective,param_error,oracle_calls,status\n" \
+           "erm,far_cluster,0.05,8,0.25,0.5,3,error: boom\n"
+    with pytest.raises(ValueError, match=r"report row lacks keys \['wallclock'\]"):
+        rows_from_csv(text)
+    payload = json.loads(emit_report(rows, "json"))
+    del payload[0]["wallclock"]
+    with pytest.raises(ValueError, match=r"report row lacks keys \['wallclock'\]"):
+        rows_from_json(json.dumps(payload))
 
 
 def test_failed_cells_do_not_kill_the_run():

@@ -1,6 +1,7 @@
 """Solver schedules, feasibility invariants, pipeline coordinate handling,
 the gamma search, and the corrupted-vs-idealized coupling."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -18,8 +19,10 @@ from robust_dro.data import (
     prepend_ones,
 )
 from robust_dro.losses import LossFamily, NormRegularizer
+from robust_dro.robust_mean import OracleContractError
 from robust_dro.solver import (
     CLEAN_EPSILON,
+    MAX_ITERATIONS,
     ConfigurationError,
     GradientOracle,
     PDHGConfig,
@@ -46,8 +49,7 @@ def small_problem(seed=3, task="classification", flip=0.1, n=200, d=5):
 
 
 def exact_cfg(gamma_dist, rho=0.1, eps=1e-7, **kw):
-    return PDHGConfig(epsilon=eps, sigma=1.0, exact_oracle=True, gamma_dist=gamma_dist,
-                      dro_radius=rho, max_iters_cap=10**6, **kw)
+    return PDHGConfig(epsilon=eps, sigma=1.0, exact_oracle=True, gamma_dist=gamma_dist, dro_radius=rho, **kw)
 
 
 # --- schedule -----------------------------------------------------------
@@ -68,10 +70,11 @@ def test_schedule_arithmetic():
 
 
 def test_schedule_rejects_bad_k_and_cap():
-    cfg = PDHGConfig(epsilon=0.04, sigma=2.0, max_iters_cap=3)
     with pytest.raises(ValueError):
-        schedule(cfg, 10, 0)
-    with pytest.raises(ConfigurationError):
+        schedule(PDHGConfig(epsilon=0.04, sigma=2.0), 10, 0)
+    cfg = PDHGConfig(epsilon=1e-12, sigma=1.0, delta_constant=2.0)  # T = 10**6
+    assert 2.0 * cfg.sigma / cfg.delta > MAX_ITERATIONS
+    with pytest.raises(ConfigurationError, match=f"above the cap {MAX_ITERATIONS}"):
         num_iterations(cfg)
 
 
@@ -79,9 +82,8 @@ def test_solver_config_maps_clean_epsilon_to_exact_oracle():
     clean = solver_config(0.0, sigma=2.0, dro_radius=0.1)
     assert clean.exact_oracle and clean.epsilon == CLEAN_EPSILON
     assert clean.sigma == 2.0 and clean.dro_radius == 0.1
-    assert clean.max_iters_cap == PDHGConfig(epsilon=0.1, sigma=1.0).max_iters_cap
-    robust = solver_config(0.1, sigma=1.0, reg_exponent="1", dro_radius=0.3)
-    assert robust == PDHGConfig(epsilon=0.1, sigma=1.0, reg_exponent="1", dro_radius=0.3)
+    robust = solver_config(0.1, sigma=1.0, dro_radius=0.3)
+    assert robust == PDHGConfig(epsilon=0.1, sigma=1.0, dro_radius=0.3)
     assert not robust.exact_oracle
     with pytest.raises(ConfigurationError):
         solver_config(-0.1, sigma=1.0)
@@ -95,6 +97,20 @@ def test_the_lipschitz_modulus_is_not_a_setting():
         LossFamily("lad", lipschitz=2.0)
     with pytest.raises(TypeError):
         PDHGConfig(epsilon=0.1, sigma=1.0, lipschitz=2.0)
+
+
+@pytest.mark.parametrize("removed", [{"reg_exponent": "1"}, {"max_iters_cap": 10**6}])
+def test_settings_no_caller_varies_are_not_config_fields(removed):
+    # the solve reads the regularizer it is handed, and the iteration cap
+    # is the constant MAX_ITERATIONS
+    with pytest.raises(TypeError):
+        PDHGConfig(epsilon=0.1, sigma=1.0, **removed)
+
+
+def test_the_solve_has_no_starting_point_setting():
+    data = small_problem()
+    with pytest.raises(TypeError):
+        pdhg_solve(data, HINGE, NormRegularizer("2", 0.1), exact_cfg(0.05), w0=np.zeros(data.dim))
 
 
 def test_config_validation():
@@ -120,22 +136,27 @@ def test_exact_oracle_solve_reaches_oracle_objective():
     assert res.oracle_calls == res.t_used
 
 
-def test_warm_start_at_optimum_stays_there():
+def test_output_is_the_plain_average_of_the_iterates():
     data = small_problem(seed=5)
-    reg = NormRegularizer("2", 0.1)
-    orc = oracle_solve(data, HINGE, reg, tol=1e-8)
-    res = pdhg_solve(data, HINGE, reg, exact_cfg(0.05), w0=orc.w)
-    f = dro_objective_eval(res.w_hat, data, HINGE, reg)
-    assert f - orc.objective <= 1e-3
+    res = pdhg_solve(data, HINGE, NormRegularizer("2", 0.1), exact_cfg(0.5, eps=1e-3), record=True)
+    assert len(res.w_iterates) == res.t_used > 1
+    total = np.zeros(data.dim)
+    for w in res.w_iterates:
+        total += w
+    assert np.array_equal(res.w_hat, total / res.t_used)
 
 
-@pytest.mark.parametrize("length", [1, 3])
-def test_warm_start_of_wrong_length_is_rejected(length):
-    # length 1 would broadcast against the data silently
+def test_a_broken_dual_contract_is_a_solver_fault(monkeypatch):
+    # duals alternating +-1.5 extrapolate past |beta| = 3, which no dual
+    # prox in [-1, 1] can produce: the loop raises the oracle's contract
+    # error, not a ConfigurationError (which reads as bad input)
+    import robust_dro.solver as solver_mod
+
+    duals = itertools.cycle((-1.5, 1.5))
+    monkeypatch.setattr(solver_mod, "conjugate_prox_vec", lambda loss, y, m, p, a, n, gamma: np.full(n, next(duals)))
     data = small_problem()
-    reg = NormRegularizer("2", 0.1)
-    with pytest.raises(ValueError, match=rf"\({data.dim},\), got \({length},\)"):
-        pdhg_solve(data, HINGE, reg, exact_cfg(0.05), w0=np.full(length, 0.5))
+    with pytest.raises(OracleContractError, match=r"extrapolated dual weight [0-9.]+ exceeded 3"):
+        pdhg_solve(data, HINGE, NormRegularizer("2", 0.1), exact_cfg(0.5, eps=1e-3))
 
 
 def test_dual_and_extrapolation_feasibility():
@@ -227,10 +248,10 @@ def test_tune_gamma_hits_on_grid_distance():
     eps = 1e-6
     delta_c = d0 / (8.0 * math.sqrt(eps))
     cfg = PDHGConfig(epsilon=eps, sigma=1.0, exact_oracle=True, delta_constant=delta_c,
-                     w0_bound=d0 * 1.01, dro_radius=0.1, max_iters_cap=10**6)
+                     w0_bound=d0 * 1.01, dro_radius=0.1)
     direct = pdhg_solve(data, HINGE, reg,
                         PDHGConfig(epsilon=eps, sigma=1.0, exact_oracle=True, delta_constant=delta_c,
-                                   gamma_dist=d0, dro_radius=0.1, max_iters_cap=10**6))
+                                   gamma_dist=d0, dro_radius=0.1))
     tuned = tune_gamma(data, HINGE, reg, cfg)
     assert tuned.tuning_runs == math.ceil(math.log2(cfg.w0_bound / (cfg.delta / 1.0))) + 1
     f_direct = dro_objective_eval(direct.w_hat, data, HINGE, reg)
@@ -395,11 +416,14 @@ def test_pipeline_solves_clean_logistic_within_the_promised_excess():
     assert pipeline(raw, LOGISTIC, reg, cfg).w_hat.tobytes() == res.w_hat.tobytes()
 
 
-def test_pipeline_intercept_only_problem():
+@pytest.mark.parametrize("exact", [True, False])
+def test_pipeline_intercept_only_problem(exact):
     raw = Dataset(np.zeros((50, 0)), np.linspace(-1, 1, 50), sigma=1.0)
     reg = NormRegularizer("2", 0.0)
-    res = pipeline(raw, LAD, reg, exact_cfg(1.0, rho=0.0, eps=1e-4))
+    cfg = PDHGConfig(epsilon=1e-4, sigma=1.0, exact_oracle=exact, gamma_dist=1.0)
+    res = pipeline(raw, LAD, reg, cfg)
     assert res.w_hat.shape == (1,)
+    assert res.center_estimate.shape == (0,)
     # LAD intercept-only optimum is the label median (0 here)
     assert abs(res.w_hat[0]) <= 0.2
 
