@@ -76,6 +76,9 @@ class ExperimentConfig:
         for key in ("dim", "n_samples"):
             if getattr(self, key) < 1:
                 raise ValueError(f"sweep config key {key!r} must be positive, got {getattr(self, key)!r}")
+        for key in ("erm_iters", "doro_iters"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"sweep config key {key!r} must be nonnegative, got {getattr(self, key)!r}")
         _check_planted(self.planted, self.dim)
         for adv in self.adversaries:
             if not isinstance(adv, (str, dict)):

@@ -2,17 +2,28 @@
 
 The core routine keeps a weight per point, repeatedly finds the top
 direction of the weighted covariance, scores points by their squared
-projection onto it, and multiplicatively downweights the high scorers
-until the surviving weight drops below 1 - 2*epsilon.  On an
-epsilon-corrupted version of a stable point set this recovers the stable
-mean up to O(sigma * sqrt(epsilon)), dimension-free.
+projection onto it, and multiplicatively downweights the high scorers.
+It stops on whichever comes first:
+
+  * the spectral certificate, when the caller gives the inliers'
+    covariance bound sigma: the top eigenvalue of the weighted covariance
+    is at most KAPPA * sigma^2 (times a per-point variance scale), which
+    is all the stability argument needs (the bounded-covariance filter of
+    Diakonikolas, Kamath, Kane, Li, Moitra and Stewart, FOCS 2016);
+  * the mass budget: the surviving weight drops below 1 - 2*epsilon.
+
+On an epsilon-corrupted version of a stable point set this recovers the
+stable mean up to O(sigma * sqrt(epsilon)), dimension-free.  A certified
+call may start from the weights a previous call ended with (the gradient
+oracle's warm start); a warm start that spends the mass budget before
+the certificate holds starts over once from uniform weights.
 
 A pass costs one SYRK-shaped product, one dense eigensolve and a partial
 selection: the points are centred once (and re-centred only when the
 weighted mean drifts farther than the spread), the covariance is taken
 in Gram form, and the threshold orders only the top scores.  The
 filter's diagnostics record the mass removed and the top eigenvalue of
-every pass.
+every pass, and how the call started and stopped.
 
 Everything is deterministic: the top eigenvector comes from LAPACK
 ``eigh``, which is reproducible for a fixed BLAS thread count, and the
@@ -32,20 +43,36 @@ from .data import Dataset
 # residual tolerance the returned eigenpair is checked against
 POWER_ITER_TOL = 1e-8
 
+# the spectral certificate: a weighted covariance whose top eigenvalue is at
+# most KAPPA * sigma^2 (times the variance scale) is stable enough to stop on
+KAPPA = 1.25
+
 
 @dataclass
 class FilterState:
     """Diagnostics of one filtering run.
 
-    Weights start at 1/N each, only ever decrease, and stay in [0, 1/N];
-    ``removed_mass_history`` records the weight removed per pass and
-    ``lambda_history`` the top covariance eigenvalue each pass filtered on.
+    Weights start at 1/N each (or at a warm start), only ever decrease
+    within an attempt, and stay in [0, 1/N]; ``removed_mass_history``
+    records the weight removed per pass and ``lambda_history`` the top
+    covariance eigenvalue each pass filtered on, over both attempts of a
+    restarted call.  ``warm`` says the call started from given weights,
+    ``restarted`` that it spent the mass budget from them and started
+    over from uniform weights, and ``certified`` that it stopped on the
+    spectral certificate.
+
+    ``weights`` are the final weights.  A certified stop returns their
+    weighted mean.  A stop on the mass budget returns the weighted mean
+    taken at the top of the last pass, one pass behind ``weights``.
     """
 
     weights: np.ndarray
     iterations: int = 0
     removed_mass_history: list[float] = field(default_factory=list)
     lambda_history: list[float] = field(default_factory=list)
+    warm: bool = False
+    restarted: bool = False
+    certified: bool = False
 
 
 def top_eigenvector(s: np.ndarray):
@@ -116,7 +143,9 @@ def _threshold(h: np.ndarray, q: np.ndarray, epsilon: float) -> float:
         k = min(n, 2 * k)
 
 
-def robust_mean_with_state(points, epsilon: float) -> tuple[np.ndarray, FilterState]:
+def robust_mean_with_state(
+    points, epsilon: float, *, sigma: float | None = None, variance_scale=None, start=None,
+) -> tuple[np.ndarray, FilterState]:
     """Robust mean of an epsilon-corrupted point set, with diagnostics.
 
     Loop per pass: weighted mean and covariance; top eigenpair (v, lam)
@@ -125,7 +154,19 @@ def robust_mean_with_state(points, epsilon: float) -> tuple[np.ndarray, FilterSt
     epsilon; then every thresholded point is downweighted by the factor
     (1 - h_i / max h).  The pass ends when total weight < 1 - 2*epsilon.
     If every score is zero (e.g. all points identical) the loop exits
-    immediately with the current weighted mean.
+    immediately with the current weighted mean.  On that mass-budget exit
+    the returned mean is the one taken at the top of the last pass,
+    before its downweighting, while ``FilterState.weights`` holds the
+    weights after it.
+
+    With ``sigma``, a pass first checks the spectral certificate lam <=
+    KAPPA * sigma^2 * s, where s is the weighted mean of
+    ``variance_scale`` (one entry per point; s = 1 without it), and stops
+    on it with the weighted mean of the current weights.  ``start``
+    (requires ``sigma``) gives the weights to start from instead of 1/N;
+    if they spend the mass budget before the certificate holds, the call
+    starts over once from 1/N, bitwise as a call without ``start``.
+    Without ``sigma`` only the mass budget stops the loop.
 
     The points are centred once, on their plain mean, and re-centred on
     the current weighted mean whenever its squared offset exceeds the
@@ -138,16 +179,30 @@ def robust_mean_with_state(points, epsilon: float) -> tuple[np.ndarray, FilterSt
         raise ValueError("epsilon must lie in (0, 0.5)")
     if n < 2:
         raise ValueError("need at least 2 points")
-    q = np.full(n, 1.0 / n)
-    state = FilterState(weights=q)
+    if start is not None and (sigma is None or np.shape(start) != (n,)):
+        raise ValueError("a warm start needs sigma and one weight per point")
+    uniform = np.full(n, 1.0 / n)
+    q = uniform if start is None else np.asarray(start, dtype=float)
+    if start is not None and not np.all((q >= 0.0) & (q <= 1.0 / n)):
+        raise ValueError("warm-start weights must lie in [0, 1/N]")
+    state = FilterState(weights=q, warm=start is not None)
     if k == 0:
         return np.zeros(0), state
-    centre = points.mean(axis=0)
+    plain_centre = points.mean(axis=0)
+    centre = plain_centre
     xc = points - centre
-    total = 1.0
+    total = 1.0 if start is None else float(q.sum())
+    cap = None if sigma is None else KAPPA * sigma**2
     # scores at rounding-noise level mean the weighted cloud is a point
     score_floor = 1e-24 * max(1.0, float(np.max(np.abs(points))) ** 2)
-    while total >= 1.0 - 2.0 * epsilon:
+    while True:
+        if total < 1.0 - 2.0 * epsilon:
+            if not state.warm or state.restarted:
+                break
+            # the warm start spent the budget uncertified: start over cold
+            state.restarted = True
+            q, total, centre = uniform, 1.0, plain_centre
+            xc = points - centre
         m, cov = _weighted_moments(xc, q, total)
         if m @ m > np.trace(cov):
             centre = centre + m
@@ -156,6 +211,11 @@ def robust_mean_with_state(points, epsilon: float) -> tuple[np.ndarray, FilterSt
         if not np.trace(cov) > 0.0:
             break  # no spread left above rounding: the weighted cloud is a point
         v, lam = top_eigenvector(cov)
+        if cap is not None:
+            scale = 1.0 if variance_scale is None else float(q @ variance_scale) / total
+            if lam <= cap * scale:
+                state.certified = True
+                break
         h = (xc @ v - m @ v) ** 2
         alive = q > 0.0
         fmax = float(np.max(h[alive], initial=0.0))
@@ -174,9 +234,10 @@ def robust_mean_with_state(points, epsilon: float) -> tuple[np.ndarray, FilterSt
     return centre + m, state
 
 
-def robust_mean_estimation(points, epsilon: float) -> np.ndarray:
-    """Robust mean of an epsilon-corrupted point set (0 < epsilon < 1/2)."""
-    mu, _ = robust_mean_with_state(points, epsilon)
+def robust_mean_estimation(points, epsilon: float, *, sigma: float | None = None) -> np.ndarray:
+    """Robust mean of an epsilon-corrupted point set (0 < epsilon < 1/2);
+    with ``sigma``, the filter may stop on its spectral certificate."""
+    mu, _ = robust_mean_with_state(points, epsilon, sigma=sigma)
     return mu
 
 
@@ -217,15 +278,22 @@ class OracleContractError(ValueError):
     """The scaling sequence fed to the gradient oracle broke its bound."""
 
 
-def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float) -> np.ndarray:
+def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: float, start=None):
     """Robust estimate of (1/N) sum_i beta_i x_i for the underlying
-    stable rows of an epsilon-corrupted covariate set.
+    stable rows of an epsilon-corrupted covariate set, with the filter's
+    diagnostics: returns ``(z, FilterState)``.
 
     Requires |beta_i| <= 3, three times the 1-Lipschitz losses' dual
     bound (a violation indicates a solver bug, not bad data), and
     epsilon < 1/4.  Scaling by a bounded sequence preserves stability,
     so this is robust mean estimation on the scaled points at corruption
     level 2*epsilon; the error is O(sigma * sqrt(epsilon)).
+
+    ``sigma`` bounds the stable covariates' second moment about the
+    origin (sigma^2 * I); the filter stops on its spectral certificate
+    lam <= KAPPA * sigma^2 * (weighted mean of beta_i^2).  ``start`` is
+    the weights a previous call ended with (the state's ``weights``), to
+    start the filter from instead of 1/N.
     """
     beta = np.asarray(beta, dtype=float)
     x = np.atleast_2d(np.asarray(covariates, dtype=float))
@@ -237,4 +305,5 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float) -> np.ndarr
         raise OracleContractError(f"max |beta_i| = {worst} exceeds {bound}")
     if not (0.0 < epsilon < 0.25):
         raise ValueError("epsilon must lie in (0, 0.25)")
-    return robust_mean_estimation(beta[:, None] * x, 2.0 * epsilon)
+    points = beta[:, None] * x
+    return robust_mean_with_state(points, 2.0 * epsilon, sigma=sigma, variance_scale=beta**2, start=start)

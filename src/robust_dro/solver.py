@@ -179,33 +179,48 @@ def _gamma(cfg: PDHGConfig, n: int) -> float:
 class GradientOracle:
     """The primal step's estimate z of (1/N) sum_i beta_i x_i: the exact
     weighted mean in exact-oracle mode, else
-    :func:`inexact_hybrid_gradient_oracle`.
+    :func:`inexact_hybrid_gradient_oracle` with the spectral stop at
+    max(``cfg.sigma``, 1): the covariates carry the intercept column of
+    ones, whose second moment is 1 whatever sigma.
 
-    It keeps its first output for reuse.  Every run of one tuning search
-    starts from beta = alpha_0 = 1/N (alpha_prev = alpha at k = 1),
-    whatever its gamma, so candidates sharing one oracle evaluate that
-    first call once.  The memo is reused only for a beta bitwise equal to
-    its input.  ``evaluations`` counts the estimates actually computed.
+    Within a run, successive beta differ little, so each robust call
+    starts from the filter weights the previous call ended with (the
+    first call of a fresh oracle starts from uniform weights); a warm
+    call that spends the mass budget uncertified starts over cold.
+
+    It keeps its first output, and the weights that call ended with, for
+    reuse.  Every run of one tuning search starts from beta = alpha_0 =
+    1/N (alpha_prev = alpha at k = 1), whatever its gamma, so candidates
+    sharing one oracle evaluate that first call once; a reuse also
+    resets the warm start to the first call's weights, so every shared
+    run is bitwise what an independent run gives.  The memo is reused
+    only for a beta bitwise equal to its input.  ``evaluations`` counts
+    the estimates actually computed.
     """
 
     def __init__(self, covariates: np.ndarray, cfg: PDHGConfig) -> None:
         self.x = covariates
         self.cfg = cfg
         self.evaluations = 0
-        self._first: tuple[bytes, np.ndarray] | None = None
+        self._first: tuple[bytes, np.ndarray, np.ndarray | None] | None = None
+        self._weights: np.ndarray | None = None  # the next robust call's warm start
 
     def __call__(self, beta: np.ndarray) -> np.ndarray:
         key = beta.tobytes()
         if self._first is not None and self._first[0] == key:
+            self._weights = self._first[2]
             return self._first[1]
         if self.cfg.exact_oracle:
             z = (beta @ self.x) / self.x.shape[0]
         else:
-            z = inexact_hybrid_gradient_oracle(beta, self.x, self.cfg.epsilon)
+            z, state = inexact_hybrid_gradient_oracle(
+                beta, self.x, self.cfg.epsilon, sigma=max(self.cfg.sigma, 1.0), start=self._weights
+            )
+            self._weights = state.weights
         self.evaluations += 1
         if self._first is None:
             z.flags.writeable = False  # handed to every run that shares the memo
-            self._first = (key, z)
+            self._first = (key, z, self._weights)
         return z
 
 
@@ -329,7 +344,8 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
 def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> SolveResult:
     """End-to-end solve for raw covariates with arbitrary unknown mean.
 
-    Robustly estimates the covariate mean, centers, prepends the
+    Robustly estimates the covariate mean (a cold filter call that stops
+    on its spectral certificate at ``cfg.sigma``), centers, prepends the
     intercept coordinate, solves (tuning gamma unless ``cfg.gamma_dist``
     is set), and maps the solution back to the original coordinates by
     absorbing the centering shift into the intercept:
@@ -339,7 +355,7 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
     if cfg.exact_oracle:
         mu_hat = x.mean(axis=0)
     else:
-        mu_hat = robust_mean_estimation(x, 2.0 * cfg.epsilon)
+        mu_hat = robust_mean_estimation(x, 2.0 * cfg.epsilon, sigma=cfg.sigma)
     lifted = prepend_ones(center_with_estimate(raw, mu_hat))
     if cfg.gamma_dist is not None:
         res = pdhg_solve(lifted, loss, reg, cfg)

@@ -287,11 +287,11 @@ def test_bench_rejects_a_malformed_config(tmp_path, capsys, config, message):
      {"methods": ["doro"], "doro_iters": -1}],
 )
 def test_bench_does_not_pass_an_out_of_range_value(tmp_path, override):
-    # sample and reference values fail the run (exit 2), a method's
-    # iteration count fails its cell (exit 1)
+    # every out-of-range value stops the run with exit 2; a negative
+    # iteration count does so at load, before any cell runs
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BENCH_CONFIG, **override}))
-    assert main(["bench", "--config", str(cfg_path), "--output", str(tmp_path / "r.csv")]) != 0
+    assert main(["bench", "--config", str(cfg_path), "--output", str(tmp_path / "r.csv")]) == 2
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,13 @@ def test_config_validation():
         tiny_config(methods=("gradient_boosting",))
 
 
+@pytest.mark.parametrize("key", ["erm_iters", "doro_iters"])
+def test_config_rejects_a_negative_iteration_count(key):
+    with pytest.raises(ValueError, match=f"sweep config key '{key}' must be nonnegative, got -1"):
+        tiny_config(**{key: -1})
+    assert getattr(tiny_config(**{key: 0}), key) == 0
+
+
 def test_run_experiment_grid_and_metrics():
     cfg = tiny_config()
     rows = run_experiment(cfg)

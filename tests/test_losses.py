@@ -266,9 +266,10 @@ def test_logistic_prox_is_bracketed_by_the_stationarity_sign(m, p, log_r, y):
     y=st.sampled_from([-1.0, 1.0]),
 )
 def test_logistic_prox_matches_reference_bisection_on_any_row(m, p, log_r, y):
-    """|m| up to 1e8, where one ulp of s moves g by more than 4 tol, so a
-    row can only finish on its bracket: the prox agrees with the
-    reference to 2e-12."""
+    """|m| up to 1e8, where one ulp of s moves g by more than 4 tol, so
+    the |g| test alone could not end a row; such rows have their root
+    where the sigmoid has saturated (bracket top <= -40) and end on their
+    infinite tolerance: the prox agrees with the reference to 2e-12."""
     n, a = 100, 1.0
     gamma = 10.0**log_r * a / n
     want = reference_logistic_prox(np.array([m]), np.array([p]), a, n, gamma)[0]

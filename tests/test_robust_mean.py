@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robust_dro import robust_mean
 from robust_dro.data import ContaminationSpec, Dataset, DoroCounterexample, FarCluster, contaminate
 from robust_dro.robust_mean import (
+    KAPPA,
     POWER_ITER_TOL,
     OracleContractError,
     _threshold,
@@ -270,6 +272,153 @@ def test_robust_mean_is_translation_equivariant(seed):
     assert np.linalg.norm(shifted - c - robust_mean_estimation(x, eps)) <= 1e-11 * (1.0 + np.linalg.norm(c))
 
 
+# --- the spectral certificate and the warm start --------------------------
+
+
+def far_cluster_points(n=2000, d=5, frac=0.1, seed=20):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    x[: int(frac * n)] = 10 * np.sqrt(d / frac) * np.eye(d)[0]
+    return x
+
+
+def counting_eigensolves(monkeypatch):
+    calls = {"n": 0}
+    real = robust_mean.top_eigenvector
+
+    def counted(s):
+        calls["n"] += 1
+        return real(s)
+
+    monkeypatch.setattr(robust_mean, "top_eigenvector", counted)
+    return calls
+
+
+def test_a_certified_warm_start_makes_no_pass(monkeypatch):
+    x = far_cluster_points()
+    _, cold = robust_mean_with_state(x, 0.2, sigma=1.0)
+    assert cold.certified and not cold.warm and cold.iterations >= 1
+    calls = counting_eigensolves(monkeypatch)
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, start=cold.weights)
+    assert warm.warm and warm.certified and not warm.restarted
+    assert warm.iterations == 0
+    assert calls["n"] == 1
+    assert warm.weights is cold.weights
+
+
+def test_a_warm_start_that_spends_the_budget_restarts_cold():
+    # the start keeps the far cluster and zeroes most inliers, so its mass
+    # is already below 1 - 2 eps: the call starts over from 1/N and gives
+    # exactly what a cold call gives
+    x = far_cluster_points()
+    n = x.shape[0]
+    start = np.zeros(n)
+    start[:300] = 1.0 / n
+    mu_cold, cold = robust_mean_with_state(x, 0.2, sigma=1.0)
+    mu, state = robust_mean_with_state(x, 0.2, sigma=1.0, start=start)
+    assert state.warm and state.restarted and state.certified
+    assert mu.tobytes() == mu_cold.tobytes()
+    assert state.weights.tobytes() == cold.weights.tobytes()
+    assert state.lambda_history == cold.lambda_history
+    assert np.linalg.norm(mu) <= 3 * np.sqrt(0.1)
+
+
+def test_a_restart_after_warm_passes_drops_their_recentring():
+    # sigma too small to certify: the warm attempt removes the cluster,
+    # re-centres and filters to the budget; the cold attempt must start
+    # from the plain centre again to give a cold call's result bit for bit
+    x = far_cluster_points()
+    n = x.shape[0]
+    mu_cold, cold = robust_mean_with_state(x, 0.4, sigma=0.5)
+    mu, state = robust_mean_with_state(x, 0.4, sigma=0.5, start=np.full(n, 1.0 / n))
+    assert not cold.certified and state.restarted and not state.certified
+    assert state.iterations == 2 * cold.iterations
+    assert mu.tobytes() == mu_cold.tobytes()
+    assert state.weights.tobytes() == cold.weights.tobytes()
+
+
+@pytest.mark.parametrize("scale", [None, "beta"])
+def test_a_certified_exit_returns_the_weighted_mean_of_its_weights(scale):
+    # scaled rows are certified against sigma^2 times the mean of beta^2,
+    # which bounds their covariance only for centred covariates
+    x = far_cluster_points(seed=21)
+    variance_scale = None
+    if scale:
+        beta = np.random.default_rng(22).uniform(-3.0, 3.0, size=x.shape[0])
+        x = beta[:, None] * x
+        variance_scale = beta**2
+    else:
+        x = x + 3.0
+    mu, state = robust_mean_with_state(x, 0.2, sigma=1.0, variance_scale=variance_scale)
+    assert state.certified and state.iterations >= 1
+    q = state.weights
+    lam = float(np.linalg.eigvalsh(np.cov(x.T, aweights=q, bias=True))[-1])
+    s = 1.0 if variance_scale is None else float(q @ variance_scale) / q.sum()
+    assert lam <= KAPPA * s * (1 + 1e-9)
+    assert np.linalg.norm(mu - (q @ x) / q.sum()) <= 1e-12 * (1.0 + np.linalg.norm(mu))
+
+
+def test_without_sigma_the_filter_spends_the_whole_budget():
+    x = far_cluster_points()
+    _, budget = robust_mean_with_state(x, 0.2)
+    _, certified = robust_mean_with_state(x, 0.2, sigma=1.0)
+    assert not budget.certified and float(budget.weights.sum()) < 1.0 - 2 * 0.2
+    assert certified.iterations < budget.iterations
+    with pytest.raises(ValueError, match="warm start"):
+        robust_mean_with_state(x, 0.2, start=certified.weights)
+    with pytest.raises(ValueError, match="warm start"):
+        robust_mean_with_state(x, 0.2, sigma=1.0, start=certified.weights[:-1])
+    n = x.shape[0]
+    for bad in (-1e-6, np.nan, 1.5 / n):
+        start = np.full(n, 0.5 / n)
+        start[3] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1/N\]"):
+            robust_mean_with_state(x, 0.2, sigma=1.0, start=start)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_weights_stay_in_range_and_never_increase_within_an_attempt(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 300))
+    d = int(rng.integers(1, 6))
+    eps = float(rng.uniform(0.02, 0.45))
+    x = rng.standard_normal((n, d)) * rng.uniform(0.3, 2.0)
+    k = int(rng.integers(0, n // 5 + 1))
+    x[:k] = rng.uniform(5.0, 50.0) * rng.standard_normal(d)
+    sigma = float(rng.uniform(0.3, 2.0))
+    start = None
+    kind = rng.integers(0, 3)
+    if kind == 1:
+        start = rng.uniform(0.0, 1.0 / n, size=n)
+    elif kind == 2:
+        start = robust_mean_with_state(x + 0.1 * rng.standard_normal((n, d)), eps, sigma=sigma)[1].weights
+
+    seen = []
+    real = robust_mean._weighted_moments
+
+    def recording(xc, q, total):
+        seen.append(q)
+        return real(xc, q, total)
+
+    robust_mean._weighted_moments = recording
+    try:
+        _, state = robust_mean_with_state(x, eps, sigma=sigma, start=start)
+    finally:
+        robust_mean._weighted_moments = real
+    uniform = np.full(n, 1.0 / n)
+    seen.append(state.weights)
+    assert np.all(state.weights >= 0.0) and np.all(state.weights <= 1.0 / n)
+    jumps = 0
+    for before, after in zip(seen, seen[1:]):
+        if not np.all(after <= before):
+            assert np.array_equal(after, uniform)  # the cold restart
+            jumps += 1
+    assert jumps <= int(state.restarted)
+    if start is not None and not state.restarted:
+        assert np.all(state.weights <= start)
+
+
 # --- stability ----------------------------------------------------------
 
 
@@ -335,7 +484,7 @@ def test_trimmed_mean_estimation_coordinatewise():
 def test_oracle_zero_weights_give_zero_vector():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((100, 3))
-    z = inexact_hybrid_gradient_oracle(np.zeros(100), x, 0.1)
+    z, _ = inexact_hybrid_gradient_oracle(np.zeros(100), x, 0.1, sigma=1.0)
     assert np.allclose(z, 0.0)
 
 
@@ -345,16 +494,16 @@ def test_oracle_contract_breach_raises():
     beta = np.zeros(50)
     beta[0] = 3.2
     with pytest.raises(OracleContractError):
-        inexact_hybrid_gradient_oracle(beta, x, 0.1)
+        inexact_hybrid_gradient_oracle(beta, x, 0.1, sigma=1.0)
     with pytest.raises(ValueError):
-        inexact_hybrid_gradient_oracle(np.ones(50), x, 0.3)
+        inexact_hybrid_gradient_oracle(np.ones(50), x, 0.3, sigma=1.0)
 
 
 def test_oracle_clean_weighted_mean():
     rng = np.random.default_rng(11)
     n, d, eps = 5000, 6, 0.04
     x = rng.standard_normal((n, d))
-    z = inexact_hybrid_gradient_oracle(np.ones(n), x, eps)
+    z, _ = inexact_hybrid_gradient_oracle(np.ones(n), x, eps, sigma=1.0)
     assert np.linalg.norm(z - x.mean(axis=0)) <= np.sqrt(eps)
 
 
@@ -366,7 +515,7 @@ def test_oracle_corrupted_tracks_clean_subset_mean():
     x[bad] = 10 * np.sqrt(d / eps) * np.eye(d)[0]
     clean = np.setdiff1d(np.arange(n), bad)
     clean_mean = x[clean].mean(axis=0)
-    z = inexact_hybrid_gradient_oracle(np.ones(n), x, eps)
+    z, _ = inexact_hybrid_gradient_oracle(np.ones(n), x, eps, sigma=1.0)
     naive = x.mean(axis=0)
     assert np.linalg.norm(z - clean_mean) <= 3 * np.sqrt(eps)
     assert np.linalg.norm(naive - clean_mean) >= 0.5 * np.sqrt(d * eps)

@@ -12,14 +12,16 @@ from robust_dro.baselines import dro_objective_eval, oracle_solve
 from robust_dro.data import (
     ContaminationSpec,
     Dataset,
+    DoroCounterexample,
     FarCluster,
+    LabelFlipPlusLeverage,
     center_with_estimate,
     contaminate,
     generate_synthetic,
     prepend_ones,
 )
 from robust_dro.losses import LossFamily, NormRegularizer
-from robust_dro.robust_mean import OracleContractError
+from robust_dro.robust_mean import OracleContractError, inexact_hybrid_gradient_oracle
 from robust_dro.solver import (
     CLEAN_EPSILON,
     MAX_ITERATIONS,
@@ -97,6 +99,32 @@ def test_the_lipschitz_modulus_is_not_a_setting():
         LossFamily("lad", lipschitz=2.0)
     with pytest.raises(TypeError):
         PDHGConfig(epsilon=0.1, sigma=1.0, lipschitz=2.0)
+
+
+def test_the_certificate_constant_is_not_a_setting():
+    # the spectral filter's stop lam <= KAPPA sigma^2 s is a property of
+    # the filter, not a tuning knob: KAPPA is a robust_mean constant, and
+    # no config field, solver_config keyword or solve flag reaches it
+    import argparse
+    import inspect
+    from dataclasses import fields
+
+    from robust_dro import robust_mean
+    from robust_dro.cli import build_parser
+
+    assert robust_mean.KAPPA == 1.25
+    assert [f.name for f in fields(PDHGConfig)] == [
+        "epsilon", "sigma", "delta_constant", "w0_bound", "gamma_dist", "dro_radius", "exact_oracle",
+    ]
+    assert list(inspect.signature(solver_config).parameters) == ["epsilon", "fields"]
+    with pytest.raises(TypeError):
+        solver_config(0.1, sigma=1.0, kappa=1.5)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = sorted(o for a in sub.choices["solve"]._actions for o in a.option_strings)
+    assert flags == [
+        "--delta-const", "--epsilon", "--gamma-dist", "--help", "--input", "--loss", "--output",
+        "--reg-s", "--rho", "--sigma", "--w0-bound", "-h",
+    ]
 
 
 @pytest.mark.parametrize("removed", [{"reg_exponent": "1"}, {"max_iters_cap": 10**6}])
@@ -236,6 +264,78 @@ def test_effective_primal_step_increases():
     assert all(x < y for x, y in zip(steps, steps[1:]))
 
 
+# --- the oracle contract, call by call ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gate5_sample():
+    d = 20
+    planted = np.zeros(d)
+    planted[1] = 2.0
+    return generate_synthetic(d, 10_000, planted, task="classification", flip_prob=0.05, seed=0), planted
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1])
+@pytest.mark.parametrize("adversary", ["far-cluster", "doro-spike", "label-flip"])
+def test_every_oracle_call_is_within_delta_of_the_clean_rows_mean(gate5_sample, monkeypatch, adversary, eps):
+    """The solver's guarantee needs each gradient-oracle output within
+    delta of the weighted mean over the uncorrupted rows, on every call
+    of a pipeline run (gate-5 cells: d=20, N=10k, hinge, C=3, seed 0)."""
+    clean, planted = gate5_sample
+    adversaries = {
+        "far-cluster": FarCluster(direction=tuple(planted[1:] / np.linalg.norm(planted[1:]))),
+        "doro-spike": DoroCounterexample(),
+        "label-flip": LabelFlipPlusLeverage(),
+    }
+    corrupted = contaminate(clean, ContaminationSpec(eps, adversaries[adversary]), seed=1)
+    good = np.setdiff1d(np.arange(corrupted.n), sorted(corrupted.corrupted_indices))
+    cfg = PDHGConfig(epsilon=eps, sigma=1.0, delta_constant=3.0, w0_bound=10.0, dro_radius=0.1)
+    ratios = []
+    real_call = GradientOracle.__call__
+
+    def checked(self, beta):
+        z = real_call(self, beta)
+        clean_mean = (beta[good, None] * self.x[good]).mean(axis=0)
+        ratios.append(float(np.linalg.norm(z - clean_mean)) / cfg.delta)
+        return z
+
+    monkeypatch.setattr(GradientOracle, "__call__", checked)
+    pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), cfg)
+    assert len(ratios) > 1
+    assert max(ratios) <= 1.0
+
+
+def test_below_unit_sigma_the_oracle_still_certifies_within_delta(monkeypatch):
+    """The intercept column of ones spreads the scaled points by about
+    the dual weights' own spread whatever sigma is, so at sigma < 1 the
+    oracle's certificate must allow for it: every call certifies and
+    stays within delta (far cluster, eps=0.1, sigma=0.5, else gate 5)."""
+    import robust_dro.solver as solver_mod
+
+    d, sigma, eps = 20, 0.5, 0.1
+    planted = np.zeros(d)
+    planted[1] = 2.0
+    clean = generate_synthetic(d, 10_000, planted, sigma=sigma, task="classification", flip_prob=0.05, seed=0)
+    direction = tuple(planted[1:] / np.linalg.norm(planted[1:]))
+    corrupted = contaminate(clean, ContaminationSpec(eps, FarCluster(direction=direction)), seed=1)
+    good = np.setdiff1d(np.arange(corrupted.n), sorted(corrupted.corrupted_indices))
+    cfg = PDHGConfig(epsilon=eps, sigma=sigma, delta_constant=3.0, w0_bound=10.0, dro_radius=0.1)
+    real_oracle = solver_mod.inexact_hybrid_gradient_oracle
+    ratios, certified = [], []
+
+    def checked(beta, covariates, epsilon, **kwargs):
+        z, state = real_oracle(beta, covariates, epsilon, **kwargs)
+        clean_mean = (beta[good, None] * covariates[good]).mean(axis=0)
+        ratios.append(float(np.linalg.norm(z - clean_mean)) / cfg.delta)
+        certified.append(state.certified)
+        return z, state
+
+    monkeypatch.setattr(solver_mod, "inexact_hybrid_gradient_oracle", checked)
+    pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), cfg)
+    assert len(ratios) > 1 and all(certified)
+    assert max(ratios) <= 1.0
+
+
 # --- tuning -------------------------------------------------------------
 
 
@@ -324,9 +424,9 @@ def test_tune_gamma_shares_the_first_oracle_call(monkeypatch, exact):
     real_oracle = solver_mod.inexact_hybrid_gradient_oracle
     calls = {"n": 0}
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls["n"] += 1
-        return real_oracle(*args)
+        return real_oracle(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "inexact_hybrid_gradient_oracle", counting)
     tuned = tune_gamma(data, HINGE, reg, cfg)
@@ -341,6 +441,25 @@ def test_tune_gamma_shares_the_first_oracle_call(monkeypatch, exact):
     assert calls["n"] == (0 if exact else evaluations)
 
 
+def test_runs_sharing_an_oracle_match_independent_runs_under_warm_starts():
+    # label flip makes warm oracle calls filter, so the weights move within
+    # a run: a memo hit must reset the warm start to the first call's
+    # weights, or the next run would start from the last run's
+    d, n, eps = 5, 400, 0.1
+    planted = np.zeros(d)
+    planted[1] = 2.0
+    clean = generate_synthetic(d, n, planted, task="classification", flip_prob=0.05, seed=23)
+    data = prepend_ones(contaminate(clean, ContaminationSpec(eps, LabelFlipPlusLeverage()), seed=24))
+    reg = NormRegularizer("2", 0.1)
+    cfg = PDHGConfig(epsilon=eps, sigma=1.0, dro_radius=0.1, delta_constant=3.0)
+    shared = GradientOracle(data.covariates, cfg)
+    for j in range(6):
+        candidate = replace(cfg, gamma_dist=cfg.delta * 2.0**j)
+        together = pdhg_solve(data, HINGE, reg, candidate, oracle=shared)
+        alone = pdhg_solve(data, HINGE, reg, candidate)
+        assert together.w_hat.tobytes() == alone.w_hat.tobytes()
+
+
 def test_gradient_oracle_memo_needs_a_bitwise_equal_beta():
     data = contaminated_problem()
     cfg = PDHGConfig(epsilon=0.1, sigma=1.0)
@@ -351,7 +470,10 @@ def test_gradient_oracle_memo_needs_a_bitwise_equal_beta():
     nudged[7] = np.nextafter(nudged[7], 1.0)
     second = oracle(nudged)
     assert oracle.evaluations == 2
-    assert np.array_equal(second, GradientOracle(data.covariates, cfg)(nudged))
+    # the second call is warm-started from the weights the first call ended with
+    _, first_state = inexact_hybrid_gradient_oracle(beta, data.covariates, cfg.epsilon, sigma=cfg.sigma)
+    warm, _ = inexact_hybrid_gradient_oracle(nudged, data.covariates, cfg.epsilon, sigma=cfg.sigma, start=first_state.weights)
+    assert np.array_equal(second, warm)
     assert oracle(beta.copy()) is first
     assert oracle.evaluations == 2
 
