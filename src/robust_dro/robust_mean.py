@@ -7,7 +7,8 @@ It stops on whichever comes first:
 
   * the spectral certificate, when the caller gives the inliers'
     covariance bound sigma: the top eigenvalue of the weighted covariance
-    is at most KAPPA * sigma^2 (times a per-point variance scale), which
+    is at most KAPPA * sigma^2 (times the weighted mean of the squared
+    row scales, for the gradient oracle's scaled rows), which
     is all the stability argument needs (the bounded-covariance filter of
     Diakonikolas, Kamath, Kane, Li, Moitra and Stewart, FOCS 2016);
   * the mass budget: the surviving weight drops below 1 - 2*epsilon.
@@ -19,11 +20,15 @@ oracle's warm start); a warm start that spends the mass budget before
 the certificate holds starts over once from uniform weights.
 
 A pass costs one SYRK-shaped product, one dense eigensolve and a partial
-selection: the points are centred once (and re-centred only when the
-weighted mean drifts farther than the spread), the covariance is taken
-in Gram form, and the threshold orders only the top scores.  The
-filter's diagnostics record the mass removed and the top eigenvalue of
-every pass, and how the call started and stopped.
+selection: the covariance is taken in Gram form, and the threshold
+orders only the top scores.  Plain points are centred once (and
+re-centred only when the weighted mean drifts farther than the spread).
+The gradient oracle's scaled rows beta_i * x_i are never built: their
+moments come straight from the covariates, with one N x d temporary per
+check and no centring, so an oracle call that certifies at once costs a
+mean, one Gram product and a d x d eigensolve.  The filter's diagnostics
+record the mass removed and the top eigenvalue of every pass, the ratio
+of the last certificate check, and how the call started and stopped.
 
 Everything is deterministic: the top eigenvector comes from LAPACK
 ``eigh``, which is reproducible for a fixed BLAS thread count, and the
@@ -44,7 +49,8 @@ from .data import Dataset
 POWER_ITER_TOL = 1e-8
 
 # the spectral certificate: a weighted covariance whose top eigenvalue is at
-# most KAPPA * sigma^2 (times the variance scale) is stable enough to stop on
+# most KAPPA * sigma^2 (times the weighted mean of the squared row scales) is
+# stable enough to stop on
 KAPPA = 1.25
 
 
@@ -59,7 +65,9 @@ class FilterState:
     restarted call.  ``warm`` says the call started from given weights,
     ``restarted`` that it spent the mass budget from them and started
     over from uniform weights, and ``certified`` that it stopped on the
-    spectral certificate.
+    spectral certificate.  ``certificate_ratio`` is lam / (KAPPA *
+    sigma^2 * s) at the last certificate check, at most 1 exactly when
+    the call certified; it is None without ``sigma`` or if no check ran.
 
     ``weights`` are the final weights.  A certified stop returns their
     weighted mean.  A stop on the mass budget returns the weighted mean
@@ -73,6 +81,7 @@ class FilterState:
     warm: bool = False
     restarted: bool = False
     certified: bool = False
+    certificate_ratio: float | None = None
 
 
 def top_eigenvector(s: np.ndarray):
@@ -106,16 +115,24 @@ def top_eigenvector(s: np.ndarray):
     return v, lam
 
 
-def _weighted_moments(xc: np.ndarray, q: np.ndarray, total: float):
-    """Weighted mean m and covariance of the centred points xc.
+def _weighted_moments(x: np.ndarray, q: np.ndarray, total: float, scale=None):
+    """Weighted mean m and covariance of the rows x_i, or of the scaled
+    rows scale_i * x_i when a per-row ``scale`` is given (they are never
+    built).
 
     The covariance is taken in Gram form, Y^T Y / total - m m^T with
-    Y = xc * sqrt(q): one SYRK-shaped product and a single N x d
-    temporary.  The caller keeps ||m||^2 within tr(cov) by re-centring,
-    so the subtraction cannot cancel away the digits.
+    Y = x * sqrt(q) (times |scale|): one SYRK-shaped product, and Y is
+    the single N x d temporary.  The subtraction loses about
+    u * E_q[||row||^2] to rounding (u the unit roundoff), so the rows'
+    second moment about the origin must stay comparable with what the
+    caller compares the covariance against; see robust_mean_with_state.
     """
-    m = (q @ xc) / total
-    y = xc * np.sqrt(q)[:, None]
+    if scale is None:
+        m = (q @ x) / total
+        y = x * np.sqrt(q)[:, None]
+    else:
+        m = ((q * scale) @ x) / total
+        y = x * (np.sqrt(q) * np.abs(scale))[:, None]
     cov = (y.T @ y) / total - np.outer(m, m)
     return m, cov
 
@@ -143,8 +160,16 @@ def _threshold(h: np.ndarray, q: np.ndarray, epsilon: float) -> float:
         k = min(n, 2 * k)
 
 
+def _downweight(h: np.ndarray, q: np.ndarray, epsilon: float, fmax: float):
+    """One pass's new weights and the mass it removes: every point whose
+    score reaches the epsilon-mass threshold is scaled by 1 - h_i / fmax."""
+    t = _threshold(h, q, epsilon)
+    factor = 1.0 - np.where(h >= t, h, 0.0) / fmax
+    return q * factor, float(np.sum(q * (1.0 - factor)))
+
+
 def robust_mean_with_state(
-    points, epsilon: float, *, sigma: float | None = None, variance_scale=None, start=None,
+    points, epsilon: float, *, sigma: float | None = None, scale=None, start=None,
 ) -> tuple[np.ndarray, FilterState]:
     """Robust mean of an epsilon-corrupted point set, with diagnostics.
 
@@ -159,73 +184,96 @@ def robust_mean_with_state(
     before its downweighting, while ``FilterState.weights`` holds the
     weights after it.
 
-    With ``sigma``, a pass first checks the spectral certificate lam <=
-    KAPPA * sigma^2 * s, where s is the weighted mean of
-    ``variance_scale`` (one entry per point; s = 1 without it), and stops
-    on it with the weighted mean of the current weights.  ``start``
-    (requires ``sigma``) gives the weights to start from instead of 1/N;
-    if they spend the mass budget before the certificate holds, the call
-    starts over once from 1/N, bitwise as a call without ``start``.
-    Without ``sigma`` only the mass budget stops the loop.
+    ``scale`` (one entry per point) makes the point set the rows
+    scale_i * points_i without building them: the mean is
+    ((q * scale)^T X) / sum q, the covariance Y^T Y / sum q - m m^T with
+    Y = X * (sqrt(q) * |scale|), and the scores (scale_i (X v)_i - m . v)^2.
 
-    The points are centred once, on their plain mean, and re-centred on
+    With ``sigma``, a pass first checks the spectral certificate lam <=
+    KAPPA * sigma^2 * s, where s is the weighted mean of scale^2 (s = 1
+    without ``scale``), and stops on it with the weighted mean of the
+    current weights.  ``start`` (requires ``sigma``) gives the weights to
+    start from instead of 1/N; if they spend the mass budget before the
+    certificate holds, the call starts over once from 1/N, bitwise as a
+    call without ``start``.  Without ``sigma`` only the mass budget stops
+    the loop.
+
+    Plain points are centred once, on their plain mean, and re-centred on
     the current weighted mean whenever its squared offset exceeds the
     covariance trace (a removed far cluster moves the mean that much); a
-    re-centre is not a pass and calls no eigensolve.
+    re-centre is not a pass and calls no eigensolve.  Their mean may lie
+    anywhere, and the Gram form would lose the spread to rounding against
+    it.  Scaled rows are not centred, and need not be.  The Gram form's
+    rounding error is about u * E_q[scale^2 ||x||^2] (u the unit
+    roundoff), and the certificate compares lam with KAPPA * sigma^2 *
+    E_q[scale^2].  The gradient oracle's contract bounds the inliers'
+    second moment about the origin by sigma^2 I (``pipeline`` hands it
+    covariates centred on the robust mean, plus the unit intercept
+    column), so on the inliers the error is about u * d * max scale^2 /
+    E_q[scale^2] of the certificate's bound; rows far enough from the
+    origin to lose more digits are far enough to dominate lam, and the
+    filter removes them.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, k = points.shape
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    n, k = x.shape
     if not (0.0 < epsilon < 0.5):
         raise ValueError("epsilon must lie in (0, 0.5)")
     if n < 2:
         raise ValueError("need at least 2 points")
     if start is not None and (sigma is None or np.shape(start) != (n,)):
         raise ValueError("a warm start needs sigma and one weight per point")
-    uniform = np.full(n, 1.0 / n)
-    q = uniform if start is None else np.asarray(start, dtype=float)
+    if scale is not None and np.shape(scale) != (n,):
+        raise ValueError("scale needs one entry per point")
+    q = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float)
     if start is not None and not np.all((q >= 0.0) & (q <= 1.0 / n)):
         raise ValueError("warm-start weights must lie in [0, 1/N]")
     state = FilterState(weights=q, warm=start is not None)
     if k == 0:
         return np.zeros(0), state
-    plain_centre = points.mean(axis=0)
+    if scale is not None:
+        scale = np.asarray(scale, dtype=float)
+    plain_centre = x.mean(axis=0) if scale is None else np.zeros(k)
     centre = plain_centre
-    xc = points - centre
+    xc = x - centre if scale is None else x
     total = 1.0 if start is None else float(q.sum())
     cap = None if sigma is None else KAPPA * sigma**2
-    # scores at rounding-noise level mean the weighted cloud is a point
-    score_floor = 1e-24 * max(1.0, float(np.max(np.abs(points))) ** 2)
+    score_floor = None
     while True:
         if total < 1.0 - 2.0 * epsilon:
             if not state.warm or state.restarted:
                 break
             # the warm start spent the budget uncertified: start over cold
             state.restarted = True
-            q, total, centre = uniform, 1.0, plain_centre
-            xc = points - centre
-        m, cov = _weighted_moments(xc, q, total)
-        if m @ m > np.trace(cov):
+            q, total = np.full(n, 1.0 / n), 1.0
+            if centre is not plain_centre:
+                centre = plain_centre
+                xc = x - centre
+        m, cov = _weighted_moments(xc, q, total, scale)
+        if scale is None and m @ m > np.trace(cov):
             centre = centre + m
-            xc = points - centre
+            xc = x - centre
             m, cov = _weighted_moments(xc, q, total)
         if not np.trace(cov) > 0.0:
             break  # no spread left above rounding: the weighted cloud is a point
         v, lam = top_eigenvector(cov)
         if cap is not None:
-            scale = 1.0 if variance_scale is None else float(q @ variance_scale) / total
-            if lam <= cap * scale:
+            bound = cap * (1.0 if scale is None else float(q @ scale**2) / total)
+            state.certificate_ratio = lam / bound if bound > 0.0 else math.inf
+            if state.certificate_ratio <= 1.0:
                 state.certified = True
                 break
-        h = (xc @ v - m @ v) ** 2
-        alive = q > 0.0
-        fmax = float(np.max(h[alive], initial=0.0))
+        h = ((xc @ v if scale is None else scale * (xc @ v)) - m @ v) ** 2
+        fmax = float(np.max(h[q > 0.0], initial=0.0))
+        if score_floor is None:
+            # scores at rounding-noise level mean the weighted cloud is a
+            # point; max |x_ij| (times max |scale_i|) bounds the rows
+            reach = max(float(x.max()), -float(x.min()))
+            if scale is not None:
+                reach *= float(np.max(np.abs(scale)))
+            score_floor = 1e-24 * max(1.0, reach) ** 2
         if fmax <= score_floor:
             break
-        t = _threshold(h, q, epsilon)
-        f = np.where(h >= t, h, 0.0)
-        factor = 1.0 - f / fmax
-        removed = float(np.sum(q * (1.0 - factor)))
-        q = q * factor
+        q, removed = _downweight(h, q, epsilon, fmax)
         total = float(q.sum())
         state.iterations += 1
         state.removed_mass_history.append(removed)
@@ -294,6 +342,14 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: f
     lam <= KAPPA * sigma^2 * (weighted mean of beta_i^2).  ``start`` is
     the weights a previous call ended with (the state's ``weights``), to
     start the filter from instead of 1/N.
+
+    The filter takes beta as a row scale: the rows beta_i x_i are never
+    built and never centred (that bound on the second moment is why they
+    need not be; see :func:`robust_mean_with_state`).  A call that
+    certifies at once costs one weighted mean of the covariates, one Gram
+    product over the single N x d temporary x_i * sqrt(q_i) |beta_i|, and
+    a d x d eigensolve; each filter pass adds a score product X v and a
+    partial selection.
     """
     beta = np.asarray(beta, dtype=float)
     x = np.atleast_2d(np.asarray(covariates, dtype=float))
@@ -305,5 +361,4 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: f
         raise OracleContractError(f"max |beta_i| = {worst} exceeds {bound}")
     if not (0.0 < epsilon < 0.25):
         raise ValueError("epsilon must lie in (0, 0.25)")
-    points = beta[:, None] * x
-    return robust_mean_with_state(points, 2.0 * epsilon, sigma=sigma, variance_scale=beta**2, start=start)
+    return robust_mean_with_state(x, 2.0 * epsilon, sigma=sigma, scale=beta, start=start)

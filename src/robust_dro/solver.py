@@ -186,7 +186,10 @@ class GradientOracle:
     Within a run, successive beta differ little, so each robust call
     starts from the filter weights the previous call ended with (the
     first call of a fresh oracle starts from uniform weights); a warm
-    call that spends the mass budget uncertified starts over cold.
+    call that spends the mass budget uncertified starts over cold.  Most
+    warm calls certify at once, at the cost of one weighted mean and one
+    Gram product over the covariates and a d x d eigensolve: the filter
+    reads beta as a row scale and builds no copy of the rows beta_i x_i.
 
     It keeps its first output, and the weights that call ended with, for
     reuse.  Every run of one tuning search starts from beta = alpha_0 =

@@ -1,6 +1,8 @@
 """Robust mean estimation: filter mechanics, guarantees, and the
 scaling-stability property behind the gradient oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,11 +347,12 @@ def test_a_certified_exit_returns_the_weighted_mean_of_its_weights(scale):
     variance_scale = None
     if scale:
         beta = np.random.default_rng(22).uniform(-3.0, 3.0, size=x.shape[0])
+        mu, state = robust_mean_with_state(x, 0.2, sigma=1.0, scale=beta)
         x = beta[:, None] * x
         variance_scale = beta**2
     else:
         x = x + 3.0
-    mu, state = robust_mean_with_state(x, 0.2, sigma=1.0, variance_scale=variance_scale)
+        mu, state = robust_mean_with_state(x, 0.2, sigma=1.0)
     assert state.certified and state.iterations >= 1
     q = state.weights
     lam = float(np.linalg.eigvalsh(np.cov(x.T, aweights=q, bias=True))[-1])
@@ -397,9 +400,9 @@ def test_weights_stay_in_range_and_never_increase_within_an_attempt(seed):
     seen = []
     real = robust_mean._weighted_moments
 
-    def recording(xc, q, total):
+    def recording(xc, q, total, *scale):
         seen.append(q)
-        return real(xc, q, total)
+        return real(xc, q, total, *scale)
 
     robust_mean._weighted_moments = recording
     try:
@@ -417,6 +420,40 @@ def test_weights_stay_in_range_and_never_increase_within_an_attempt(seed):
     assert jumps <= int(state.restarted)
     if start is not None and not state.restarted:
         assert np.all(state.weights <= start)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_the_certificate_ratio_is_at_most_one_exactly_when_certified(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 300))
+    d = int(rng.integers(1, 6))
+    eps = float(rng.uniform(0.02, 0.45))
+    x = rng.standard_normal((n, d)) * rng.uniform(0.3, 2.0)
+    k = int(rng.integers(0, n // 5 + 1))
+    x[:k] = rng.uniform(5.0, 50.0) * rng.standard_normal(d)
+    sigma = float(rng.uniform(0.3, 2.0))
+    scale = rng.uniform(-3.0, 3.0, size=n) if rng.random() < 0.5 else None
+    start = rng.uniform(0.0, 1.0 / n, size=n) if rng.random() < 0.5 else None
+    _, state = robust_mean_with_state(x, eps, sigma=sigma, scale=scale, start=start)
+    assert (state.certificate_ratio is not None and state.certificate_ratio <= 1.0) == state.certified
+    _, budget = robust_mean_with_state(x, eps, scale=scale)
+    assert budget.certificate_ratio is None
+
+
+def test_a_row_scale_needs_one_entry_per_point():
+    x = far_cluster_points()
+    with pytest.raises(ValueError, match="scale needs one entry per point"):
+        robust_mean_with_state(x, 0.2, sigma=1.0, scale=np.ones(x.shape[0] - 1))
+
+
+def test_a_certified_call_without_a_pass_still_reports_its_ratio():
+    x = far_cluster_points()
+    _, cold = robust_mean_with_state(x, 0.2, sigma=1.0)
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, start=cold.weights)
+    assert warm.iterations == 0 and warm.lambda_history == []
+    assert 0.0 < warm.certificate_ratio <= 1.0
+    assert warm.certificate_ratio == cold.certificate_ratio
 
 
 # --- stability ----------------------------------------------------------
@@ -519,6 +556,33 @@ def test_oracle_corrupted_tracks_clean_subset_mean():
     naive = x.mean(axis=0)
     assert np.linalg.norm(z - clean_mean) <= 3 * np.sqrt(eps)
     assert np.linalg.norm(naive - clean_mean) >= 0.5 * np.sqrt(d * eps)
+
+
+def test_an_oracle_call_allocates_at_most_one_copy_of_the_covariates():
+    """The rows beta_i x_i are a row scale, not an array: a cold and a
+    warm oracle call that certify at once (N=10k, d=21 with the intercept
+    column) each allocate at peak at most 1.25 N d doubles.  Building
+    the rows and centring them took 3.2."""
+    n, d = 10_000, 21
+    rng = np.random.default_rng(30)
+    x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, d - 1))])
+    beta = rng.uniform(-1.0, 1.0, size=n)
+    start = None
+    for _ in range(2):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            _, state = inexact_hybrid_gradient_oracle(beta, x, 0.05, sigma=1.0, start=start)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert state.certified and state.iterations == 0 and state.warm == (start is not None)
+        assert peak <= 1.25 * n * d * 8
+        start = state.weights
 
 
 # --- scaling stability --------------------------------------------------

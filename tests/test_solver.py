@@ -21,7 +21,14 @@ from robust_dro.data import (
     prepend_ones,
 )
 from robust_dro.losses import LossFamily, NormRegularizer
-from robust_dro.robust_mean import OracleContractError, inexact_hybrid_gradient_oracle
+from robust_dro.robust_mean import (
+    KAPPA,
+    OracleContractError,
+    _threshold,
+    _weighted_moments,
+    inexact_hybrid_gradient_oracle,
+    top_eigenvector,
+)
 from robust_dro.solver import (
     CLEAN_EPSILON,
     MAX_ITERATIONS,
@@ -275,21 +282,26 @@ def gate5_sample():
     return generate_synthetic(d, 10_000, planted, task="classification", flip_prob=0.05, seed=0), planted
 
 
-@pytest.mark.parametrize("eps", [0.02, 0.1])
-@pytest.mark.parametrize("adversary", ["far-cluster", "doro-spike", "label-flip"])
-def test_every_oracle_call_is_within_delta_of_the_clean_rows_mean(gate5_sample, monkeypatch, adversary, eps):
-    """The solver's guarantee needs each gradient-oracle output within
-    delta of the weighted mean over the uncorrupted rows, on every call
-    of a pipeline run (gate-5 cells: d=20, N=10k, hinge, C=3, seed 0)."""
-    clean, planted = gate5_sample
+def gate5_cell(sample, adversary, eps):
+    """The corrupted rows and the solver config of one gate-5 cell."""
+    clean, planted = sample
     adversaries = {
         "far-cluster": FarCluster(direction=tuple(planted[1:] / np.linalg.norm(planted[1:]))),
         "doro-spike": DoroCounterexample(),
         "label-flip": LabelFlipPlusLeverage(),
     }
     corrupted = contaminate(clean, ContaminationSpec(eps, adversaries[adversary]), seed=1)
+    return corrupted, PDHGConfig(epsilon=eps, sigma=1.0, delta_constant=3.0, w0_bound=10.0, dro_radius=0.1)
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1])
+@pytest.mark.parametrize("adversary", ["far-cluster", "doro-spike", "label-flip"])
+def test_every_oracle_call_is_within_delta_of_the_clean_rows_mean(gate5_sample, monkeypatch, adversary, eps):
+    """The solver's guarantee needs each gradient-oracle output within
+    delta of the weighted mean over the uncorrupted rows, on every call
+    of a pipeline run (gate-5 cells: d=20, N=10k, hinge, C=3, seed 0)."""
+    corrupted, cfg = gate5_cell(gate5_sample, adversary, eps)
     good = np.setdiff1d(np.arange(corrupted.n), sorted(corrupted.corrupted_indices))
-    cfg = PDHGConfig(epsilon=eps, sigma=1.0, delta_constant=3.0, w0_bound=10.0, dro_radius=0.1)
     ratios = []
     real_call = GradientOracle.__call__
 
@@ -334,6 +346,102 @@ def test_below_unit_sigma_the_oracle_still_certifies_within_delta(monkeypatch):
     pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), cfg)
     assert len(ratios) > 1 and all(certified)
     assert max(ratios) <= 1.0
+
+
+def materialized_oracle(beta, x, epsilon, *, sigma, start=None):
+    """The gradient oracle as it ran before the filter took beta as a row
+    scale: it builds the rows beta_i x_i, centres them on their plain mean,
+    re-centres when the weighted mean drifts past the spread, and
+    certifies against KAPPA sigma^2 times the weighted mean of beta^2.
+    Returns z and the stop (certified, passes, restarted)."""
+    points = beta[:, None] * x
+    eps = 2.0 * epsilon
+    n = points.shape[0]
+    q = np.full(n, 1.0 / n) if start is None else start
+    total = 1.0 if start is None else float(q.sum())
+    restarted = certified = False
+    passes = 0
+    plain = points.mean(axis=0)
+    centre, xc = plain, points - plain
+    floor = 1e-24 * max(1.0, float(np.max(np.abs(points)))) ** 2
+    while True:
+        if total < 1.0 - 2.0 * eps:
+            if start is None or restarted:
+                break
+            restarted, q, total, centre = True, np.full(n, 1.0 / n), 1.0, plain
+            xc = points - centre
+        m, cov = _weighted_moments(xc, q, total)
+        if m @ m > np.trace(cov):
+            centre = centre + m
+            xc = points - centre
+            m, cov = _weighted_moments(xc, q, total)
+        if not np.trace(cov) > 0.0:
+            break
+        v, lam = top_eigenvector(cov)
+        if lam <= KAPPA * sigma**2 * float(q @ beta**2) / total:
+            certified = True
+            break
+        h = (xc @ v - m @ v) ** 2
+        fmax = float(np.max(h[q > 0.0], initial=0.0))
+        if fmax <= floor:
+            break
+        t = _threshold(h, q, eps)
+        q = q * (1.0 - np.where(h >= t, h, 0.0) / fmax)
+        total = float(q.sum())
+        passes += 1
+    return centre + m, (certified, passes, restarted)
+
+
+@pytest.mark.parametrize(
+    "adversary, eps", [("far-cluster", 0.1), ("doro-spike", 0.02), ("label-flip", 0.02), ("label-flip", 0.1)]
+)
+def test_oracle_calls_match_the_filter_on_materialized_rows(gate5_sample, monkeypatch, adversary, eps):
+    """Every oracle call of a pipeline run, replayed with the same beta and
+    warm start on the materialized rows beta_i x_i, stops the same way
+    (certified, passes, restarted) and gives the same z: within
+    1e-12 (1 + ||z||) when it certifies without a pass.  A call that
+    filters may differ by more, because the filter amplifies rounding
+    pass by pass: on label flip at eps=0.1 one call makes 69 passes, and
+    the materialized filter itself moves by up to 4.6e-11 (1 + ||z||)
+    when only the order of the rows changes.  Those calls are held to
+    1e-9 (1 + ||z||)."""
+    import robust_dro.solver as solver_mod
+
+    corrupted, cfg = gate5_cell(gate5_sample, adversary, eps)
+    real_oracle = solver_mod.inexact_hybrid_gradient_oracle
+    calls = []
+
+    def replayed(beta, covariates, epsilon, **kwargs):
+        z, state = real_oracle(beta, covariates, epsilon, **kwargs)
+        z_ref, stop = materialized_oracle(beta, covariates, epsilon, **kwargs)
+        calls.append((float(np.linalg.norm(z - z_ref) / (1.0 + np.linalg.norm(z))), state, stop))
+        return z, state
+
+    monkeypatch.setattr(solver_mod, "inexact_hybrid_gradient_oracle", replayed)
+    pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), cfg)
+    assert len(calls) > 1
+    for gap, state, stop in calls:
+        assert (state.certified, state.iterations, state.restarted) == stop
+        assert gap <= (1e-12 if state.iterations == 0 else 1e-9)
+
+
+@pytest.mark.parametrize("adversary, eps", [("far-cluster", 0.1), ("doro-spike", 0.02), ("label-flip", 0.1)])
+def test_pipeline_is_shift_invariant_on_contaminated_cells(gate5_sample, adversary, eps):
+    """Shifting the raw covariates by c leaves the slopes unchanged and
+    moves the intercept by -w[1:] . c, to rounding: the oracle sees
+    covariates centred on the robust mean, so dropping its own centring
+    costs no accuracy (c of norm 1e2 and 1e4 along a random direction)."""
+    corrupted, cfg = gate5_cell(gate5_sample, adversary, eps)
+    reg = NormRegularizer("2", 0.1)
+    w = pipeline(corrupted, HINGE, reg, cfg).w_hat
+    u = np.random.default_rng(40).standard_normal(corrupted.dim)
+    for norm in (1e2, 1e4):
+        c = norm * u / np.linalg.norm(u)
+        shifted = Dataset(corrupted.covariates + c, corrupted.labels, corrupted.sigma)
+        w_shifted = pipeline(shifted, HINGE, reg, cfg).w_hat
+        assert np.linalg.norm(w_shifted[1:] - w[1:]) <= 1e-9 * np.linalg.norm(w[1:])
+        intercept = w[0] - w[1:] @ c
+        assert abs(w_shifted[0] - intercept) <= 1e-9 * (1.0 + abs(intercept))
 
 
 # --- tuning -------------------------------------------------------------
