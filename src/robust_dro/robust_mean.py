@@ -115,24 +115,22 @@ def top_eigenvector(s: np.ndarray):
     return v, lam
 
 
-def _weighted_moments(x: np.ndarray, q: np.ndarray, total: float, scale=None):
-    """Weighted mean m and covariance of the rows x_i, or of the scaled
-    rows scale_i * x_i when a per-row ``scale`` is given (they are never
-    built).
+def _weighted_moments(x: np.ndarray, q: np.ndarray, total: float, scale):
+    """Weighted mean m and covariance of the scaled rows scale_i * x_i
+    (they are never built); plain rows take the scalar scale 1.0.
 
     The covariance is taken in Gram form, Y^T Y / total - m m^T with
-    Y = x * sqrt(q) (times |scale|): one SYRK-shaped product, and Y is
-    the single N x d temporary.  The subtraction loses about
-    u * E_q[||row||^2] to rounding (u the unit roundoff), so the rows'
-    second moment about the origin must stay comparable with what the
-    caller compares the covariance against; see robust_mean_with_state.
+    Y = x * (sqrt(q) * |scale|): one SYRK-shaped product, and Y is the
+    single N x d temporary.  The subtraction loses about
+    u * E_q[scale^2 ||row||^2] to rounding (u the unit roundoff), so the
+    rows' second moment about the origin must stay comparable with what
+    the caller compares the covariance against; see
+    robust_mean_with_state.
     """
-    if scale is None:
-        m = (q @ x) / total
-        y = x * np.sqrt(q)[:, None]
-    else:
-        m = ((q * scale) @ x) / total
-        y = x * (np.sqrt(q) * np.abs(scale))[:, None]
+    m = ((q * scale) @ x) / total
+    r = np.sqrt(q)
+    r *= np.abs(scale)  # in place: a second N-vector temporary here makes malloc re-fault the N x d ones
+    y = x * r[:, None]
     cov = (y.T @ y) / total - np.outer(m, m)
     return m, cov
 
@@ -188,6 +186,7 @@ def robust_mean_with_state(
     scale_i * points_i without building them: the mean is
     ((q * scale)^T X) / sum q, the covariance Y^T Y / sum q - m m^T with
     Y = X * (sqrt(q) * |scale|), and the scores (scale_i (X v)_i - m . v)^2.
+    Plain points go through the same formulas with the scale 1.0.
 
     With ``sigma``, a pass first checks the spectral certificate lam <=
     KAPPA * sigma^2 * s, where s is the weighted mean of scale^2 (s = 1
@@ -230,11 +229,11 @@ def robust_mean_with_state(
     state = FilterState(weights=q, warm=start is not None)
     if k == 0:
         return np.zeros(0), state
-    if scale is not None:
-        scale = np.asarray(scale, dtype=float)
-    plain_centre = x.mean(axis=0) if scale is None else np.zeros(k)
+    plain = scale is None
+    scale = 1.0 if plain else np.asarray(scale, dtype=float)
+    plain_centre = x.mean(axis=0) if plain else np.zeros(k)
     centre = plain_centre
-    xc = x - centre if scale is None else x
+    xc = x - centre if plain else x
     total = 1.0 if start is None else float(q.sum())
     cap = None if sigma is None else KAPPA * sigma**2
     score_floor = None
@@ -249,27 +248,25 @@ def robust_mean_with_state(
                 centre = plain_centre
                 xc = x - centre
         m, cov = _weighted_moments(xc, q, total, scale)
-        if scale is None and m @ m > np.trace(cov):
+        if plain and m @ m > np.trace(cov):
             centre = centre + m
             xc = x - centre
-            m, cov = _weighted_moments(xc, q, total)
+            m, cov = _weighted_moments(xc, q, total, scale)
         if not np.trace(cov) > 0.0:
             break  # no spread left above rounding: the weighted cloud is a point
         v, lam = top_eigenvector(cov)
         if cap is not None:
-            bound = cap * (1.0 if scale is None else float(q @ scale**2) / total)
+            bound = cap * (1.0 if plain else float(q @ scale**2) / total)
             state.certificate_ratio = lam / bound if bound > 0.0 else math.inf
             if state.certificate_ratio <= 1.0:
                 state.certified = True
                 break
-        h = ((xc @ v if scale is None else scale * (xc @ v)) - m @ v) ** 2
+        h = (scale * (xc @ v) - m @ v) ** 2
         fmax = float(np.max(h[q > 0.0], initial=0.0))
         if score_floor is None:
             # scores at rounding-noise level mean the weighted cloud is a
-            # point; max |x_ij| (times max |scale_i|) bounds the rows
-            reach = max(float(x.max()), -float(x.min()))
-            if scale is not None:
-                reach *= float(np.max(np.abs(scale)))
+            # point; max |x_ij| times max |scale_i| bounds the rows
+            reach = max(float(x.max()), -float(x.min())) * float(np.max(np.abs(scale)))
             score_floor = 1e-24 * max(1.0, reach) ** 2
         if fmax <= score_floor:
             break

@@ -136,9 +136,10 @@ class SolveResult:
     """Outcome of a solve.
 
     ``oracle_calls`` counts the gradient-oracle evaluations the solve ran:
-    T for a lone :func:`pdhg_solve` run, the whole search for
-    :func:`tune_gamma` (the first call, shared by every candidate,
-    counted once), and 0 for :func:`idealized_solve`, which runs none.
+    T for a lone :func:`pdhg_solve` run (T - 1 for one handed its first
+    call), the whole search for :func:`tune_gamma` (the first call,
+    shared by every candidate, counted once), and 0 for
+    :func:`idealized_solve`, which runs none.
     ``gamma_used`` and ``t_used`` describe the returned run,
     ``tuning_runs`` the number of candidates the search ran (its whole
     ladder; None without a search), and the max-dual fields cover every
@@ -176,58 +177,31 @@ def _gamma(cfg: PDHGConfig, n: int) -> float:
     return cfg.gamma_dist / math.sqrt(n)
 
 
-class GradientOracle:
-    """The primal step's estimate z of (1/N) sum_i beta_i x_i: the exact
-    weighted mean in exact-oracle mode, else
-    :func:`inexact_hybrid_gradient_oracle` with the spectral stop at
-    max(``cfg.sigma``, 1): the covariates carry the intercept column of
-    ones, whose second moment is 1 whatever sigma.
+def _oracle_call(x: np.ndarray, cfg: PDHGConfig, beta: np.ndarray, start: np.ndarray | None):
+    """The primal step's estimate z of (1/N) sum_i beta_i x_i, and the
+    filter weights the call ended with (None in exact-oracle mode).
 
-    Within a run, successive beta differ little, so each robust call
-    starts from the filter weights the previous call ended with (the
-    first call of a fresh oracle starts from uniform weights); a warm
-    call that spends the mass budget uncertified starts over cold.  Most
-    warm calls certify at once, at the cost of one weighted mean and one
-    Gram product over the covariates and a d x d eigensolve: the filter
-    reads beta as a row scale and builds no copy of the rows beta_i x_i.
-
-    It keeps its first output, and the weights that call ended with, for
-    reuse.  Every run of one tuning search starts from beta = alpha_0 =
-    1/N (alpha_prev = alpha at k = 1), whatever its gamma, so candidates
-    sharing one oracle evaluate that first call once; a reuse also
-    resets the warm start to the first call's weights, so every shared
-    run is bitwise what an independent run gives.  The memo is reused
-    only for a beta bitwise equal to its input.  ``evaluations`` counts
-    the estimates actually computed.
+    Exact-oracle mode takes the plain weighted mean.  Robust mode calls
+    :func:`inexact_hybrid_gradient_oracle` from the weights ``start``
+    (None: uniform), with the spectral stop at max(``cfg.sigma``, 1):
+    the covariates carry the intercept column of ones, whose second
+    moment is 1 whatever sigma.
     """
-
-    def __init__(self, covariates: np.ndarray, cfg: PDHGConfig) -> None:
-        self.x = covariates
-        self.cfg = cfg
-        self.evaluations = 0
-        self._first: tuple[bytes, np.ndarray, np.ndarray | None] | None = None
-        self._weights: np.ndarray | None = None  # the next robust call's warm start
-
-    def __call__(self, beta: np.ndarray) -> np.ndarray:
-        key = beta.tobytes()
-        if self._first is not None and self._first[0] == key:
-            self._weights = self._first[2]
-            return self._first[1]
-        if self.cfg.exact_oracle:
-            z = (beta @ self.x) / self.x.shape[0]
-        else:
-            z, state = inexact_hybrid_gradient_oracle(
-                beta, self.x, self.cfg.epsilon, sigma=max(self.cfg.sigma, 1.0), start=self._weights
-            )
-            self._weights = state.weights
-        self.evaluations += 1
-        if self._first is None:
-            z.flags.writeable = False  # handed to every run that shares the memo
-            self._first = (key, z, self._weights)
-        return z
+    if cfg.exact_oracle:
+        return (beta @ x) / x.shape[0], None
+    z, state = inexact_hybrid_gradient_oracle(beta, x, cfg.epsilon, sigma=max(cfg.sigma, 1.0), start=start)
+    return z, state.weights
 
 
-def _run_loop(data, loss, reg, cfg, gamma, oracle, record) -> SolveResult:
+def _run_loop(data, loss, reg, cfg, gamma, oracle, first, record) -> SolveResult:
+    """The primal-dual loop; ``oracle(beta, start)`` returns (z, weights).
+
+    Within a run, successive beta differ little, so each call starts from
+    the filter weights the previous call ended with (a warm call that
+    spends the mass budget uncertified starts over cold; most certify at
+    once).  ``first``, if given, is the output of call 1, whose beta is
+    alpha_0 = 1/N bitwise (alpha_prev = alpha at k = 1).
+    """
     x = data.covariates
     y = data.labels
     n = data.n
@@ -236,6 +210,7 @@ def _run_loop(data, loss, reg, cfg, gamma, oracle, record) -> SolveResult:
     w = np.zeros(data.dim)
     alpha = np.full(n, 1.0 / n)
     alpha_prev = alpha
+    weights = None
     w_sum = np.zeros(data.dim)
     max_dual = float(np.max(np.abs(alpha), initial=0.0))
     max_extrap = 0.0
@@ -249,7 +224,7 @@ def _run_loop(data, loss, reg, cfg, gamma, oracle, record) -> SolveResult:
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))
         if max_extrap > 3.0 * (1.0 + 1e-9):
             raise OracleContractError(f"extrapolated dual weight {max_extrap} exceeded 3")
-        z = oracle(beta)
+        z, weights = first if k == 1 and first is not None else oracle(beta, weights)
         tau = a * gamma / c_k
         w = reg_prox(reg, w - tau * z, tau)
         alpha_prev = alpha
@@ -267,21 +242,21 @@ def _run_loop(data, loss, reg, cfg, gamma, oracle, record) -> SolveResult:
 
 def pdhg_solve(
     data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *,
-    record: bool = False, oracle: GradientOracle | None = None,
+    record: bool = False, first: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> SolveResult:
     """Run the primal-dual loop on (intercept-carrying) data from w_0 = 0.
 
     Requires ``cfg.gamma_dist``: gamma = gamma_dist / sqrt(N).
     Use :func:`tune_gamma` when the distance to the optimum is unknown.
-    ``oracle``, if given, is a :class:`GradientOracle` on ``data``'s
-    covariates shared with other runs; by default the run builds its own.
+    ``first``, if given, is the output ``(z, weights)`` of the first
+    oracle call, ``_oracle_call`` at beta = 1/N on ``data``'s covariates,
+    which every run shares whatever its gamma; by default the run
+    computes it.  ``oracle_calls`` counts the calls the run computed.
     """
     gamma = _gamma(cfg, data.n)
-    if oracle is None:
-        oracle = GradientOracle(data.covariates, cfg)
-    done = oracle.evaluations
-    result = _run_loop(data, loss, reg, cfg, gamma, oracle, record)
-    result.oracle_calls = oracle.evaluations - done
+    x = data.covariates
+    result = _run_loop(data, loss, reg, cfg, gamma, lambda beta, start: _oracle_call(x, cfg, beta, start), first, record)
+    result.oracle_calls = result.t_used - (first is not None)
     return result
 
 
@@ -299,7 +274,7 @@ def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: 
     if len(injected) != t_hor:
         raise ConfigurationError(f"injected sequence has {len(injected)} entries, schedule needs {t_hor}")
     queue = iter(injected)
-    return _run_loop(data, loss, reg, cfg, gamma, lambda beta: next(queue), record)
+    return _run_loop(data, loss, reg, cfg, gamma, lambda beta, start: (next(queue), None), None, record)
 
 
 def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> SolveResult:
@@ -311,11 +286,11 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     runs the whole ladder and returns the run with the smallest estimate
     (ties prefer the smaller D_j; a NaN estimate is never chosen).
 
-    The candidates share one :class:`GradientOracle`, so their common
-    first oracle output is computed once; each still runs through
-    :func:`pdhg_solve`, and every result is bitwise what independent
-    runs give.  The returned ``oracle_calls`` counts the evaluations of
-    the whole search.
+    The first oracle call, at beta = 1/N, is the same in every candidate
+    run, so it is computed once and handed to each candidate's
+    :func:`pdhg_solve`; every result is bitwise what independent runs
+    give.  The returned ``oracle_calls`` counts the calls of the whole
+    search: that shared call plus each run's other T - 1.
     """
     d_min = cfg.delta
     if cfg.w0_bound <= d_min:
@@ -325,10 +300,12 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     best_est = math.inf
     max_dual = 0.0
     max_extrap = 0.0
-    oracle = GradientOracle(data.covariates, cfg)
+    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), None)
+    calls = 1
     for j in range(j_max + 1):
         candidate = replace(cfg, gamma_dist=d_min * (2.0 ** j))
-        res = pdhg_solve(data, loss, reg, candidate, oracle=oracle)
+        res = pdhg_solve(data, loss, reg, candidate, first=first)
+        calls += res.oracle_calls
         est = estimate_objective(res.w_hat, data, loss, reg, cfg)
         max_dual = max(max_dual, res.max_abs_dual)
         max_extrap = max(max_extrap, res.max_abs_extrapolated)
@@ -337,7 +314,7 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
             best = res
     assert best is not None
     best.tuning_runs = j_max + 1
-    best.oracle_calls = oracle.evaluations
+    best.oracle_calls = calls
     # feasibility diagnostics cover every candidate run, not just the winner
     best.max_abs_dual = max_dual
     best.max_abs_extrapolated = max_extrap

@@ -26,15 +26,14 @@ from robust_dro.robust_mean import (
     OracleContractError,
     _threshold,
     _weighted_moments,
-    inexact_hybrid_gradient_oracle,
     top_eigenvector,
 )
 from robust_dro.solver import (
     CLEAN_EPSILON,
     MAX_ITERATIONS,
     ConfigurationError,
-    GradientOracle,
     PDHGConfig,
+    _oracle_call,
     estimate_objective,
     idealized_solve,
     num_iterations,
@@ -300,18 +299,20 @@ def test_every_oracle_call_is_within_delta_of_the_clean_rows_mean(gate5_sample, 
     """The solver's guarantee needs each gradient-oracle output within
     delta of the weighted mean over the uncorrupted rows, on every call
     of a pipeline run (gate-5 cells: d=20, N=10k, hinge, C=3, seed 0)."""
+    import robust_dro.solver as solver_mod
+
     corrupted, cfg = gate5_cell(gate5_sample, adversary, eps)
     good = np.setdiff1d(np.arange(corrupted.n), sorted(corrupted.corrupted_indices))
+    real_oracle = solver_mod.inexact_hybrid_gradient_oracle
     ratios = []
-    real_call = GradientOracle.__call__
 
-    def checked(self, beta):
-        z = real_call(self, beta)
-        clean_mean = (beta[good, None] * self.x[good]).mean(axis=0)
+    def checked(beta, covariates, epsilon, **kwargs):
+        z, state = real_oracle(beta, covariates, epsilon, **kwargs)
+        clean_mean = (beta[good, None] * covariates[good]).mean(axis=0)
         ratios.append(float(np.linalg.norm(z - clean_mean)) / cfg.delta)
-        return z
+        return z, state
 
-    monkeypatch.setattr(GradientOracle, "__call__", checked)
+    monkeypatch.setattr(solver_mod, "inexact_hybrid_gradient_oracle", checked)
     pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), cfg)
     assert len(ratios) > 1
     assert max(ratios) <= 1.0
@@ -370,11 +371,11 @@ def materialized_oracle(beta, x, epsilon, *, sigma, start=None):
                 break
             restarted, q, total, centre = True, np.full(n, 1.0 / n), 1.0, plain
             xc = points - centre
-        m, cov = _weighted_moments(xc, q, total)
+        m, cov = _weighted_moments(xc, q, total, 1.0)
         if m @ m > np.trace(cov):
             centre = centre + m
             xc = points - centre
-            m, cov = _weighted_moments(xc, q, total)
+            m, cov = _weighted_moments(xc, q, total, 1.0)
         if not np.trace(cov) > 0.0:
             break
         v, lam = top_eigenvector(cov)
@@ -549,41 +550,78 @@ def test_tune_gamma_shares_the_first_oracle_call(monkeypatch, exact):
     assert calls["n"] == (0 if exact else evaluations)
 
 
-def test_runs_sharing_an_oracle_match_independent_runs_under_warm_starts():
-    # label flip makes warm oracle calls filter, so the weights move within
-    # a run: a memo hit must reset the warm start to the first call's
-    # weights, or the next run would start from the last run's
+def label_flip_problem():
+    # label flip makes warm oracle calls filter, so the weights move within a run
     d, n, eps = 5, 400, 0.1
     planted = np.zeros(d)
     planted[1] = 2.0
     clean = generate_synthetic(d, n, planted, task="classification", flip_prob=0.05, seed=23)
     data = prepend_ones(contaminate(clean, ContaminationSpec(eps, LabelFlipPlusLeverage()), seed=24))
+    return data, PDHGConfig(epsilon=eps, sigma=1.0, dro_radius=0.1, delta_constant=3.0)
+
+
+def test_runs_sharing_an_oracle_match_independent_runs_under_warm_starts():
+    # the handed first call must carry its filter weights, so that call 2
+    # of every run warm-starts as it does in a run on its own
+    data, cfg = label_flip_problem()
     reg = NormRegularizer("2", 0.1)
-    cfg = PDHGConfig(epsilon=eps, sigma=1.0, dro_radius=0.1, delta_constant=3.0)
-    shared = GradientOracle(data.covariates, cfg)
+    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), None)
     for j in range(6):
         candidate = replace(cfg, gamma_dist=cfg.delta * 2.0**j)
-        together = pdhg_solve(data, HINGE, reg, candidate, oracle=shared)
+        together = pdhg_solve(data, HINGE, reg, candidate, first=first)
         alone = pdhg_solve(data, HINGE, reg, candidate)
         assert together.w_hat.tobytes() == alone.w_hat.tobytes()
+        assert together.oracle_calls == alone.oracle_calls - 1
 
 
-def test_gradient_oracle_memo_needs_a_bitwise_equal_beta():
-    data = contaminated_problem()
-    cfg = PDHGConfig(epsilon=0.1, sigma=1.0)
-    oracle = GradientOracle(data.covariates, cfg)
-    beta = np.full(data.n, 1.0 / data.n)
-    first = oracle(beta)
-    nudged = beta.copy()
-    nudged[7] = np.nextafter(nudged[7], 1.0)
-    second = oracle(nudged)
-    assert oracle.evaluations == 2
-    # the second call is warm-started from the weights the first call ended with
-    _, first_state = inexact_hybrid_gradient_oracle(beta, data.covariates, cfg.epsilon, sigma=cfg.sigma)
-    warm, _ = inexact_hybrid_gradient_oracle(nudged, data.covariates, cfg.epsilon, sigma=cfg.sigma, start=first_state.weights)
-    assert np.array_equal(second, warm)
-    assert oracle(beta.copy()) is first
-    assert oracle.evaluations == 2
+def test_each_robust_call_starts_from_the_weights_the_last_call_ended_with(monkeypatch):
+    import robust_dro.solver as solver_mod
+
+    data, cfg = label_flip_problem()
+    real_oracle = solver_mod.inexact_hybrid_gradient_oracle
+    calls = []
+
+    def recorded(beta, covariates, epsilon, *, sigma, start=None):
+        z, state = real_oracle(beta, covariates, epsilon, sigma=sigma, start=start)
+        calls.append((start, state))
+        return z, state
+
+    monkeypatch.setattr(solver_mod, "inexact_hybrid_gradient_oracle", recorded)
+    res = pdhg_solve(data, HINGE, NormRegularizer("2", 0.1), replace(cfg, gamma_dist=1.0))
+    assert len(calls) == res.t_used == res.oracle_calls > 2
+    assert calls[0][0] is None
+    for (_, before), (start, _) in zip(calls, calls[1:]):
+        assert start.tobytes() == before.weights.tobytes()
+    assert sum(state.iterations for _, state in calls[1:]) > 0  # the warm weights moved
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_the_first_call_is_at_uniform_beta_and_can_be_handed_back(monkeypatch, exact):
+    # tune_gamma computes the first call once, at beta = 1/N, and hands it to
+    # every candidate: that is only sound while each run's first beta is
+    # exactly alpha_0 = 1/N
+    import robust_dro.solver as solver_mod
+
+    data, cfg = label_flip_problem()
+    cfg = replace(cfg, gamma_dist=1.0, exact_oracle=exact)
+    reg = NormRegularizer("2", 0.1)
+    real_call = solver_mod._oracle_call
+    calls = []
+
+    def recorded(x, c, beta, start):
+        calls.append((beta.copy(), real_call(x, c, beta, start)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver_mod, "_oracle_call", recorded)
+    alone = pdhg_solve(data, HINGE, reg, cfg, record=True)
+    assert len(calls) == alone.t_used
+    beta, first = calls[0]
+    assert beta.tobytes() == np.full(data.n, 1.0 / data.n).tobytes()
+    handed = pdhg_solve(data, HINGE, reg, cfg, record=True, first=first)
+    assert len(calls) == 2 * alone.t_used - 1
+    assert handed.w_hat.tobytes() == alone.w_hat.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(handed.z_iterates, alone.z_iterates))
+    assert (handed.max_abs_dual, handed.max_abs_extrapolated) == (alone.max_abs_dual, alone.max_abs_extrapolated)
 
 
 # --- pipeline -----------------------------------------------------------
