@@ -29,8 +29,6 @@ from .losses import (
     LossFamily,
     NormRegularizer,
     conjugate_eval,
-    conjugate_prox,
-    loss_eval,
     reg_prox,
 )
 from .robust_mean import (
@@ -44,7 +42,6 @@ from .robust_mean import (
 from .solver import (
     PDHGConfig,
     SolveResult,
-    idealized_solve,
     pdhg_solve,
     pipeline,
     schedule,
@@ -67,7 +64,6 @@ __all__ = [
     "SolveResult",
     "center_with_estimate",
     "conjugate_eval",
-    "conjugate_prox",
     "contaminate",
     "doro_cvar",
     "dro_objective_eval",
@@ -75,9 +71,7 @@ __all__ = [
     "emit_report",
     "erm_subgradient",
     "generate_synthetic",
-    "idealized_solve",
     "inexact_hybrid_gradient_oracle",
-    "loss_eval",
     "oracle_solve",
     "pdhg_solve",
     "pipeline",

@@ -125,8 +125,7 @@ def doro_cvar(
     iters: int = 100,
     *,
     reg: NormRegularizer | None = None,
-    record: bool = False,
-):
+) -> np.ndarray:
     """Trimmed-loss iteration: drop the floor(eps N) highest-loss rows,
     minimize the CVaR-alpha dual objective over the kept rows, take one
     descent step, repeat.
@@ -136,6 +135,8 @@ def doro_cvar(
     covariate rows (labels ignored); the quadratic alpha=1 step jumps
     straight to the mean of the kept rows.  Full-batch and deterministic;
     starts from zero (GLM losses) or the sample mean (quadratic).
+    Returns the last iterate; the run is a prefix of every longer one, so
+    ``iters=k`` gives the iterate after step k.
     Note this is a heuristic: re-trimming against the current iterate can
     lock onto outliers that sit close to a biased iterate.
     """
@@ -153,7 +154,6 @@ def doro_cvar(
     n = data.n
     n_drop = int(math.floor(epsilon * n))
     w = x.mean(axis=0) if quadratic else np.zeros(data.dim)
-    trace = [w.copy()]
     step_c: float | None = None
     for k in range(1, iters + 1):
         if quadratic:
@@ -185,9 +185,7 @@ def doro_cvar(
             if step_c is None:
                 step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
             w = w - (step_c / math.sqrt(k)) * g
-        if record:
-            trace.append(w.copy())
-    return (w, trace) if record else w
+    return w
 
 
 def dro_objective_eval(w, data: Dataset, loss: LossFamily, reg: NormRegularizer) -> float:

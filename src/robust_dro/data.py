@@ -53,8 +53,8 @@ class Dataset:
             if not np.isfinite(values).all():
                 row = int(np.argwhere(~np.isfinite(values))[0, 0])
                 raise ValueError(f"{name} must be finite; row {row} holds NaN or inf")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     @property
     def n(self) -> int:

@@ -80,8 +80,8 @@ class NormRegularizer:
     def __post_init__(self) -> None:
         if self.s not in REG_EXPONENTS:
             raise ValueError(f"regularizer exponent must be one of {REG_EXPONENTS}, got {self.s!r}")
-        if self.weight < 0:
-            raise ValueError("regularizer weight must be nonnegative")
+        if not 0.0 <= self.weight < math.inf:
+            raise ValueError(f"regularizer weight must be nonnegative and finite, got {self.weight}")
 
     def value(self, w: np.ndarray) -> float:
         return self.weight * norm_s(w, self.s)
@@ -121,11 +121,6 @@ def loss_values(family: LossFamily, y, z) -> np.ndarray:
     if family.kind == "hinge":
         return np.maximum(0.0, 1.0 - y * z)
     return _softplus(-y * z)
-
-
-def loss_eval(family: LossFamily, y: float, z: float) -> float:
-    """l_y(z) for a single sample."""
-    return float(loss_values(family, y, z))
 
 
 def loss_subgradients(family: LossFamily, y, z) -> np.ndarray:
@@ -196,7 +191,7 @@ def conjugate_prox_vec(family: LossFamily, y, x_dot_w, alpha_prev, a: float, n: 
     every row and returns each v within 1e-12 of the maximizer.
     """
     if gamma <= 0 or a <= 0:
-        raise ValueError("conjugate_prox requires gamma > 0 and a > 0")
+        raise ValueError("conjugate_prox_vec requires gamma > 0 and a > 0")
     y = np.asarray(y, dtype=float)
     m = np.asarray(x_dot_w, dtype=float)
     p = np.asarray(alpha_prev, dtype=float)
@@ -260,11 +255,6 @@ def _logistic_dual_newton(m: np.ndarray, p: np.ndarray, a: float, n: int, gamma:
         f"logistic dual prox (Newton) failed to converge: {np.count_nonzero(~done)} of {done.size} "
         f"rows not done after {_NEWTON_MAX_ITERS} evaluations, worst |g| {np.abs(g)[~done].max():.3g}"
     )
-
-
-def conjugate_prox(family: LossFamily, y: float, x_dot_w: float, alpha_prev: float, a: float, n: int, gamma: float) -> float:
-    """Scalar form of :func:`conjugate_prox_vec` (single sample)."""
-    return float(conjugate_prox_vec(family, [y], [x_dot_w], [alpha_prev], a, n, gamma)[0])
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:

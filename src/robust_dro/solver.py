@@ -30,7 +30,7 @@ oracle requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,14 +87,18 @@ class PDHGConfig:
     exact_oracle: bool = False
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ConfigurationError("epsilon must be positive (for clean data, solve --epsilon 0 or solver_config(0.0))")
         if not self.exact_oracle and self.epsilon >= 0.25:
             raise ConfigurationError("robust oracle mode requires epsilon < 1/4")
-        if self.sigma <= 0 or self.delta_constant <= 0:
-            raise ConfigurationError("sigma and delta_constant must be positive")
-        if self.dro_radius < 0:
-            raise ConfigurationError("dro_radius must be nonnegative")
+        positive = {"sigma": self.sigma, "delta_constant": self.delta_constant, "w0_bound": self.w0_bound}
+        if self.gamma_dist is not None:
+            positive["gamma_dist"] = self.gamma_dist
+        for name, value in positive.items():
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.dro_radius < math.inf:
+            raise ConfigurationError(f"dro_radius must be nonnegative and finite, got {self.dro_radius}")
 
     @property
     def delta(self) -> float:
@@ -137,9 +141,8 @@ class SolveResult:
 
     ``oracle_calls`` counts the gradient-oracle evaluations the solve ran:
     T for a lone :func:`pdhg_solve` run (T - 1 for one handed its first
-    call), the whole search for :func:`tune_gamma` (the first call,
-    shared by every candidate, counted once), and 0 for
-    :func:`idealized_solve`, which runs none.
+    call), and the whole search for :func:`tune_gamma` (the first call,
+    shared by every candidate, counted once).
     ``gamma_used`` and ``t_used`` describe the returned run,
     ``tuning_runs`` the number of candidates the search ran (its whole
     ladder; None without a search), and the max-dual fields cover every
@@ -154,8 +157,6 @@ class SolveResult:
     max_abs_extrapolated: float
     center_estimate: np.ndarray | None = None
     tuning_runs: int | None = None
-    w_iterates: list[np.ndarray] = field(default_factory=list)
-    z_iterates: list[np.ndarray] = field(default_factory=list)
 
 
 def estimate_objective(w: np.ndarray, data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> float:
@@ -172,8 +173,6 @@ def _gamma(cfg: PDHGConfig, n: int) -> float:
     """gamma = gamma_dist / sqrt(N) for a solve with a known distance."""
     if cfg.gamma_dist is None:
         raise ConfigurationError("the solve needs cfg.gamma_dist; use tune_gamma to search for it")
-    if cfg.gamma_dist <= 0:
-        raise ConfigurationError("gamma_dist must be positive")
     return cfg.gamma_dist / math.sqrt(n)
 
 
@@ -193,15 +192,27 @@ def _oracle_call(x: np.ndarray, cfg: PDHGConfig, beta: np.ndarray, start: np.nda
     return z, state.weights
 
 
-def _run_loop(data, loss, reg, cfg, gamma, oracle, first, record) -> SolveResult:
-    """The primal-dual loop; ``oracle(beta, start)`` returns (z, weights).
+def pdhg_solve(
+    data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *,
+    first: tuple[np.ndarray, np.ndarray | None] | None = None,
+) -> SolveResult:
+    """Run the primal-dual loop on (intercept-carrying) data from w_0 = 0.
 
-    Within a run, successive beta differ little, so each call starts from
-    the filter weights the previous call ended with (a warm call that
-    spends the mass budget uncertified starts over cold; most certify at
-    once).  ``first``, if given, is the output of call 1, whose beta is
-    alpha_0 = 1/N bitwise (alpha_prev = alpha at k = 1).
+    Requires ``cfg.gamma_dist``: gamma = gamma_dist / sqrt(N).
+    Use :func:`tune_gamma` when the distance to the optimum is unknown.
+    Each iteration takes its primal step on ``_oracle_call``'s estimate z
+    of (1/N) sum_i beta_i x_i.  Within a run, successive beta differ
+    little, so each call starts from the filter weights the previous call
+    ended with (a warm call that spends the mass budget uncertified starts
+    over cold; most certify at once).
+
+    ``first``, if given, is the output ``(z, weights)`` of the first
+    oracle call, ``_oracle_call`` at beta = 1/N on ``data``'s covariates,
+    which every run shares whatever its gamma (alpha_prev = alpha_0 = 1/N
+    at k = 1, bitwise); by default the run computes it.
+    ``oracle_calls`` counts the calls the run computed.
     """
+    gamma = _gamma(cfg, data.n)
     x = data.covariates
     y = data.labels
     n = data.n
@@ -214,67 +225,23 @@ def _run_loop(data, loss, reg, cfg, gamma, oracle, first, record) -> SolveResult
     w_sum = np.zeros(data.dim)
     max_dual = float(np.max(np.abs(alpha), initial=0.0))
     max_extrap = 0.0
-    result = SolveResult(
-        w_hat=w, oracle_calls=0, gamma_used=gamma,
-        t_used=t_hor, max_abs_dual=max_dual, max_abs_extrapolated=max_extrap,
-    )
     for k in range(1, t_hor + 1):
         a, c_k, _ = schedule(cfg, n, k)
         beta = alpha + (alpha - alpha_prev)
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))
         if max_extrap > 3.0 * (1.0 + 1e-9):
             raise OracleContractError(f"extrapolated dual weight {max_extrap} exceeded 3")
-        z, weights = first if k == 1 and first is not None else oracle(beta, weights)
+        z, weights = first if k == 1 and first is not None else _oracle_call(x, cfg, beta, weights)
         tau = a * gamma / c_k
         w = reg_prox(reg, w - tau * z, tau)
         alpha_prev = alpha
         alpha = conjugate_prox_vec(loss, y, x @ w, alpha, a, n, gamma)
         max_dual = max(max_dual, float(np.max(np.abs(alpha), initial=0.0)))
         w_sum += w
-        if record:
-            result.w_iterates.append(w.copy())
-            result.z_iterates.append(np.asarray(z, dtype=float).copy())
-    result.w_hat = w_sum / t_hor
-    result.max_abs_dual = max_dual
-    result.max_abs_extrapolated = max_extrap
-    return result
-
-
-def pdhg_solve(
-    data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *,
-    record: bool = False, first: tuple[np.ndarray, np.ndarray | None] | None = None,
-) -> SolveResult:
-    """Run the primal-dual loop on (intercept-carrying) data from w_0 = 0.
-
-    Requires ``cfg.gamma_dist``: gamma = gamma_dist / sqrt(N).
-    Use :func:`tune_gamma` when the distance to the optimum is unknown.
-    ``first``, if given, is the output ``(z, weights)`` of the first
-    oracle call, ``_oracle_call`` at beta = 1/N on ``data``'s covariates,
-    which every run shares whatever its gamma; by default the run
-    computes it.  ``oracle_calls`` counts the calls the run computed.
-    """
-    gamma = _gamma(cfg, data.n)
-    x = data.covariates
-    result = _run_loop(data, loss, reg, cfg, gamma, lambda beta, start: _oracle_call(x, cfg, beta, start), first, record)
-    result.oracle_calls = result.t_used - (first is not None)
-    return result
-
-
-def idealized_solve(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, injected_z, *, record: bool = False) -> SolveResult:
-    """The same loop with the oracle output replaced by a given sequence.
-
-    Feeding it the recorded z sequence of a :func:`pdhg_solve` run makes
-    the primal iterates coincide bitwise with that run regardless of the
-    rows supplied here; the dual iterates may differ on rows where the
-    two datasets disagree.
-    """
-    gamma = _gamma(cfg, data.n)
-    injected = [np.asarray(z, dtype=float) for z in injected_z]
-    t_hor = num_iterations(cfg)
-    if len(injected) != t_hor:
-        raise ConfigurationError(f"injected sequence has {len(injected)} entries, schedule needs {t_hor}")
-    queue = iter(injected)
-    return _run_loop(data, loss, reg, cfg, gamma, lambda beta, start: (next(queue), None), None, record)
+    return SolveResult(
+        w_hat=w_sum / t_hor, oracle_calls=t_hor - (first is not None), gamma_used=gamma,
+        t_used=t_hor, max_abs_dual=max_dual, max_abs_extrapolated=max_extrap,
+    )
 
 
 def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> SolveResult:

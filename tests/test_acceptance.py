@@ -30,9 +30,9 @@ from robust_dro.data import (
     prepend_ones,
 )
 from robust_dro.harness import ExperimentConfig, emit_report, run_experiment
-from robust_dro.losses import LOSS_KINDS, LossFamily, NormRegularizer, conjugate_eval, conjugate_prox, loss_values
+from robust_dro.losses import LOSS_KINDS, LossFamily, NormRegularizer, conjugate_eval, conjugate_prox_vec, loss_values
 from robust_dro.robust_mean import robust_mean_estimation, stability_filter
-from robust_dro.solver import PDHGConfig, idealized_solve, pdhg_solve, pipeline, tune_gamma
+from robust_dro.solver import PDHGConfig, pdhg_solve, pipeline, tune_gamma
 
 
 def report(gate: str, ok: bool, detail: str) -> None:
@@ -126,7 +126,7 @@ def test_gate_03_conjugate_prox_oracle_equivalence():
             v, conj = _conjugate_grid(kind, y)
             obj = (a / n) * (v * m - conj) - 0.5 * gamma * (v - p) ** 2
             v_grid = float(v[np.argmax(np.where(np.isfinite(obj), obj, -np.inf))])
-            got = conjugate_prox(fam, y, m, p, a, n, gamma)
+            got = float(conjugate_prox_vec(fam, y, m, p, a, n, gamma))
             worst_prox = max(worst_prox, abs(got - v_grid))
         for y in labels:
             grid_v, conj = _conjugate_grid(kind, y)
@@ -343,7 +343,7 @@ def without_wallclock(rows):
     return [replace(row, wallclock=0.0) for row in rows]
 
 
-def test_gate_10_determinism_and_coupling():
+def test_gate_10_determinism_and_coupling(solver_hooks):
     cfg = ExperimentConfig.from_dict(
         dict(
             dim=5,
@@ -376,10 +376,14 @@ def test_gate_10_determinism_and_coupling():
     loss = LossFamily("hinge")
     reg = NormRegularizer("2", 0.1)
     pcfg = PDHGConfig(epsilon=eps, sigma=1.0, gamma_dist=2.0, dro_radius=0.1)
-    run = pdhg_solve(prepend_ones(corrupted), loss, reg, pcfg, record=True)
-    twin = idealized_solve(prepend_ones(clean), loss, reg, pcfg, run.z_iterates, record=True)
-    coupled = len(run.w_iterates) == len(twin.w_iterates) and all(
-        np.array_equal(a, b) for a, b in zip(run.w_iterates, twin.w_iterates)
+    outputs = solver_hooks.record_oracle_outputs()
+    run_iterates = solver_hooks.record_iterates()
+    run = pdhg_solve(prepend_ones(corrupted), loss, reg, pcfg)
+    replay = solver_hooks.replay_oracle_outputs(outputs)
+    twin_iterates = solver_hooks.record_iterates()
+    twin = pdhg_solve(prepend_ones(clean), loss, reg, pcfg)
+    coupled = next(replay, None) is None and len(run_iterates) == len(twin_iterates) == run.t_used and all(
+        np.array_equal(a, b) for a, b in zip(run_iterates, twin_iterates)
     ) and np.array_equal(run.w_hat, twin.w_hat)
     ok = byte_identical and coupled
     report("gate 10 determinism-coupling", ok, f"reports byte-identical={byte_identical}, primal iterates coupled={coupled}")

@@ -130,7 +130,14 @@ def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, mo
      (["generate", "--dim", "3", "--n", "50", "--noise-std", "-1"], "noise_std must be nonnegative, got -1.0"),
      (["baseline", "--method", "oracle", "--tol", "-1"], "tol must be nonnegative, got -1.0"),
      (["baseline", "--method", "erm", "--iters", "-1"], "iters must be nonnegative, got -1"),
-     (["baseline", "--method", "doro", "--epsilon", "0.1", "--iters", "-1"], "iters must be nonnegative, got -1")],
+     (["baseline", "--method", "doro", "--epsilon", "0.1", "--iters", "-1"], "iters must be nonnegative, got -1"),
+     (["baseline", "--method", "oracle", "--rho", "nan"], "regularizer weight must be nonnegative and finite, got nan"),
+     (["solve", "--epsilon", "0.1", "--gamma-dist", "nan"], "gamma_dist must be positive and finite, got nan"),
+     (["solve", "--epsilon", "0.1", "--gamma-dist", "inf"], "gamma_dist must be positive and finite, got inf"),
+     (["solve", "--epsilon", "0.1", "--rho", "nan"], "dro_radius must be nonnegative and finite, got nan"),
+     (["solve", "--epsilon", "0.1", "--w0-bound", "inf"], "w0_bound must be positive and finite, got inf"),
+     (["solve", "--epsilon", "0.1", "--sigma", "nan"], "sigma must be positive and finite, got nan"),
+     (["solve", "--epsilon", "0.1", "--delta-const", "nan"], "delta_constant must be positive and finite, got nan")],
 )
 def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
     clean = tmp_path / "clean.csv"

@@ -14,9 +14,7 @@ from robust_dro.losses import (
     LossFamily,
     NormRegularizer,
     conjugate_eval,
-    conjugate_prox,
     conjugate_prox_vec,
-    loss_eval,
     loss_subgradients,
     loss_values,
     norm_s,
@@ -60,18 +58,18 @@ def grid_prox(kind, y, m, p, a, n, gamma, step=1e-5):
 
 
 def test_loss_eval_direct_values():
-    assert loss_eval(FAMILIES["hinge"], 1.0, 1.0) == 0.0
-    assert loss_eval(FAMILIES["lad"], 0.0, 3.0) == 3.0
-    assert loss_eval(FAMILIES["logistic"], 1.0, 0.0) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert loss_values(FAMILIES["hinge"], 1.0, 1.0) == 0.0
+    assert loss_values(FAMILIES["lad"], 0.0, 3.0) == 3.0
+    assert loss_values(FAMILIES["logistic"], 1.0, 0.0) == pytest.approx(math.log(2.0), abs=1e-12)
     # continuous Huber: quadratic inside, |t| - 1/2 outside, equal at |t| = 1
-    assert loss_eval(FAMILIES["huber"], 0.0, 0.5) == pytest.approx(0.125)
-    assert loss_eval(FAMILIES["huber"], 0.0, 1.0) == pytest.approx(0.5)
-    assert loss_eval(FAMILIES["huber"], 0.0, 3.0) == pytest.approx(2.5)
+    assert loss_values(FAMILIES["huber"], 0.0, 0.5) == pytest.approx(0.125)
+    assert loss_values(FAMILIES["huber"], 0.0, 1.0) == pytest.approx(0.5)
+    assert loss_values(FAMILIES["huber"], 0.0, 3.0) == pytest.approx(2.5)
 
 
 def test_classification_label_validation():
     with pytest.raises(InvalidLabelError):
-        loss_eval(FAMILIES["hinge"], 0.5, 1.0)
+        loss_values(FAMILIES["hinge"], 0.5, 1.0)
     with pytest.raises(InvalidLabelError):
         loss_values(FAMILIES["logistic"], [1.0, 2.0], [0.0, 0.0])
 
@@ -154,16 +152,16 @@ def test_fenchel_moreau_recovery(kind):
         finite = np.isfinite(conj)
         for z in np.linspace(-8, 8, 33):
             recovered = np.max(alphas_c[finite] * z - conj[finite])
-            assert abs(loss_eval(FAMILIES[kind], y, float(z)) - recovered) <= 1e-3
+            assert abs(loss_values(FAMILIES[kind], y, float(z)) - recovered) <= 1e-3
 
 
 # --- conjugate prox -----------------------------------------------------
 
 
 def test_conjugate_prox_frozen_values():
-    assert conjugate_prox(FAMILIES["lad"], 0.0, 0.0, 0.0, 1.0, 1, 1.0) == 0.0
-    assert conjugate_prox(FAMILIES["hinge"], 1.0, -10.0, 0.0, 1.0, 1, 1.0) == -1.0
-    assert conjugate_prox(FAMILIES["huber"], 0.0, 0.3, 0.1, 1.0, 1, 1.0) == pytest.approx(0.2, abs=1e-12)
+    assert conjugate_prox_vec(FAMILIES["lad"], 0.0, 0.0, 0.0, 1.0, 1, 1.0) == 0.0
+    assert conjugate_prox_vec(FAMILIES["hinge"], 1.0, -10.0, 0.0, 1.0, 1, 1.0) == -1.0
+    assert conjugate_prox_vec(FAMILIES["huber"], 0.0, 0.3, 0.1, 1.0, 1, 1.0) == pytest.approx(0.2, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", LOSS_KINDS)
@@ -176,7 +174,7 @@ def test_conjugate_prox_matches_grid(kind):
         a = float(rng.uniform(0.1, 5.0))
         n = int(rng.integers(1, 40))
         gamma = float(rng.uniform(0.05, 3.0))
-        got = conjugate_prox(FAMILIES[kind], y, m, p, a, n, gamma)
+        got = conjugate_prox_vec(FAMILIES[kind], y, m, p, a, n, gamma)
         want = grid_prox(kind, y, m, p, a, n, gamma)
         assert got == pytest.approx(want, abs=1e-4)
 
@@ -194,9 +192,9 @@ def test_conjugate_prox_stays_in_domain(kind):
 
 def test_conjugate_prox_rejects_bad_steps():
     with pytest.raises(ValueError):
-        conjugate_prox(FAMILIES["lad"], 0.0, 0.0, 0.0, 0.0, 1, 1.0)
+        conjugate_prox_vec(FAMILIES["lad"], 0.0, 0.0, 0.0, 0.0, 1, 1.0)
     with pytest.raises(ValueError):
-        conjugate_prox(FAMILIES["lad"], 0.0, 0.0, 0.0, 1.0, 1, 0.0)
+        conjugate_prox_vec(FAMILIES["lad"], 0.0, 0.0, 0.0, 1.0, 1, 0.0)
 
 
 def reference_logistic_prox(m, p, a, n, gamma):
@@ -249,7 +247,7 @@ def test_logistic_prox_is_bracketed_by_the_stationarity_sign(m, p, log_r, y):
     <= 0 just right of it (it is +inf at -1 and -inf at 0)."""
     n, a = 100, 1.0
     r = 10.0**log_r
-    u = y * conjugate_prox(FAMILIES["logistic"], y, y * m, y * p, a, n, r * a / n)
+    u = y * conjugate_prox_vec(FAMILIES["logistic"], y, y * m, y * p, a, n, r * a / n)
 
     def deriv(t):  # (n/a) times d/du of the prox objective
         with np.errstate(divide="ignore"):
@@ -273,7 +271,7 @@ def test_logistic_prox_matches_reference_bisection_on_any_row(m, p, log_r, y):
     n, a = 100, 1.0
     gamma = 10.0**log_r * a / n
     want = reference_logistic_prox(np.array([m]), np.array([p]), a, n, gamma)[0]
-    u = y * conjugate_prox(FAMILIES["logistic"], y, y * m, y * p, a, n, gamma)
+    u = y * conjugate_prox_vec(FAMILIES["logistic"], y, y * m, y * p, a, n, gamma)
     assert abs(u - want) <= 2e-12
 
 

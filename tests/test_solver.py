@@ -35,7 +35,6 @@ from robust_dro.solver import (
     PDHGConfig,
     _oracle_call,
     estimate_objective,
-    idealized_solve,
     num_iterations,
     pdhg_solve,
     pipeline,
@@ -170,12 +169,13 @@ def test_exact_oracle_solve_reaches_oracle_objective():
     assert res.oracle_calls == res.t_used
 
 
-def test_output_is_the_plain_average_of_the_iterates():
+def test_output_is_the_plain_average_of_the_iterates(solver_hooks):
     data = small_problem(seed=5)
-    res = pdhg_solve(data, HINGE, NormRegularizer("2", 0.1), exact_cfg(0.5, eps=1e-3), record=True)
-    assert len(res.w_iterates) == res.t_used > 1
+    iterates = solver_hooks.record_iterates()
+    res = pdhg_solve(data, HINGE, NormRegularizer("2", 0.1), exact_cfg(0.5, eps=1e-3))
+    assert len(iterates) == res.t_used > 1
     total = np.zeros(data.dim)
-    for w in res.w_iterates:
+    for w in iterates:
         total += w
     assert np.array_equal(res.w_hat, total / res.t_used)
 
@@ -206,10 +206,9 @@ def test_solve_requires_gamma():
     reg = NormRegularizer("2", 0.1)
     with pytest.raises(ConfigurationError):
         pdhg_solve(data, HINGE, reg, PDHGConfig(epsilon=0.1, sigma=1.0))
-    t_hor = num_iterations(exact_cfg(1.0, eps=1e-4))
     for gamma_dist in (None, 0.0, -1.0):
         with pytest.raises(ConfigurationError):
-            idealized_solve(data, HINGE, reg, exact_cfg(gamma_dist, eps=1e-4), [np.zeros(data.dim)] * t_hor)
+            pdhg_solve(data, HINGE, reg, exact_cfg(gamma_dist, eps=1e-4))
 
 
 def test_robust_mode_matches_exact_on_clean_small_eps():
@@ -225,7 +224,7 @@ def test_robust_mode_matches_exact_on_clean_small_eps():
 # --- coupling -----------------------------------------------------------
 
 
-def test_corrupted_and_idealized_runs_couple_bitwise():
+def test_corrupted_and_idealized_runs_couple_bitwise(solver_hooks):
     d, n, eps = 6, 400, 0.1
     planted = np.zeros(d)
     planted[1] = 2.0
@@ -233,30 +232,31 @@ def test_corrupted_and_idealized_runs_couple_bitwise():
     corrupted = contaminate(clean, ContaminationSpec(eps, FarCluster()), seed=22)
     reg = NormRegularizer("2", 0.1)
     cfg = PDHGConfig(epsilon=eps, sigma=1.0, gamma_dist=2.0, dro_radius=0.1)
-    run = pdhg_solve(prepend_ones(corrupted), HINGE, reg, cfg, record=True)
-    twin = idealized_solve(prepend_ones(clean), HINGE, reg, cfg, run.z_iterates, record=True)
-    assert len(run.w_iterates) == len(twin.w_iterates)
-    for a, b in zip(run.w_iterates, twin.w_iterates):
+    outputs = solver_hooks.record_oracle_outputs()
+    run_iterates = solver_hooks.record_iterates()
+    run = pdhg_solve(prepend_ones(corrupted), HINGE, reg, cfg)
+    # the idealized run: the recorded oracle outputs replayed on the clean rows
+    replay = solver_hooks.replay_oracle_outputs(outputs)
+    twin_iterates = solver_hooks.record_iterates()
+    twin = pdhg_solve(prepend_ones(clean), HINGE, reg, cfg)
+    assert next(replay, None) is None
+    assert len(run_iterates) == len(twin_iterates) == run.t_used
+    for a, b in zip(run_iterates, twin_iterates):
         assert np.array_equal(a, b)
     assert np.array_equal(run.w_hat, twin.w_hat)
 
 
-def test_idealized_checks_injected_length():
-    data = small_problem()
-    reg = NormRegularizer("2", 0.1)
-    with pytest.raises(ConfigurationError):
-        idealized_solve(data, HINGE, reg, exact_cfg(1.0, eps=1e-4), [np.zeros(data.dim)])
-
-
-def test_iterates_stay_near_optimum():
+def test_iterates_stay_near_optimum(solver_hooks):
     # every primal iterate stays within 4x the initial distance of the
     # reference optimum on a clean instance
     data = small_problem(seed=17)
     reg = NormRegularizer("2", 0.1)
     orc = oracle_solve(data, HINGE, reg, tol=1e-8)
     d0 = float(np.linalg.norm(orc.w))  # w0 = 0
-    res = pdhg_solve(data, HINGE, reg, exact_cfg(d0, eps=1e-6), record=True)
-    worst = max(float(np.linalg.norm(w - orc.w)) for w in res.w_iterates)
+    iterates = solver_hooks.record_iterates()
+    res = pdhg_solve(data, HINGE, reg, exact_cfg(d0, eps=1e-6))
+    assert len(iterates) == res.t_used
+    worst = max(float(np.linalg.norm(w - orc.w)) for w in iterates)
     assert worst <= 4.0 * d0 + 1e-6
 
 
@@ -613,14 +613,17 @@ def test_the_first_call_is_at_uniform_beta_and_can_be_handed_back(monkeypatch, e
         return calls[-1][1]
 
     monkeypatch.setattr(solver_mod, "_oracle_call", recorded)
-    alone = pdhg_solve(data, HINGE, reg, cfg, record=True)
+    alone = pdhg_solve(data, HINGE, reg, cfg)
     assert len(calls) == alone.t_used
     beta, first = calls[0]
     assert beta.tobytes() == np.full(data.n, 1.0 / data.n).tobytes()
-    handed = pdhg_solve(data, HINGE, reg, cfg, record=True, first=first)
+    handed = pdhg_solve(data, HINGE, reg, cfg, first=first)
     assert len(calls) == 2 * alone.t_used - 1
+    # calls 2..T of the handed run are calls 2..T of the lone run
+    for (beta_alone, (z_alone, _)), (beta_handed, (z_handed, _)) in zip(calls[1:alone.t_used], calls[alone.t_used:]):
+        assert beta_handed.tobytes() == beta_alone.tobytes()
+        assert z_handed.tobytes() == z_alone.tobytes()
     assert handed.w_hat.tobytes() == alone.w_hat.tobytes()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(handed.z_iterates, alone.z_iterates))
     assert (handed.max_abs_dual, handed.max_abs_extrapolated) == (alone.max_abs_dual, alone.max_abs_extrapolated)
 
 
