@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -88,6 +89,10 @@ class FarCluster:
     magnitude: float | None = None
     label: float | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("magnitude", "label"):
+            _check_finite(name, getattr(self, name))
+
 
 @dataclass(frozen=True)
 class DoroCounterexample:
@@ -100,6 +105,14 @@ class LabelFlipPlusLeverage:
     """Flip the labels of replaced rows and scale their covariates."""
 
     magnitude: float = 10.0
+
+    def __post_init__(self) -> None:
+        _check_finite("magnitude", self.magnitude)
+
+
+def _check_finite(name: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 Adversary = FarCluster | DoroCounterexample | LabelFlipPlusLeverage | None
@@ -178,13 +191,15 @@ def generate_synthetic(
         raise ValueError(f"flip_prob must lie in [0, 1], got {flip_prob}")
     if not noise_std >= 0.0:
         raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if covariate_law == "student_t" and not (student_dof is not None and 2.0 < student_dof < math.inf):
+        raise ValueError(f"student_t requires a finite student_dof > 2 (finite covariance), got {student_dof}")
     rng = np.random.default_rng(seed)
     k = d - 1
     if covariate_law == "gaussian":
         x = sigma * rng.standard_normal((n, k))
     else:
-        if student_dof is None or student_dof <= 2:
-            raise ValueError("student_t requires dof > 2 (finite covariance)")
         # variance of t_dof is dof/(dof-2); rescale to sigma^2
         x = sigma * math.sqrt((student_dof - 2.0) / student_dof) * rng.standard_t(student_dof, size=(n, k))
     z = planted_w[0] + x @ planted_w[1:]
@@ -273,18 +288,51 @@ def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Datase
 # --- serialization -----------------------------------------------------
 
 
+# rows formatted per write: big enough that one write amortizes the
+# per-call cost, small enough that the block's floats and text stay ~1.5 MB
+CSV_BLOCK_ROWS = 1024
+
+
 def to_csv(data: Dataset, path) -> None:
-    """Write ``x0,...,x{d-1},y`` rows; bookkeeping goes to the sidecar."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(data.dim)] + ["y"])
-        # csv writes Python floats by repr; converting one row at a time
-        # keeps no list copy of the whole table alive
-        writer.writerows([*row.tolist(), float(label)] for row, label in zip(data.covariates, data.labels))
+    """Write the dataset as CSV; bookkeeping goes to the sidecar.
+
+    The format: a header ``x0,...,x{d-1},y``, then one row per sample of
+    its covariates and its label, every float in its shortest round-trip
+    ``repr``, comma separated, each line ended by CRLF (the bytes
+    ``csv.writer`` writes for these rows).  Rows are formatted and written
+    ``CSV_BLOCK_ROWS`` at a time.  The file is written to a temporary file
+    in the target's directory and then moved over ``path``, so ``path``
+    holds either its earlier contents or the whole table, never a prefix;
+    on an error the temporary file is removed.  A symlink at ``path`` is
+    followed: the file it points to is replaced, the link stays.
+    """
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = tmp.open("x", newline="")
+    try:
+        with fh:
+            fh.write(",".join([f"x{i}" for i in range(data.dim)] + ["y"]) + "\r\n")
+            line = ",".join(["%r"] * (data.dim + 1)) + "\r\n"
+            full_block = line * CSV_BLOCK_ROWS
+            for start in range(0, data.n, CSV_BLOCK_ROWS):
+                stop = min(start + CSV_BLOCK_ROWS, data.n)
+                # tolist() gives Python floats, which %r writes as csv.writer does
+                values = np.column_stack([data.covariates[start:stop], data.labels[start:stop]]).ravel().tolist()
+                template = full_block if stop - start == CSV_BLOCK_ROWS else line * (stop - start)
+                fh.write(template % tuple(values))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only when the write failed
 
 
 def from_csv(path, sigma: float = 1.0) -> Dataset:
+    """Read a table in the format :func:`to_csv` writes.
+
+    The header must end with the label column ``y``; each row must hold
+    one field per header column.  Any line ending and any float spelling
+    ``np.loadtxt`` parses is accepted.  ``sigma`` is the dataset's
+    covariance bound, which the file does not carry.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])

@@ -30,7 +30,7 @@ from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_so
 from .data import ContaminationSpec, Dataset, contaminate, generate_synthetic, parse_adversary, prepend_ones
 from .losses import LossFamily, NormRegularizer
 from .robust_mean import stability_filter
-from .solver import pipeline, solver_config
+from .solver import PDHGConfig, pipeline, solver_config
 
 METHODS = ("pdhg", "erm", "doro")
 
@@ -48,6 +48,11 @@ class ExperimentConfig:
     the outliers along the planted coefficients.  An epsilon of 0 goes
     through :func:`robust_dro.solver.solver_config`, as ``robust-dro solve
     --epsilon 0`` does, to the exact-mean oracle.
+
+    A config is checked when it is built, before any cell runs: every
+    number must be finite, and the data fields, the solver configuration
+    of each epsilon (when the grid runs pdhg) and each adversary pass the
+    checks of the code that reads them.
     """
 
     dim: int
@@ -90,6 +95,30 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        # JSON admits NaN and Infinity; no number of a sweep may be either
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"sweep config key {f.name!r} must be finite, got {v!r}")
+        # a sample of no rows runs generate_synthetic's checks and draws
+        # nothing; zero planted coefficients change no adversary check
+        generate_synthetic(
+            self.dim, 0, np.zeros(self.dim), sigma=self.sigma, task=self.task, noise_std=self.noise_std,
+            flip_prob=self.flip_prob, covariate_law=self.covariate_law, student_dof=self.student_dof,
+        )
+        if "pdhg" in self.methods:
+            for eps in self.epsilons:
+                self.solver_config(eps)
+        for adv in self.adversaries:
+            _resolve_adversary(adv, np.zeros(self.dim))
+
+    def solver_config(self, epsilon: float) -> PDHGConfig:
+        """The solver configuration of the pdhg cells at ``epsilon``."""
+        return solver_config(
+            epsilon, sigma=self.sigma, delta_constant=self.delta_constant, w0_bound=self.w0_bound,
+            dro_radius=self.dro_radius,
+        )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -229,10 +258,7 @@ def _fit(method: str, corrupted: Dataset, eps: float, cfg: ExperimentConfig, los
     """The parameter ``method`` learns from the corrupted sample, and the
     gradient-oracle evaluations of its whole solve (0 for the baselines)."""
     if method == "pdhg":
-        solver_cfg = solver_config(
-            eps, sigma=cfg.sigma, delta_constant=cfg.delta_constant, w0_bound=cfg.w0_bound, dro_radius=cfg.dro_radius,
-        )
-        res = pipeline(corrupted, loss, reg, solver_cfg)
+        res = pipeline(corrupted, loss, reg, cfg.solver_config(eps))
         return res.w_hat, res.oracle_calls
     if method == "erm":
         return erm_subgradient(prepend_ones(corrupted), loss, reg, cfg.erm_iters), 0

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -137,13 +138,24 @@ def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, mo
      (["solve", "--epsilon", "0.1", "--rho", "nan"], "dro_radius must be nonnegative and finite, got nan"),
      (["solve", "--epsilon", "0.1", "--w0-bound", "inf"], "w0_bound must be positive and finite, got inf"),
      (["solve", "--epsilon", "0.1", "--sigma", "nan"], "sigma must be positive and finite, got nan"),
-     (["solve", "--epsilon", "0.1", "--delta-const", "nan"], "delta_constant must be positive and finite, got nan")],
+     (["solve", "--epsilon", "0.1", "--delta-const", "nan"], "delta_constant must be positive and finite, got nan"),
+     (["generate", "--dim", "3", "--n", "50", "--sigma", "inf"], "sigma must be positive and finite, got inf"),
+     (["generate", "--dim", "3", "--n", "50", "--sigma", "nan"], "sigma must be positive and finite, got nan"),
+     (["generate", "--dim", "3", "--n", "50", "--law", "student_t", "--dof", "inf"],
+      "student_t requires a finite student_dof > 2 (finite covariance), got inf"),
+     (["corrupt", "--epsilon", "0.1", "--magnitude", "nan"], "magnitude must be finite, got nan"),
+     (["corrupt", "--epsilon", "0.1", "--label", "inf"], "label must be finite, got inf"),
+     (["corrupt", "--epsilon", "0.1", "--adversary", "label-flip", "--magnitude=-inf"],
+      "magnitude must be finite, got -inf")],
 )
 def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
     clean = tmp_path / "clean.csv"
     main(["generate", "--dim", "3", "--n", "100", "--task", "classification", "--seed", "3", "--output", str(clean)])
     capsys.readouterr()
-    files = ["--output", str(clean)] if argv[0] == "generate" else ["--input", str(clean)]
+    files = {
+        "generate": ["--output", str(clean)],
+        "corrupt": ["--input", str(clean), "--output", str(tmp_path / "dirty.csv")],
+    }.get(argv[0], ["--input", str(clean)])
     assert main([*argv, *files]) == 2
     assert capsys.readouterr().err == f"robust-dro: error: {message}\n"
 
@@ -279,7 +291,25 @@ BENCH_CONFIG = {"dim": 3, "n_samples": 100, "seeds": [0], "epsilons": [0.1], "me
      ({**BENCH_CONFIG, "dim": 0}, "sweep config key 'dim' must be positive, got 0"),
      ({**BENCH_CONFIG, "planted": "x"}, "sweep config key 'planted' must be null, a list of numbers or an object, got 'x'"),
      ({**BENCH_CONFIG, "planted": {"kind": "first_axis", "nrom": 3}}, "planted spec has unknown keys ['nrom']"),
-     ({**BENCH_CONFIG, "adversaries": [5]}, "sweep config key 'adversaries' must hold names or objects, got 5")],
+     ({**BENCH_CONFIG, "adversaries": [5]}, "sweep config key 'adversaries' must hold names or objects, got 5"),
+     ({**BENCH_CONFIG, "sigma": math.nan}, "sweep config key 'sigma' must be finite, got nan"),
+     ({**BENCH_CONFIG, "delta_constant": math.nan}, "sweep config key 'delta_constant' must be finite, got nan"),
+     ({**BENCH_CONFIG, "w0_bound": math.inf}, "sweep config key 'w0_bound' must be finite, got inf"),
+     ({**BENCH_CONFIG, "dro_radius": math.nan}, "sweep config key 'dro_radius' must be finite, got nan"),
+     ({**BENCH_CONFIG, "noise_std": math.inf}, "sweep config key 'noise_std' must be finite, got inf"),
+     ({**BENCH_CONFIG, "oracle_tol": math.nan}, "sweep config key 'oracle_tol' must be finite, got nan"),
+     ({**BENCH_CONFIG, "epsilons": [0.1, math.nan]}, "sweep config key 'epsilons' must be finite, got nan"),
+     ({**BENCH_CONFIG, "flip_prob": math.nan}, "sweep config key 'flip_prob' must be finite, got nan"),
+     ({**BENCH_CONFIG, "covariate_law": "student_t", "student_dof": math.inf},
+      "sweep config key 'student_dof' must be finite, got inf"),
+     ({**BENCH_CONFIG, "covariate_law": "student_t", "student_dof": 1.5},
+      "student_t requires a finite student_dof > 2 (finite covariance), got 1.5"),
+     ({**BENCH_CONFIG, "adversaries": [{"kind": "far_cluster", "magnitude": math.nan}]},
+      "magnitude must be finite, got nan"),
+     ({**BENCH_CONFIG, "adversaries": [{"kind": "label_flip", "magnitude": math.inf}]},
+      "magnitude must be finite, got inf"),
+     ({**BENCH_CONFIG, "methods": ["pdhg"], "delta_constant": -1.0}, "delta_constant must be positive and finite, got -1.0"),
+     ({**BENCH_CONFIG, "methods": ["pdhg"], "epsilons": [0.1, 0.3]}, "robust oracle mode requires epsilon < 1/4")],
 )
 def test_bench_rejects_a_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"

@@ -1,9 +1,18 @@
 """Dataset generation, transforms, adversaries, and serialization."""
 
+import csv
+import io
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robust_dro import data
 from robust_dro.data import (
+    CSV_BLOCK_ROWS,
     ContaminationSpec,
     Dataset,
     DoroCounterexample,
@@ -63,7 +72,13 @@ def test_generate_classification_labels_and_flip():
     "flags, message",
     [({"flip_prob": 2.0}, "flip_prob must lie in [0, 1], got 2.0"),
      ({"flip_prob": -0.1}, "flip_prob must lie in [0, 1], got -0.1"),
-     ({"noise_std": -1.0}, "noise_std must be nonnegative, got -1.0")],
+     ({"noise_std": -1.0}, "noise_std must be nonnegative, got -1.0"),
+     ({"sigma": math.inf}, "sigma must be positive and finite, got inf"),
+     ({"sigma": math.nan}, "sigma must be positive and finite, got nan"),
+     ({"covariate_law": "student_t", "student_dof": math.nan},
+      "student_t requires a finite student_dof > 2 (finite covariance), got nan"),
+     ({"covariate_law": "student_t", "student_dof": math.inf},
+      "student_t requires a finite student_dof > 2 (finite covariance), got inf")],
 )
 def test_generate_rejects_out_of_range_noise(flags, message):
     for task in ("regression", "classification"):
@@ -213,6 +228,94 @@ def test_csv_round_trip(tmp_path):
     back = from_csv(path, sigma=ds.sigma)
     assert np.array_equal(back.covariates, ds.covariates)
     assert np.array_equal(back.labels, ds.labels)
+
+
+# floats whose text is easy to get wrong: signed zero, subnormals, the
+# extremes, and integral values (repr switches to exponent form at 1e16)
+AWKWARD_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.5e-320, 1.7e308, -1.7e308, 1e16, -1e16, 9999999999999998.0,
+                  1e15, 3.0, -42.0, 0.1, 1.0 / 3.0)
+
+
+def _csv_writer_bytes(table: np.ndarray) -> bytes:
+    """The reference: csv.writer's bytes for the table's rows as Python floats."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([f"x{i}" for i in range(table.shape[1] - 1)] + ["y"])
+    writer.writerows([float(v) for v in row] for row in table)
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 2 * CSV_BLOCK_ROWS + 1),
+    d=st.integers(1, 6),
+    pool=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6).map(float),
+                  max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_to_csv_writes_the_csv_writer_bytes_and_reads_back_bitwise(tmp_path_factory, n, d, pool, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, d + 1)
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    picked = rng.choice(np.array([*AWKWARD_FLOATS, *pool]), size=shape)
+    table = np.where(rng.random(shape) < 0.5, picked, wide)
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    to_csv(Dataset(table[:, :-1], table[:, -1]), path)
+    assert path.read_bytes() == _csv_writer_bytes(table)
+    back = from_csv(path)
+    assert back.covariates.tobytes() == np.ascontiguousarray(table[:, :-1]).tobytes()
+    assert back.labels.tobytes() == np.ascontiguousarray(table[:, -1]).tobytes()
+
+
+@pytest.mark.parametrize("earlier", [None, "x0,y\r\n1.0,2.0\r\n"], ids=["no-file", "earlier-file"])
+def test_a_failed_to_csv_leaves_the_path_as_it_was(tmp_path, monkeypatch, earlier):
+    path = tmp_path / "d.csv"
+    if earlier is not None:
+        path.write_bytes(earlier.encode())
+    column_stack = np.column_stack
+    calls = []
+
+    def fails_on_the_second_block(arrays):
+        calls.append(len(arrays[0]))
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        return column_stack(arrays)
+
+    monkeypatch.setattr(data.np, "column_stack", fails_on_the_second_block)
+    n = 2 * CSV_BLOCK_ROWS + 1
+    with pytest.raises(OSError, match="no space left"):
+        to_csv(Dataset(np.ones((n, 2)), np.ones(n)), path)
+    assert len(calls) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["d.csv"])
+    if earlier is not None:
+        assert path.read_bytes() == earlier.encode()
+
+
+def test_to_csv_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "real.csv"
+    target.write_text("earlier")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    ds = Dataset(np.array([[1.5], [-0.0]]), np.array([1.0, -1.0]))
+    to_csv(ds, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == b"x0,y\r\n1.5,1.0\r\n-0.0,-1.0\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_to_csv_memory_does_not_grow_with_the_table(tmp_path):
+    # a writer that built the whole table's text at once would grow with N
+    peaks = []
+    for n in (5_000, 20_000):
+        ds = generate_synthetic(21, n, np.zeros(21), seed=n)
+        tracemalloc.start()
+        try:
+            to_csv(ds, tmp_path / "d.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+    assert max(peaks) < 4 * 2**20, peaks
 
 
 @pytest.mark.parametrize(

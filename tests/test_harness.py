@@ -52,6 +52,10 @@ def test_config_validation():
         tiny_config(epsilons=(0.1, 0.05))
     with pytest.raises(ValueError):
         tiny_config(methods=("gradient_boosting",))
+    # out-of-range data fields fail at load, before any sample is drawn
+    for flip_prob in (2.0, -0.1):
+        with pytest.raises(ValueError, match=rf"flip_prob must lie in \[0, 1\], got {flip_prob}"):
+            tiny_config(flip_prob=flip_prob)
 
 
 @pytest.mark.parametrize("key", ["erm_iters", "doro_iters"])
