@@ -44,7 +44,6 @@ from .solver import (
     SolveResult,
     pdhg_solve,
     pipeline,
-    schedule,
     tune_gamma,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "reg_prox",
     "robust_mean_estimation",
     "run_experiment",
-    "schedule",
     "stability_filter",
     "top_eigenvector",
     "trimmed_mean_1d",

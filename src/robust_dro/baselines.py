@@ -19,6 +19,7 @@ from .data import Dataset
 from .losses import (
     LossFamily,
     NormRegularizer,
+    checked_labels,
     loss_subgradients,
     loss_values,
     norm_s,
@@ -67,7 +68,7 @@ def oracle_solve(
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     x = data.covariates
-    y = data.labels
+    y = checked_labels(loss, data)
     n = x.shape[0]
     w = np.zeros(data.dim)
     z = x @ w  # the margins of w, shared by its objective and its subgradient
@@ -103,7 +104,7 @@ def erm_subgradient(data: Dataset, loss: LossFamily, reg: NormRegularizer, iters
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
     x = data.covariates
-    y = data.labels
+    y = checked_labels(loss, data)
     w = np.zeros(data.dim)
     if iters == 0:
         return w
@@ -150,7 +151,7 @@ def doro_cvar(
     if quadratic and loss != "quadratic":
         raise ValueError(f"unknown loss {loss!r}")
     x = data.covariates
-    y = data.labels
+    y = data.labels if quadratic else checked_labels(loss, data)
     n = data.n
     n_drop = int(math.floor(epsilon * n))
     w = x.mean(axis=0) if quadratic else np.zeros(data.dim)
@@ -194,7 +195,7 @@ def dro_objective_eval(w, data: Dataset, loss: LossFamily, reg: NormRegularizer)
     pairs (every loss is 1-Lipschitz) when weight = rho and s is dual to
     the ground cost exponent."""
     w = np.asarray(w, dtype=float)
-    return float(loss_values(loss, data.labels, data.covariates @ w).mean()) + reg.value(w)
+    return float(loss_values(loss, checked_labels(loss, data), data.covariates @ w).mean()) + reg.value(w)
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ def dro_sup_lower_bound(
         raise ValueError("r must be one of '1', '2', 'inf'")
     w = np.asarray(w, dtype=float)
     z = data.covariates @ w
-    y = data.labels
+    y = checked_labels(loss, data)
     n = data.n
     base = loss_values(loss, y, z)
     best = float(base.mean())

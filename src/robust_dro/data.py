@@ -77,8 +77,8 @@ class Dataset:
 class FarCluster:
     """All replaced covariates moved to magnitude * direction.
 
-    ``direction`` (normalized; default e1) must have one entry per
-    covariate.  The default magnitude 10 * sigma * sqrt(d / epsilon) is
+    ``direction`` (normalized; default e1) must be finite and nonzero,
+    and have one entry per covariate.  The default magnitude 10 * sigma * sqrt(d / epsilon) is
     far enough to wreck a naive mean and five times the radius
     2 * sigma * sqrt(d / epsilon) of ``robust_mean.stability_filter``.
     ``label`` overrides the planted outlier label (-1 for
@@ -92,6 +92,12 @@ class FarCluster:
     def __post_init__(self) -> None:
         for name in ("magnitude", "label"):
             _check_finite(name, getattr(self, name))
+        if self.direction is not None:
+            u = np.asarray(self.direction, dtype=float)
+            if not np.isfinite(u).all():
+                raise ValueError(f"FarCluster direction must be finite, got {self.direction}")
+            if not np.linalg.norm(u) > 0.0:
+                raise ValueError("FarCluster direction must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -191,6 +197,8 @@ def generate_synthetic(
         raise ValueError(f"flip_prob must lie in [0, 1], got {flip_prob}")
     if not noise_std >= 0.0:
         raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    if not math.isfinite(noise_std):
+        raise ValueError(f"noise_std must be finite, got {noise_std}")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if covariate_law == "student_t" and not (student_dof is not None and 2.0 < student_dof < math.inf):
@@ -257,10 +265,7 @@ def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Datase
             u = np.asarray(adv.direction, dtype=float)
             if u.shape != (data.dim,):
                 raise ValueError(f"FarCluster direction has length {u.size}, the covariates have {data.dim}")
-            nu = np.linalg.norm(u)
-            if nu == 0:
-                raise ValueError("FarCluster direction must be nonzero")
-            u = u / nu
+            u = u / np.linalg.norm(u)
         mag = adv.magnitude
         if mag is None:
             mag = 10.0 * data.sigma * math.sqrt(data.dim / spec.epsilon)

@@ -25,6 +25,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .data import Dataset
+
 LOSS_KINDS = ("lad", "huber", "hinge", "logistic")
 REG_EXPONENTS = ("1", "2", "inf")
 
@@ -103,16 +105,23 @@ def _check_labels(family: LossFamily, y: np.ndarray) -> None:
         raise InvalidLabelError(f"{family.kind} labels must be -1 or +1")
 
 
+def checked_labels(family: LossFamily, data: Dataset) -> np.ndarray:
+    """``data.labels``, checked once against ``family`` where a dataset
+    meets a loss; the per-row helpers below trust the labels they get."""
+    _check_labels(family, data.labels)
+    return data.labels
+
+
 def _softplus(t: np.ndarray) -> np.ndarray:
     # log(1 + exp(t)), stable on both tails
     return np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(np.minimum(t, 0.0))))
 
 
 def loss_values(family: LossFamily, y, z) -> np.ndarray:
-    """Vectorized loss evaluation; broadcasts y against z."""
+    """Vectorized loss evaluation; broadcasts y against z.  The labels
+    are not checked here: callers take them from :func:`checked_labels`."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    _check_labels(family, y)
     if family.kind == "lad":
         return np.abs(z - y)
     if family.kind == "huber":
@@ -131,7 +140,6 @@ def loss_subgradients(family: LossFamily, y, z) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    _check_labels(family, y)
     if family.kind == "lad":
         return np.sign(z - y)
     if family.kind == "huber":
@@ -188,14 +196,12 @@ def conjugate_prox_vec(family: LossFamily, y, x_dot_w, alpha_prev, a: float, n: 
 
     Closed form (a quadratic maximizer clipped to the conjugate domain)
     for lad/huber/hinge; for logistic, a Newton solve that is monotone on
-    every row and returns each v within 1e-12 of the maximizer.
+    every row and returns each v within 1e-12 of the maximizer.  Takes
+    a, gamma > 0 and labels from :func:`checked_labels`, unchecked.
     """
-    if gamma <= 0 or a <= 0:
-        raise ValueError("conjugate_prox_vec requires gamma > 0 and a > 0")
     y = np.asarray(y, dtype=float)
     m = np.asarray(x_dot_w, dtype=float)
     p = np.asarray(alpha_prev, dtype=float)
-    _check_labels(family, y)
     r = a / (n * gamma)
 
     if family.kind == "lad":

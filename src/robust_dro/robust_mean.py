@@ -69,9 +69,8 @@ class FilterState:
     sigma^2 * s) at the last certificate check, at most 1 exactly when
     the call certified; it is None without ``sigma`` or if no check ran.
 
-    ``weights`` are the final weights.  A certified stop returns their
-    weighted mean.  A stop on the mass budget returns the weighted mean
-    taken at the top of the last pass, one pass behind ``weights``.
+    ``weights`` are the final weights; every stop returns their weighted
+    mean.
     """
 
     weights: np.ndarray
@@ -175,12 +174,10 @@ def robust_mean_with_state(
     of the covariance; scores h_i = (v . (x_i - mu))^2; the largest
     threshold t whose superlevel set {h >= t} carries weight mass >=
     epsilon; then every thresholded point is downweighted by the factor
-    (1 - h_i / max h).  The pass ends when total weight < 1 - 2*epsilon.
-    If every score is zero (e.g. all points identical) the loop exits
-    immediately with the current weighted mean.  On that mass-budget exit
-    the returned mean is the one taken at the top of the last pass,
-    before its downweighting, while ``FilterState.weights`` holds the
-    weights after it.
+    (1 - h_i / max h).  The loop ends when total weight < 1 - 2*epsilon,
+    returning the weighted mean of the weights it ends with.  If every
+    score is zero (e.g. all points identical) the loop exits immediately
+    with the current weighted mean.
 
     ``scale`` (one entry per point) makes the point set the rows
     scale_i * points_i without building them: the mean is
@@ -240,6 +237,7 @@ def robust_mean_with_state(
     while True:
         if total < 1.0 - 2.0 * epsilon:
             if not state.warm or state.restarted:
+                m = ((q * scale) @ xc) / total
                 break
             # the warm start spent the budget uncertified: start over cold
             state.restarted = True

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, center_with_estimate, prepend_ones
-from .losses import LossFamily, NormRegularizer, conjugate_prox_vec, loss_values, reg_prox
+from .losses import LossFamily, NormRegularizer, checked_labels, conjugate_prox_vec, loss_values, reg_prox
 from .robust_mean import (
     OracleContractError,
     inexact_hybrid_gradient_oracle,
@@ -114,18 +114,6 @@ def solver_config(epsilon: float, **fields) -> PDHGConfig:
     return PDHGConfig(epsilon=CLEAN_EPSILON if clean else epsilon, exact_oracle=clean, **fields)
 
 
-def schedule(cfg: PDHGConfig, n: int, k: int) -> tuple[float, float, int]:
-    """Step weight a, damping c_k and horizon T at iteration k >= 1.
-
-    The step weight is the constant sqrt(N) / sigma; the damping
-    decreases linearly from c_0 = 2 to c_T = 1.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    t_hor = num_iterations(cfg)
-    return math.sqrt(n) / cfg.sigma, 2.0 - k / t_hor, t_hor
-
-
 def num_iterations(cfg: PDHGConfig) -> int:
     # tiny slop keeps exact-arithmetic cases like 2/(C sqrt(eps)) stable
     t_hor = int(math.ceil(2.0 * cfg.sigma / cfg.delta - 1e-9))
@@ -169,13 +157,6 @@ def estimate_objective(w: np.ndarray, data: Dataset, loss: LossFamily, reg: Norm
     return mean + reg.value(w)
 
 
-def _gamma(cfg: PDHGConfig, n: int) -> float:
-    """gamma = gamma_dist / sqrt(N) for a solve with a known distance."""
-    if cfg.gamma_dist is None:
-        raise ConfigurationError("the solve needs cfg.gamma_dist; use tune_gamma to search for it")
-    return cfg.gamma_dist / math.sqrt(n)
-
-
 def _oracle_call(x: np.ndarray, cfg: PDHGConfig, beta: np.ndarray, start: np.ndarray | None):
     """The primal step's estimate z of (1/N) sum_i beta_i x_i, and the
     filter weights the call ended with (None in exact-oracle mode).
@@ -200,6 +181,9 @@ def pdhg_solve(
 
     Requires ``cfg.gamma_dist``: gamma = gamma_dist / sqrt(N).
     Use :func:`tune_gamma` when the distance to the optimum is unknown.
+    The step weight a = sqrt(N) / sigma is constant, and the damping
+    c_k = 2 - k/T falls linearly to c_T = 1; iteration k takes the primal
+    step tau_k = a * gamma / c_k.
     Each iteration takes its primal step on ``_oracle_call``'s estimate z
     of (1/N) sum_i beta_i x_i.  Within a run, successive beta differ
     little, so each call starts from the filter weights the previous call
@@ -212,10 +196,13 @@ def pdhg_solve(
     at k = 1, bitwise); by default the run computes it.
     ``oracle_calls`` counts the calls the run computed.
     """
-    gamma = _gamma(cfg, data.n)
+    if cfg.gamma_dist is None:
+        raise ConfigurationError("the solve needs cfg.gamma_dist; use tune_gamma to search for it")
     x = data.covariates
-    y = data.labels
+    y = checked_labels(loss, data)
     n = data.n
+    gamma = cfg.gamma_dist / math.sqrt(n)
+    a = math.sqrt(n) / cfg.sigma
     t_hor = num_iterations(cfg)
 
     w = np.zeros(data.dim)
@@ -226,13 +213,12 @@ def pdhg_solve(
     max_dual = float(np.max(np.abs(alpha), initial=0.0))
     max_extrap = 0.0
     for k in range(1, t_hor + 1):
-        a, c_k, _ = schedule(cfg, n, k)
         beta = alpha + (alpha - alpha_prev)
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))
         if max_extrap > 3.0 * (1.0 + 1e-9):
             raise OracleContractError(f"extrapolated dual weight {max_extrap} exceeded 3")
         z, weights = first if k == 1 and first is not None else _oracle_call(x, cfg, beta, weights)
-        tau = a * gamma / c_k
+        tau = a * gamma / (2.0 - k / t_hor)
         w = reg_prox(reg, w - tau * z, tau)
         alpha_prev = alpha
         alpha = conjugate_prox_vec(loss, y, x @ w, alpha, a, n, gamma)

@@ -9,10 +9,11 @@ from robust_dro.solver import _oracle_call
 
 class SolverHooks:
     """Read and steer the primal-dual loop through the module-global
-    names it calls: ``solver.reg_prox``, once per iteration, returns the
-    primal iterate w_k, and ``solver._oracle_call`` returns the oracle
-    output (z, filter weights).  Each method hooks the solves that follow
-    it, until another method hooks the same name."""
+    names it calls: ``solver.reg_prox``, once per iteration, takes the
+    primal step tau_k and returns the primal iterate w_k, and
+    ``solver._oracle_call`` returns the oracle output (z, filter
+    weights).  Each method hooks the solves that follow it, until another
+    method hooks the same name."""
 
     def __init__(self, monkeypatch):
         self._monkeypatch = monkeypatch
@@ -27,6 +28,17 @@ class SolverHooks:
 
         self._monkeypatch.setattr(solver_mod, "reg_prox", recorded)
         return iterates
+
+    def record_steps(self) -> list:
+        """The primal steps tau_1, ..., tau_T of each solve, in order."""
+        steps = []
+
+        def recorded(reg, v, tau):
+            steps.append(tau)
+            return reg_prox(reg, v, tau)
+
+        self._monkeypatch.setattr(solver_mod, "reg_prox", recorded)
+        return steps
 
     def record_oracle_outputs(self) -> list:
         """The oracle outputs z of each call the solves compute."""

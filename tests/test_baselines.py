@@ -114,7 +114,7 @@ def test_oracle_matches_a_replay_that_recomputes_margins(kind, task):
 
 
 def test_erm_zero_iterations_returns_start():
-    data = prepend_ones(generate_synthetic(3, 50, np.zeros(3), seed=3))
+    data = prepend_ones(generate_synthetic(3, 50, np.zeros(3), task="classification", seed=3))
     assert np.array_equal(erm_subgradient(data, HINGE, NO_REG, 0), np.zeros(3))
 
 

@@ -146,7 +146,10 @@ def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, mo
      (["corrupt", "--epsilon", "0.1", "--magnitude", "nan"], "magnitude must be finite, got nan"),
      (["corrupt", "--epsilon", "0.1", "--label", "inf"], "label must be finite, got inf"),
      (["corrupt", "--epsilon", "0.1", "--adversary", "label-flip", "--magnitude=-inf"],
-      "magnitude must be finite, got -inf")],
+      "magnitude must be finite, got -inf"),
+     (["generate", "--dim", "3", "--n", "50", "--noise-std", "inf"], "noise_std must be finite, got inf"),
+     (["corrupt", "--epsilon", "0.1", "--direction", "nan,1"], "FarCluster direction must be finite, got (nan, 1.0)"),
+     (["corrupt", "--epsilon", "0.1", "--direction", "0,0"], "FarCluster direction must be nonzero")],
 )
 def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
     clean = tmp_path / "clean.csv"

@@ -78,7 +78,8 @@ def test_generate_classification_labels_and_flip():
      ({"covariate_law": "student_t", "student_dof": math.nan},
       "student_t requires a finite student_dof > 2 (finite covariance), got nan"),
      ({"covariate_law": "student_t", "student_dof": math.inf},
-      "student_t requires a finite student_dof > 2 (finite covariance), got inf")],
+      "student_t requires a finite student_dof > 2 (finite covariance), got inf"),
+     ({"noise_std": math.inf}, "noise_std must be finite, got inf")],
 )
 def test_generate_rejects_out_of_range_noise(flags, message):
     for task in ("regression", "classification"):
@@ -157,6 +158,18 @@ def test_far_cluster_rejects_a_direction_of_the_wrong_length(direction):
     ds = generate_synthetic(5, 100, np.zeros(5), seed=1)  # 4 covariates
     with pytest.raises(ValueError, match=f"length {len(direction)}, the covariates have 4"):
         contaminate(ds, ContaminationSpec(0.1, FarCluster(direction=direction)), seed=2)
+
+
+@pytest.mark.parametrize(
+    "direction, message",
+    [((math.nan, 1.0), r"FarCluster direction must be finite, got \(nan, 1.0\)"),
+     ((1.0, -math.inf), r"FarCluster direction must be finite, got \(1.0, -inf\)"),
+     ((0.0, 0.0), "FarCluster direction must be nonzero")],
+    ids=["nan", "-inf", "zero"],
+)
+def test_far_cluster_rejects_a_non_finite_or_zero_direction(direction, message):
+    with pytest.raises(ValueError, match=message):
+        FarCluster(direction=direction)
 
 
 def test_contaminate_requires_a_whole_sample():

@@ -214,7 +214,7 @@ def two_pass_filter(points, epsilon):
         q = q * (1.0 - np.where(h >= t, h, 0.0) / fmax)
         total = float(q.sum())
         passes += 1
-    return mu, passes
+    return (q @ points) / total, passes
 
 
 @pytest.mark.parametrize(
@@ -339,25 +339,32 @@ def test_a_restart_after_warm_passes_drops_their_recentring():
     assert state.weights.tobytes() == cold.weights.tobytes()
 
 
-@pytest.mark.parametrize("scale", [None, "beta"])
+@pytest.mark.parametrize("scale", [None, "beta", "budget"])
 def test_a_certified_exit_returns_the_weighted_mean_of_its_weights(scale):
     # scaled rows are certified against sigma^2 times the mean of beta^2,
-    # which bounds their covariance only for centred covariates
+    # which bounds their covariance only for centred covariates; without
+    # sigma the call stops on the mass budget, whose mean is of the same
+    # weights
     x = far_cluster_points(seed=21)
     variance_scale = None
-    if scale:
+    if scale == "beta":
         beta = np.random.default_rng(22).uniform(-3.0, 3.0, size=x.shape[0])
         mu, state = robust_mean_with_state(x, 0.2, sigma=1.0, scale=beta)
         x = beta[:, None] * x
         variance_scale = beta**2
+    elif scale == "budget":
+        x = x + 3.0
+        mu, state = robust_mean_with_state(x, 0.2)
+        assert not state.certified and float(state.weights.sum()) < 1.0 - 2 * 0.2
     else:
         x = x + 3.0
         mu, state = robust_mean_with_state(x, 0.2, sigma=1.0)
-    assert state.certified and state.iterations >= 1
     q = state.weights
-    lam = float(np.linalg.eigvalsh(np.cov(x.T, aweights=q, bias=True))[-1])
-    s = 1.0 if variance_scale is None else float(q @ variance_scale) / q.sum()
-    assert lam <= KAPPA * s * (1 + 1e-9)
+    if scale != "budget":
+        assert state.certified and state.iterations >= 1
+        lam = float(np.linalg.eigvalsh(np.cov(x.T, aweights=q, bias=True))[-1])
+        s = 1.0 if variance_scale is None else float(q @ variance_scale) / q.sum()
+        assert lam <= KAPPA * s * (1 + 1e-9)
     assert np.linalg.norm(mu - (q @ x) / q.sum()) <= 1e-12 * (1.0 + np.linalg.norm(mu))
 
 

@@ -8,7 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from robust_dro.baselines import dro_objective_eval, oracle_solve
+import robust_dro.losses as losses_mod
+from robust_dro.baselines import (
+    doro_cvar,
+    dro_objective_eval,
+    dro_sup_lower_bound,
+    erm_subgradient,
+    oracle_solve,
+)
 from robust_dro.data import (
     ContaminationSpec,
     Dataset,
@@ -20,7 +27,7 @@ from robust_dro.data import (
     generate_synthetic,
     prepend_ones,
 )
-from robust_dro.losses import LossFamily, NormRegularizer
+from robust_dro.losses import InvalidLabelError, LossFamily, NormRegularizer
 from robust_dro.robust_mean import (
     KAPPA,
     OracleContractError,
@@ -38,7 +45,6 @@ from robust_dro.solver import (
     num_iterations,
     pdhg_solve,
     pipeline,
-    schedule,
     solver_config,
     tune_gamma,
 )
@@ -62,23 +68,24 @@ def exact_cfg(gamma_dist, rho=0.1, eps=1e-7, **kw):
 # --- schedule -----------------------------------------------------------
 
 
-def test_schedule_arithmetic():
-    cfg = PDHGConfig(epsilon=0.04, sigma=1.0, delta_constant=2.0)
+def test_schedule_arithmetic(solver_hooks):
+    # the loop's primal step is tau_k = a * gamma / c_k, with the constant
+    # step weight a = sqrt(N) / sigma and the damping c_k = 2 - k/T
+    cfg = PDHGConfig(epsilon=0.04, sigma=1.0, delta_constant=2.0, gamma_dist=10.0, exact_oracle=True)
     assert cfg.delta == pytest.approx(0.4)
-    a, c, t = schedule(cfg, n=100, k=1)
-    assert t == 5
-    a2, c_t, _ = schedule(replace(cfg, sigma=2.0), n=100, k=t)
-    assert a2 == pytest.approx(5.0)  # sqrt(100) / 2
-    _, c_end, t_end = schedule(cfg, n=100, k=t)
-    assert c_end == 1.0  # exactly, by the linear rule
-    cs = [schedule(cfg, 100, k)[1] for k in range(1, t + 1)]
-    assert all(x > y for x, y in zip(cs, cs[1:]))
-    assert cs[0] < 2.0
+    assert num_iterations(cfg) == 5
+    data = small_problem(n=100)  # gamma = 10 / sqrt(100) = 1
+    reg = NormRegularizer("2", 0.1)
+    for sigma, a in ((1.0, 10.0), (2.0, 5.0)):  # a = sqrt(100) / sigma
+        steps = solver_hooks.record_steps()
+        res = pdhg_solve(data, HINGE, reg, replace(cfg, sigma=sigma))
+        assert res.t_used == 5 and res.gamma_used == 1.0
+        assert steps == [a / (2.0 - k / 5) for k in range(1, 6)]
+        assert steps[-1] == a  # c_T = 1 exactly, by the linear rule
+        assert steps[0] > a / 2.0  # c_1 < 2
 
 
 def test_schedule_rejects_bad_k_and_cap():
-    with pytest.raises(ValueError):
-        schedule(PDHGConfig(epsilon=0.04, sigma=2.0), 10, 0)
     cfg = PDHGConfig(epsilon=1e-12, sigma=1.0, delta_constant=2.0)  # T = 10**6
     assert 2.0 * cfg.sigma / cfg.delta > MAX_ITERATIONS
     with pytest.raises(ConfigurationError, match=f"above the cap {MAX_ITERATIONS}"):
@@ -211,6 +218,46 @@ def test_solve_requires_gamma():
             pdhg_solve(data, HINGE, reg, exact_cfg(gamma_dist, eps=1e-4))
 
 
+# --- labels, checked where a dataset meets a loss --------------------------
+
+ENTRY_POINTS = {
+    "pdhg_solve": lambda raw, reg: pdhg_solve(prepend_ones(raw), HINGE, reg, exact_cfg(1.0, eps=1e-3)),
+    "tune_gamma": lambda raw, reg: tune_gamma(prepend_ones(raw), HINGE, reg, PDHGConfig(epsilon=0.1, sigma=1.0)),
+    "pipeline": lambda raw, reg: pipeline(raw, HINGE, reg, PDHGConfig(epsilon=0.1, sigma=1.0)),
+    "oracle_solve": lambda raw, reg: oracle_solve(prepend_ones(raw), HINGE, reg),
+    "erm_subgradient": lambda raw, reg: erm_subgradient(prepend_ones(raw), HINGE, reg, 5),
+    "erm_subgradient-0-iters": lambda raw, reg: erm_subgradient(prepend_ones(raw), HINGE, reg, 0),
+    "doro_cvar": lambda raw, reg: doro_cvar(prepend_ones(raw), HINGE, 0.1, iters=5, reg=reg),
+    "dro_objective_eval": lambda raw, reg: dro_objective_eval(np.ones(raw.dim + 1), prepend_ones(raw), HINGE, reg),
+    "dro_sup_lower_bound": lambda raw, reg: dro_sup_lower_bound(np.ones(raw.dim + 1), prepend_ones(raw), HINGE, 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_rejects_a_bad_classification_label(entry):
+    clean = generate_synthetic(5, 200, np.array([0.0, 1.5, -1.0, 0.5, 0.0]), task="classification", seed=3)
+    labels = clean.labels.copy()
+    labels[7] = 0.5
+    with pytest.raises(InvalidLabelError, match=r"hinge labels must be -1 or \+1"):
+        ENTRY_POINTS[entry](Dataset(clean.covariates, labels, clean.sigma), NormRegularizer("2", 0.1))
+
+
+def test_labels_are_checked_per_solve_not_per_iteration(monkeypatch):
+    checks = []
+    check_labels = losses_mod._check_labels
+    monkeypatch.setattr(losses_mod, "_check_labels", lambda family, y: checks.append(1) or check_labels(family, y))
+    raw = generate_synthetic(5, 400, np.array([0.0, 1.5, -1.0, 0.5, 0.0]), task="classification", seed=3)
+    counts = {}
+    for c in (2.0, 0.5):  # T = ceil(2 / (C sqrt(eps))): 4 and 13
+        delta = c * math.sqrt(0.1)
+        cfg = PDHGConfig(epsilon=0.1, sigma=1.0, delta_constant=c, w0_bound=3.0 * delta)
+        checks.clear()
+        res = pipeline(raw, HINGE, NormRegularizer("2", 0.1), cfg)
+        counts[res.t_used] = (len(checks), res.tuning_runs)
+    assert sorted(counts) == [4, 13]
+    assert counts[4] == counts[13] == (3, 3)  # one check per candidate solve
+
+
 def test_robust_mode_matches_exact_on_clean_small_eps():
     data = small_problem(seed=9)
     reg = NormRegularizer("2", 0.1)
@@ -260,13 +307,10 @@ def test_iterates_stay_near_optimum(solver_hooks):
     assert worst <= 4.0 * d0 + 1e-6
 
 
-def test_effective_primal_step_increases():
-    cfg = PDHGConfig(epsilon=0.04, sigma=1.0)
-    gamma = 1.0
-    steps = []
-    for k in range(1, 6):
-        a, c, t = schedule(cfg, 100, k)
-        steps.append(a * gamma / c)
+def test_effective_primal_step_increases(solver_hooks):
+    steps = solver_hooks.record_steps()
+    res = pdhg_solve(small_problem(n=100), HINGE, NormRegularizer("2", 0.1), exact_cfg(1.0, eps=0.04))
+    assert len(steps) == res.t_used == 5
     assert all(x < y for x, y in zip(steps, steps[1:]))
 
 
