@@ -41,10 +41,6 @@ class OracleResult:
     converged: bool
 
 
-def _loss_part_subgradient(w, x, y, loss) -> np.ndarray:
-    return loss_subgradients(loss, y, x @ w) @ x / x.shape[0]
-
-
 def oracle_solve(
     data: Dataset,
     loss: LossFamily,
@@ -100,19 +96,21 @@ def oracle_solve(
 def erm_subgradient(data: Dataset, loss: LossFamily, reg: NormRegularizer, iters: int) -> np.ndarray:
     """Plain averaged subgradient descent on the (corrupted) empirical
     objective, no filtering; steps c / sqrt(k) with c auto-scaled from
-    the initial subgradient norm."""
+    the first subgradient's norm."""
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
     x = data.covariates
     y = checked_labels(loss, data)
+    n = data.n
     w = np.zeros(data.dim)
     if iters == 0:
         return w
-    g0 = _loss_part_subgradient(w, x, y, loss) + reg.weight * norm_subgradient(w, reg.s)
-    c = 1.0 / max(float(np.linalg.norm(g0)), 1e-12)
+    c: float | None = None
     avg = np.zeros_like(w)
     for k in range(1, iters + 1):
-        g = _loss_part_subgradient(w, x, y, loss) + reg.weight * norm_subgradient(w, reg.s)
+        g = loss_subgradients(loss, y, x @ w) @ x / n + reg.weight * norm_subgradient(w, reg.s)
+        if c is None:
+            c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
         w = w - (c / math.sqrt(k)) * g
         avg += w
     return avg / iters
@@ -120,24 +118,21 @@ def erm_subgradient(data: Dataset, loss: LossFamily, reg: NormRegularizer, iters
 
 def doro_cvar(
     data: Dataset,
-    loss,
+    loss: LossFamily,
     epsilon: float,
     alpha: float = 1.0,
     iters: int = 100,
     *,
-    reg: NormRegularizer | None = None,
+    reg: NormRegularizer,
 ) -> np.ndarray:
     """Trimmed-loss iteration: drop the floor(eps N) highest-loss rows,
     minimize the CVaR-alpha dual objective over the kept rows, take one
-    descent step, repeat.
+    regularized subgradient step, repeat.
 
-    ``loss`` is a :class:`LossFamily` for GLM losses, or the string
-    ``"quadratic"`` for the mean-estimation loss ||w - x||^2 on the
-    covariate rows (labels ignored); the quadratic alpha=1 step jumps
-    straight to the mean of the kept rows.  Full-batch and deterministic;
-    starts from zero (GLM losses) or the sample mean (quadratic).
-    Returns the last iterate; the run is a prefix of every longer one, so
-    ``iters=k`` gives the iterate after step k.
+    Full-batch and deterministic from w = 0; steps c / sqrt(k) with c
+    auto-scaled from the first subgradient's norm.  Returns the last
+    iterate; the run is a prefix of every longer one, so ``iters=k``
+    gives the iterate after step k.
     Note this is a heuristic: re-trimming against the current iterate can
     lock onto outliers that sit close to a biased iterate.
     """
@@ -147,20 +142,14 @@ def doro_cvar(
         raise ValueError("epsilon must lie in [0, 0.5)")
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
-    quadratic = isinstance(loss, str)
-    if quadratic and loss != "quadratic":
-        raise ValueError(f"unknown loss {loss!r}")
     x = data.covariates
-    y = data.labels if quadratic else checked_labels(loss, data)
+    y = checked_labels(loss, data)
     n = data.n
     n_drop = int(math.floor(epsilon * n))
-    w = x.mean(axis=0) if quadratic else np.zeros(data.dim)
+    w = np.zeros(data.dim)
     step_c: float | None = None
     for k in range(1, iters + 1):
-        if quadratic:
-            losses = np.sum((w - x) ** 2, axis=1)
-        else:
-            losses = loss_values(loss, y, x @ w)
+        losses = loss_values(loss, y, x @ w)
         keep = np.argsort(losses)[: n - n_drop] if n_drop else np.arange(n)
         kept_losses = losses[keep]
         n_kept = keep.size
@@ -174,18 +163,11 @@ def doro_cvar(
             eta = desc[min(int(math.ceil(alpha * n_kept)) - 1, n_kept - 1)]
             active = keep[kept_losses > eta]
             scale = 1.0 / (alpha * n_kept)
-        if quadratic and alpha == 1.0:
-            w = x[keep].mean(axis=0)
-        else:
-            if quadratic:
-                g = scale * 2.0 * np.sum(w - x[active], axis=0)
-            else:
-                g = scale * (loss_subgradients(loss, y[active], x[active] @ w) @ x[active])
-            if reg is not None:
-                g = g + reg.weight * norm_subgradient(w, reg.s)
-            if step_c is None:
-                step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
-            w = w - (step_c / math.sqrt(k)) * g
+        g = scale * (loss_subgradients(loss, y[active], x[active] @ w) @ x[active])
+        g = g + reg.weight * norm_subgradient(w, reg.s)
+        if step_c is None:
+            step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
+        w = w - (step_c / math.sqrt(k)) * g
     return w
 
 

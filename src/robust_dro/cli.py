@@ -3,8 +3,9 @@ baselines, robust mean estimation, benchmark sweeps, and report
 conversion.
 
 Datasets travel as CSV (``x0,...,x{d-1},y``); solver outputs are JSON
-with the learned parameter, the gradient-oracle evaluations, the iteration count,
-the number of tuning runs and a config echo.  ``bench`` exits nonzero
+with the learned parameter, the covariate mean estimate it was centred
+on, the gradient-oracle evaluations, the iteration count, the number of
+tuning runs and a config echo.  ``bench`` exits nonzero
 if any grid cell failed.  Bad input (a ``ValueError`` or ``OSError`` from a
 subcommand) prints ``robust-dro: error: ...`` and exits 2.
 """
@@ -108,7 +109,7 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    ds = datamod.from_csv(args.input, sigma=args.sigma)
+    ds = datamod.from_csv(args.input)
     cfg = solver_config(
         args.epsilon, sigma=args.sigma, delta_constant=args.delta_const, w0_bound=args.w0_bound,
         gamma_dist=args.gamma_dist, dro_radius=args.rho,
@@ -117,6 +118,7 @@ def _cmd_solve(args) -> int:
     _emit_json(
         {
             "w_hat": [float(v) for v in res.w_hat],
+            "center_estimate": [float(v) for v in res.center_estimate],
             "oracle_calls": res.oracle_calls,
             "gamma_used": res.gamma_used,
             "iterations": res.t_used,

@@ -78,7 +78,8 @@ class FarCluster:
     """All replaced covariates moved to magnitude * direction.
 
     ``direction`` (normalized; default e1) must be finite and nonzero,
-    and have one entry per covariate.  The default magnitude 10 * sigma * sqrt(d / epsilon) is
+    with a norm that does not overflow, and have one entry per covariate.
+    The default magnitude 10 * sigma * sqrt(d / epsilon) is
     far enough to wreck a naive mean and five times the radius
     2 * sigma * sqrt(d / epsilon) of ``robust_mean.stability_filter``.
     ``label`` overrides the planted outlier label (-1 for
@@ -96,8 +97,12 @@ class FarCluster:
             u = np.asarray(self.direction, dtype=float)
             if not np.isfinite(u).all():
                 raise ValueError(f"FarCluster direction must be finite, got {self.direction}")
-            if not np.linalg.norm(u) > 0.0:
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(u)  # as contaminate normalizes it
+            if not norm > 0.0:
                 raise ValueError("FarCluster direction must be nonzero")
+            if not math.isfinite(norm):
+                raise ValueError(f"FarCluster direction has a norm that overflows, got {self.direction}")
 
 
 @dataclass(frozen=True)

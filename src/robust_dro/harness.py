@@ -84,7 +84,7 @@ class ExperimentConfig:
         for key in ("erm_iters", "doro_iters"):
             if getattr(self, key) < 0:
                 raise ValueError(f"sweep config key {key!r} must be nonnegative, got {getattr(self, key)!r}")
-        _check_planted(self.planted, self.dim)
+        _resolve_planted(self.planted, self.dim, 0)
         for adv in self.adversaries:
             if not isinstance(adv, (str, dict)):
                 raise ValueError(f"sweep config key 'adversaries' must hold names or objects, got {adv!r}")
@@ -211,29 +211,26 @@ class _PlantedSpec:
             raise ValueError(f"unknown planted kind {self.kind!r}")
 
 
-def _check_planted(spec, dim: int) -> None:
+def _resolve_planted(spec, dim: int, seed: int) -> np.ndarray:
+    """The planted coefficients of a config's ``planted`` entry for the
+    sample of ``seed``; a malformed entry raises a ValueError."""
+    if isinstance(spec, (list, tuple, np.ndarray)):
+        if not _fits(list(spec), tuple[float, ...]) or len(spec) != dim:
+            raise ValueError(f"planted coefficients must be {dim} numbers")
+        return np.asarray(spec, dtype=float)
     if isinstance(spec, dict):
         _check_keys("planted spec", spec, _PlantedSpec)
         _check_types("planted spec", spec, _PlantedSpec)
-        _PlantedSpec(**spec)
-    elif isinstance(spec, (list, tuple, np.ndarray)):
-        if not _fits(list(spec), tuple[float, ...]) or len(spec) != dim:
-            raise ValueError(f"planted coefficients must be {dim} numbers")
     elif spec is not None:
         raise ValueError(f"sweep config key 'planted' must be null, a list of numbers or an object, got {spec!r}")
-
-
-def _resolve_planted(cfg: ExperimentConfig, seed: int) -> np.ndarray:
-    if isinstance(cfg.planted, (list, tuple, np.ndarray)):
-        return np.asarray(cfg.planted, dtype=float)
-    spec = _PlantedSpec(**(cfg.planted or {}))
-    w = np.zeros(cfg.dim)
+    spec = _PlantedSpec(**(spec or {}))
+    w = np.zeros(dim)
     w[0] = spec.intercept
-    if cfg.dim > 1:
+    if dim > 1:
         if spec.kind == "first_axis":
             w[1] = spec.norm
         else:
-            u = np.random.default_rng(seed + 710_117).standard_normal(cfg.dim - 1)
+            u = np.random.default_rng(seed + 710_117).standard_normal(dim - 1)
             w[1:] = spec.norm * u / np.linalg.norm(u)
     return w
 
@@ -275,7 +272,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     references: dict[tuple[int, bytes], tuple[Dataset, np.ndarray, float]] = {}
     rows = []
     for seed in cfg.seeds:
-        planted = _resolve_planted(cfg, seed)
+        planted = _resolve_planted(cfg.planted, cfg.dim, seed)
         clean = generate_synthetic(
             cfg.dim,
             cfg.n_samples,

@@ -245,6 +245,7 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     give.  The returned ``oracle_calls`` counts the calls of the whole
     search: that shared call plus each run's other T - 1.
     """
+    checked_labels(loss, data)  # before the shared first oracle call
     d_min = cfg.delta
     if cfg.w0_bound <= d_min:
         raise ConfigurationError(f"w0_bound must exceed delta = {d_min}")
@@ -284,6 +285,7 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
     absorbing the centering shift into the intercept:
     w0_orig = w0_centered - w_rest . mu_hat.
     """
+    checked_labels(loss, raw)  # before the centring filter
     x = raw.covariates
     if cfg.exact_oracle:
         mu_hat = x.mean(axis=0)

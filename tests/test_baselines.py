@@ -14,7 +14,7 @@ from robust_dro.baselines import (
     erm_subgradient,
     oracle_solve,
 )
-from robust_dro.data import ContaminationSpec, Dataset, DoroCounterexample, contaminate, generate_synthetic, prepend_ones
+from robust_dro.data import ContaminationSpec, Dataset, FarCluster, contaminate, generate_synthetic, prepend_ones
 from robust_dro.losses import LossFamily, NormRegularizer, loss_subgradients, loss_values, norm_subgradient, reg_prox
 
 HINGE = LossFamily("hinge")
@@ -123,7 +123,7 @@ def test_baselines_reject_a_negative_iteration_count():
     with pytest.raises(ValueError, match="iters must be nonnegative, got -1"):
         erm_subgradient(data, HINGE, NO_REG, -1)
     with pytest.raises(ValueError, match="iters must be nonnegative, got -1"):
-        doro_cvar(data, HINGE, 0.1, iters=-1)
+        doro_cvar(data, HINGE, 0.1, iters=-1, reg=NO_REG)
 
 
 def test_erm_clean_objective_near_oracle():
@@ -136,13 +136,6 @@ def test_erm_clean_objective_near_oracle():
 
 
 # --- trimmed-loss iteration ----------------------------------------------
-
-
-def test_doro_quadratic_no_trimming_is_sample_mean():
-    rng = np.random.default_rng(5)
-    pts = rng.standard_normal((200, 4))
-    w = doro_cvar(Dataset(pts, np.zeros(200)), "quadratic", epsilon=0.0, alpha=1.0, iters=3)
-    assert np.allclose(w, pts.mean(axis=0))
 
 
 def test_doro_matches_plain_subgradient_without_trimming():
@@ -166,31 +159,41 @@ def test_doro_matches_plain_subgradient_without_trimming():
         assert np.array_equal(doro_cvar(data, HINGE, epsilon=0.0, alpha=1.0, iters=k, reg=reg), w)
 
 
-def test_doro_locks_onto_norm_camouflaged_outliers():
-    d, n, eps = 101, 3000, 0.1
-    clean = generate_synthetic(d, n, np.zeros(d), seed=7)
-    corrupted = contaminate(clean, ContaminationSpec(eps, DoroCounterexample()), seed=8)
-    pts = corrupted.covariates
-    w = doro_cvar(Dataset(pts, corrupted.labels), "quadratic", epsilon=eps, alpha=1.0, iters=30)
-    # drifts toward the spike at sqrt(d) e1 instead of the true mean 0
-    assert np.linalg.norm(w) >= 0.5 * eps * np.sqrt(d - 1)
-
-
-def test_doro_cvar_alpha_below_one_targets_tail():
-    rng = np.random.default_rng(9)
-    pts = rng.standard_normal((300, 2))
-    w = doro_cvar(Dataset(pts, np.zeros(300)), "quadratic", epsilon=0.0, alpha=0.5, iters=40)
-    assert np.all(np.isfinite(w))
+@pytest.mark.parametrize("loss, task", [(HINGE, "classification"), (LAD, "regression")], ids=["hinge", "lad"])
+def test_doro_cvar_below_one_matches_a_trimmed_tail_replay(loss, task):
+    clean = generate_synthetic(3, 120, np.array([0.0, 1.0, -0.4]), task=task, flip_prob=0.1, seed=9)
+    data = prepend_ones(contaminate(clean, ContaminationSpec(0.1, FarCluster()), seed=10))
+    reg = NormRegularizer("2", 0.1)
+    eps, alpha, iters = 0.1, 0.5, 7
+    # replay: drop the 12 highest-loss rows, then step on the kept rows
+    # whose loss lies strictly above the ceil(alpha * n_kept)-th largest
+    # kept loss, at weight 1 / (alpha * n_kept)
+    x, y, n = data.covariates, data.labels, data.n
+    n_kept = n - int(np.floor(eps * n))
+    w = np.zeros(3)
+    step_c = None
+    for k in range(1, iters + 1):
+        losses = loss_values(loss, y, x @ w)
+        keep = np.argsort(losses)[:n_kept]
+        eta = np.sort(losses[keep])[::-1][int(np.ceil(alpha * n_kept)) - 1]
+        active = keep[losses[keep] > eta]
+        g = (1.0 / (alpha * n_kept)) * (loss_subgradients(loss, y[active], x[active] @ w) @ x[active])
+        g = g + reg.weight * norm_subgradient(w, reg.s)
+        if step_c is None:
+            step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
+        w = w - (step_c / np.sqrt(k)) * g
+        assert np.array_equal(doro_cvar(data, loss, epsilon=eps, alpha=alpha, iters=k, reg=reg), w)
 
 
 def test_doro_validates_inputs():
-    ds = Dataset(np.zeros((10, 2)), np.zeros(10))
+    ds = Dataset(np.zeros((10, 2)), np.ones(10))
+    reg = NormRegularizer("2", 0.1)
     with pytest.raises(ValueError):
-        doro_cvar(ds, "quadratic", epsilon=0.6)
+        doro_cvar(ds, HINGE, epsilon=0.6, reg=reg)
     with pytest.raises(ValueError):
-        doro_cvar(ds, "quadratic", epsilon=0.1, alpha=0.0)
-    with pytest.raises(ValueError):
-        doro_cvar(ds, "squared", epsilon=0.1)
+        doro_cvar(ds, HINGE, epsilon=0.1, alpha=0.0, reg=reg)
+    with pytest.raises(ValueError, match="unknown loss kind 'squared'"):
+        doro_cvar(ds, LossFamily("squared"), epsilon=0.1, reg=reg)
 
 
 # --- DRO objective and its lower bound ------------------------------------

@@ -39,7 +39,8 @@ def test_generate_corrupt_solve_flow(tmp_path):
         "--input", str(dirty), "--output", str(out),
     ]) == 0
     payload = json.loads(out.read_text())
-    assert set(payload) == {"w_hat", "oracle_calls", "gamma_used", "iterations", "tuning_runs", "config"}
+    assert set(payload) == {"w_hat", "center_estimate", "oracle_calls", "gamma_used", "iterations", "tuning_runs",
+                            "config"}
     assert len(payload["w_hat"]) == 4  # intercept + 3 covariates
     assert payload["oracle_calls"] >= 1
     assert payload["config"]["epsilon"] == 0.1
@@ -110,6 +111,22 @@ def test_solve_with_zero_epsilon_runs_the_exact_oracle(tmp_path):
     assert payload["w_hat"] == [float(v) for v in res.w_hat]
 
 
+@pytest.mark.parametrize("epsilon", [0.1, 0.0])
+def test_solve_reports_the_center_estimate(tmp_path, epsilon):
+    clean = tmp_path / "clean.csv"
+    dirty = tmp_path / "dirty.csv"
+    out = tmp_path / "sol.json"
+    main(["generate", "--dim", "4", "--n", "400", "--task", "classification", "--seed", "5", "--output", str(clean)])
+    main(["corrupt", "--input", str(clean), "--epsilon", "0.1", "--seed", "6", "--output", str(dirty)])
+    assert main([
+        "solve", "--epsilon", str(epsilon), "--delta-const", "3.0", "--w0-bound", "6.0",
+        "--input", str(dirty), "--output", str(out),
+    ]) == 0
+    cfg = solver_config(epsilon, sigma=1.0, delta_constant=3.0, w0_bound=6.0, dro_radius=0.1)
+    res = pipeline(from_csv(dirty), LossFamily("hinge"), NormRegularizer("2", 0.1), cfg)
+    assert json.loads(out.read_text())["center_estimate"] == [float(v) for v in res.center_estimate]
+
+
 @pytest.mark.parametrize("epsilon", ["0", "0.1"])
 def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, monkeypatch, epsilon):
     # duals alternating +-1.5 break the |beta| <= 3 contract: a solver
@@ -149,7 +166,9 @@ def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, mo
       "magnitude must be finite, got -inf"),
      (["generate", "--dim", "3", "--n", "50", "--noise-std", "inf"], "noise_std must be finite, got inf"),
      (["corrupt", "--epsilon", "0.1", "--direction", "nan,1"], "FarCluster direction must be finite, got (nan, 1.0)"),
-     (["corrupt", "--epsilon", "0.1", "--direction", "0,0"], "FarCluster direction must be nonzero")],
+     (["corrupt", "--epsilon", "0.1", "--direction", "0,0"], "FarCluster direction must be nonzero"),
+     (["corrupt", "--epsilon", "0.1", "--direction", "1e308,1e308"],
+      "FarCluster direction has a norm that overflows, got (1e+308, 1e+308)")],
 )
 def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
     clean = tmp_path / "clean.csv"

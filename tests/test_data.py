@@ -164,8 +164,9 @@ def test_far_cluster_rejects_a_direction_of_the_wrong_length(direction):
     "direction, message",
     [((math.nan, 1.0), r"FarCluster direction must be finite, got \(nan, 1.0\)"),
      ((1.0, -math.inf), r"FarCluster direction must be finite, got \(1.0, -inf\)"),
-     ((0.0, 0.0), "FarCluster direction must be nonzero")],
-    ids=["nan", "-inf", "zero"],
+     ((0.0, 0.0), "FarCluster direction must be nonzero"),
+     ((1e308, 1e308), r"FarCluster direction has a norm that overflows, got \(1e\+308, 1e\+308\)")],
+    ids=["nan", "-inf", "zero", "overflow"],
 )
 def test_far_cluster_rejects_a_non_finite_or_zero_direction(direction, message):
     with pytest.raises(ValueError, match=message):

@@ -151,7 +151,7 @@ def test_planted_spec_variants():
     assert all_rows_ok(run_experiment(cfg))
     for dim in (1, 4):
         with pytest.raises(ValueError, match="unknown planted kind 'bogus'"):
-            harness._resolve_planted(tiny_config(dim=dim, planted={"kind": "bogus"}), 0)
+            harness._resolve_planted({"kind": "bogus"}, dim, 0)
 
 
 def test_doro_method_runs():

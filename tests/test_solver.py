@@ -234,12 +234,19 @@ ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-def test_every_entry_point_rejects_a_bad_classification_label(entry):
+def test_every_entry_point_rejects_a_bad_classification_label(entry, monkeypatch):
+    from robust_dro import robust_mean
+
+    filter_calls = []
+    run_filter = robust_mean.robust_mean_with_state
+    monkeypatch.setattr(robust_mean, "robust_mean_with_state",
+                        lambda *args, **kwargs: filter_calls.append(1) or run_filter(*args, **kwargs))
     clean = generate_synthetic(5, 200, np.array([0.0, 1.5, -1.0, 0.5, 0.0]), task="classification", seed=3)
     labels = clean.labels.copy()
     labels[7] = 0.5
     with pytest.raises(InvalidLabelError, match=r"hinge labels must be -1 or \+1"):
         ENTRY_POINTS[entry](Dataset(clean.covariates, labels, clean.sigma), NormRegularizer("2", 0.1))
+    assert filter_calls == []  # the labels are checked before any filter work
 
 
 def test_labels_are_checked_per_solve_not_per_iteration(monkeypatch):
@@ -255,7 +262,8 @@ def test_labels_are_checked_per_solve_not_per_iteration(monkeypatch):
         res = pipeline(raw, HINGE, NormRegularizer("2", 0.1), cfg)
         counts[res.t_used] = (len(checks), res.tuning_runs)
     assert sorted(counts) == [4, 13]
-    assert counts[4] == counts[13] == (3, 3)  # one check per candidate solve
+    # one check per pipeline, one per search, one per candidate solve
+    assert counts[4] == counts[13] == (5, 3)
 
 
 def test_robust_mode_matches_exact_on_clean_small_eps():
