@@ -19,7 +19,6 @@ from .data import (
     DoroCounterexample,
     FarCluster,
     LabelFlipPlusLeverage,
-    center_with_estimate,
     contaminate,
     generate_synthetic,
     prepend_ones,
@@ -61,7 +60,6 @@ __all__ = [
     "OracleResult",
     "PDHGConfig",
     "SolveResult",
-    "center_with_estimate",
     "conjugate_eval",
     "contaminate",
     "doro_cvar",

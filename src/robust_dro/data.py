@@ -1,4 +1,4 @@
-"""Synthetic datasets, covariate transforms, and contamination adversaries.
+"""Synthetic datasets, the intercept lift, and contamination adversaries.
 
 Datasets are immutable: covariate/label arrays are stored with the
 writeable flag cleared, so no caller can change rows that another caller
@@ -78,7 +78,8 @@ class FarCluster:
     """All replaced covariates moved to magnitude * direction.
 
     ``direction`` (normalized; default e1) must be finite and nonzero,
-    with a norm that does not overflow, and have one entry per covariate.
+    with a norm that neither overflows nor underflows to 0, and have one
+    entry per covariate.
     The default magnitude 10 * sigma * sqrt(d / epsilon) is
     far enough to wreck a naive mean and five times the radius
     2 * sigma * sqrt(d / epsilon) of ``robust_mean.stability_filter``.
@@ -100,6 +101,8 @@ class FarCluster:
             with np.errstate(over="ignore"):
                 norm = np.linalg.norm(u)  # as contaminate normalizes it
             if not norm > 0.0:
+                if u.any():
+                    raise ValueError(f"FarCluster direction has a norm that underflows to 0, got {self.direction}")
                 raise ValueError("FarCluster direction must be nonzero")
             if not math.isfinite(norm):
                 raise ValueError(f"FarCluster direction has a norm that overflows, got {self.direction}")
@@ -235,14 +238,6 @@ def prepend_ones(data: Dataset) -> Dataset:
     return Dataset(np.hstack([ones, data.covariates]), data.labels, data.sigma, data.corrupted_indices)
 
 
-def center_with_estimate(data: Dataset, mu_hat) -> Dataset:
-    """Subtract a (robustly estimated) mean from every covariate row."""
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    if mu_hat.shape != (data.dim,):
-        raise ValueError(f"mu_hat must have dimension {data.dim}, got {mu_hat.shape}")
-    return Dataset(data.covariates - mu_hat, data.labels, data.sigma, data.corrupted_indices)
-
-
 def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Dataset:
     """Replace exactly floor(epsilon * N) rows according to the adversary.
 
@@ -323,13 +318,11 @@ def to_csv(data: Dataset, path) -> None:
         with fh:
             fh.write(",".join([f"x{i}" for i in range(data.dim)] + ["y"]) + "\r\n")
             line = ",".join(["%r"] * (data.dim + 1)) + "\r\n"
-            full_block = line * CSV_BLOCK_ROWS
             for start in range(0, data.n, CSV_BLOCK_ROWS):
                 stop = min(start + CSV_BLOCK_ROWS, data.n)
                 # tolist() gives Python floats, which %r writes as csv.writer does
                 values = np.column_stack([data.covariates[start:stop], data.labels[start:stop]]).ravel().tolist()
-                template = full_block if stop - start == CSV_BLOCK_ROWS else line * (stop - start)
-                fh.write(template % tuple(values))
+                fh.write(line * (stop - start) % tuple(values))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # left only when the write failed
@@ -361,7 +354,3 @@ def write_sidecar(data: Dataset, path) -> None:
     Path(path).write_text(
         json.dumps({"corrupted_indices": sorted(data.corrupted_indices), "sigma": data.sigma}, indent=0)
     )
-
-
-def read_sidecar(path) -> frozenset[int]:
-    return frozenset(json.loads(Path(path).read_text())["corrupted_indices"])

@@ -264,15 +264,12 @@ def _logistic_dual_newton(m: np.ndarray, p: np.ndarray, a: float, n: int, gamma:
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of v onto {u : ||u||_1 <= radius}.
+    """Euclidean projection of v onto {u : ||u||_1 <= radius}, radius > 0
+    (``reg_prox`` calls it only then).
 
     Sort-and-threshold algorithm; O(d log d).
     """
     v = np.asarray(v, dtype=float)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius == 0:
-        return np.zeros_like(v)
     av = np.abs(v)
     if av.sum() <= radius:
         return v.copy()

@@ -15,9 +15,9 @@ It stops on whichever comes first:
 
 On an epsilon-corrupted version of a stable point set this recovers the
 stable mean up to O(sigma * sqrt(epsilon)), dimension-free.  A certified
-call may start from the weights a previous call ended with (the gradient
-oracle's warm start); a warm start that spends the mass budget before
-the certificate holds starts over once from uniform weights.
+call on scaled rows may start from the weights a previous call ended with
+(the gradient oracle's warm start); a warm start that spends the mass
+budget before the certificate holds starts over once from uniform weights.
 
 A pass costs one SYRK-shaped product, one dense eigensolve and a partial
 selection: the covariance is taken in Gram form, and the threshold
@@ -188,11 +188,11 @@ def robust_mean_with_state(
     With ``sigma``, a pass first checks the spectral certificate lam <=
     KAPPA * sigma^2 * s, where s is the weighted mean of scale^2 (s = 1
     without ``scale``), and stops on it with the weighted mean of the
-    current weights.  ``start`` (requires ``sigma``) gives the weights to
-    start from instead of 1/N; if they spend the mass budget before the
-    certificate holds, the call starts over once from 1/N, bitwise as a
-    call without ``start``.  Without ``sigma`` only the mass budget stops
-    the loop.
+    current weights.  ``start`` (requires ``sigma`` and ``scale``: the
+    gradient oracle's warm start) gives the weights to start from instead
+    of 1/N; if they spend the mass budget before the certificate holds,
+    the call starts over once from 1/N, bitwise as a call without
+    ``start``.  Without ``sigma`` only the mass budget stops the loop.
 
     Plain points are centred once, on their plain mean, and re-centred on
     the current weighted mean whenever its squared offset exceeds the
@@ -216,8 +216,8 @@ def robust_mean_with_state(
         raise ValueError("epsilon must lie in (0, 0.5)")
     if n < 2:
         raise ValueError("need at least 2 points")
-    if start is not None and (sigma is None or np.shape(start) != (n,)):
-        raise ValueError("a warm start needs sigma and one weight per point")
+    if start is not None and (sigma is None or scale is None or np.shape(start) != (n,)):
+        raise ValueError("a warm start needs sigma, scale and one weight per point")
     if scale is not None and np.shape(scale) != (n,):
         raise ValueError("scale needs one entry per point")
     q = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float)
@@ -228,8 +228,7 @@ def robust_mean_with_state(
         return np.zeros(0), state
     plain = scale is None
     scale = 1.0 if plain else np.asarray(scale, dtype=float)
-    plain_centre = x.mean(axis=0) if plain else np.zeros(k)
-    centre = plain_centre
+    centre = x.mean(axis=0) if plain else np.zeros(k)
     xc = x - centre if plain else x
     total = 1.0 if start is None else float(q.sum())
     cap = None if sigma is None else KAPPA * sigma**2
@@ -242,9 +241,6 @@ def robust_mean_with_state(
             # the warm start spent the budget uncertified: start over cold
             state.restarted = True
             q, total = np.full(n, 1.0 / n), 1.0
-            if centre is not plain_centre:
-                centre = plain_centre
-                xc = x - centre
         m, cov = _weighted_moments(xc, q, total, scale)
         if plain and m @ m > np.trace(cov):
             centre = centre + m
@@ -346,14 +342,10 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: f
     a d x d eigensolve; each filter pass adds a score product X v and a
     partial selection.
     """
-    beta = np.asarray(beta, dtype=float)
-    x = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if beta.shape != (x.shape[0],):
-        raise ValueError("beta must have one entry per covariate row")
     bound = 3.0
     worst = float(np.max(np.abs(beta), initial=0.0))
     if worst > bound * (1.0 + 1e-12):
         raise OracleContractError(f"max |beta_i| = {worst} exceeds {bound}")
     if not (0.0 < epsilon < 0.25):
         raise ValueError("epsilon must lie in (0, 0.25)")
-    return robust_mean_with_state(x, 2.0 * epsilon, sigma=sigma, scale=beta, start=start)
+    return robust_mean_with_state(covariates, 2.0 * epsilon, sigma=sigma, scale=beta, start=start)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, center_with_estimate, prepend_ones
+from .data import Dataset
 from .losses import LossFamily, NormRegularizer, checked_labels, conjugate_prox_vec, loss_values, reg_prox
 from .robust_mean import (
     OracleContractError,
@@ -279,8 +279,9 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
     """End-to-end solve for raw covariates with arbitrary unknown mean.
 
     Robustly estimates the covariate mean (a cold filter call that stops
-    on its spectral certificate at ``cfg.sigma``), centers, prepends the
-    intercept coordinate, solves (tuning gamma unless ``cfg.gamma_dist``
+    on its spectral certificate at ``cfg.sigma``), lifts every row to
+    [1, x - mu_hat] (the intercept coordinate, then the centred
+    covariates), solves (tuning gamma unless ``cfg.gamma_dist``
     is set), and maps the solution back to the original coordinates by
     absorbing the centering shift into the intercept:
     w0_orig = w0_centered - w_rest . mu_hat.
@@ -291,7 +292,9 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
         mu_hat = x.mean(axis=0)
     else:
         mu_hat = robust_mean_estimation(x, 2.0 * cfg.epsilon, sigma=cfg.sigma)
-    lifted = prepend_ones(center_with_estimate(raw, mu_hat))
+    rows = np.ones((raw.n, raw.dim + 1))
+    np.subtract(x, mu_hat, out=rows[:, 1:])
+    lifted = Dataset(rows, raw.labels, raw.sigma, raw.corrupted_indices)
     if cfg.gamma_dist is not None:
         res = pdhg_solve(lifted, loss, reg, cfg)
     else:

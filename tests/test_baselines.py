@@ -141,22 +141,23 @@ def test_erm_clean_objective_near_oracle():
 def test_doro_matches_plain_subgradient_without_trimming():
     data = prepend_ones(generate_synthetic(3, 80, np.array([0.0, 1.0, -0.4]),
                                            task="classification", flip_prob=0.1, seed=6))
-    reg = NormRegularizer("2", 0.1)
     iters = 7
     # replay: same step rule and op order, no trimming; the run of k
-    # iterations ends on the replay's k-th iterate
-    w = np.zeros(3)
-    step_c = None
+    # iterations ends on the replay's k-th iterate, under every norm
     scale = 1.0 / data.n
     keep = np.arange(data.n)
-    for k in range(1, iters + 1):
-        bx = data.covariates[keep]
-        g = scale * (loss_subgradients(HINGE, data.labels[keep], bx @ w) @ bx)
-        g = g + reg.weight * norm_subgradient(w, reg.s)
-        if step_c is None:
-            step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
-        w = w - (step_c / np.sqrt(k)) * g
-        assert np.array_equal(doro_cvar(data, HINGE, epsilon=0.0, alpha=1.0, iters=k, reg=reg), w)
+    for s in ("1", "2", "inf"):
+        reg = NormRegularizer(s, 0.1)
+        w = np.zeros(3)
+        step_c = None
+        for k in range(1, iters + 1):
+            bx = data.covariates[keep]
+            g = scale * (loss_subgradients(HINGE, data.labels[keep], bx @ w) @ bx)
+            g = g + reg.weight * norm_subgradient(w, reg.s)
+            if step_c is None:
+                step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
+            w = w - (step_c / np.sqrt(k)) * g
+            assert np.array_equal(doro_cvar(data, HINGE, epsilon=0.0, alpha=1.0, iters=k, reg=reg), w)
 
 
 @pytest.mark.parametrize("loss, task", [(HINGE, "classification"), (LAD, "regression")], ids=["hinge", "lad"])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from robust_dro.cli import main
-from robust_dro.data import ContaminationSpec, contaminate, from_csv, read_sidecar
-from robust_dro.harness import _resolve_adversary
+from robust_dro.data import ContaminationSpec, contaminate, from_csv
+from robust_dro.harness import MetricsRow, _resolve_adversary, emit_report
 from robust_dro.losses import LossFamily, NormRegularizer
 from robust_dro.robust_mean import OracleContractError
 from robust_dro.solver import CLEAN_EPSILON, pipeline, solver_config
@@ -29,7 +29,7 @@ def test_generate_corrupt_solve_flow(tmp_path):
         "corrupt", "--input", str(clean), "--epsilon", "0.1", "--adversary", "far-cluster",
         "--seed", "6", "--output", str(dirty), "--sidecar", str(side),
     ]) == 0
-    assert len(read_sidecar(side)) == 40
+    assert len(json.loads(side.read_text())["corrupted_indices"]) == 40
     ds = from_csv(dirty)
     assert ds.n == 400 and ds.dim == 3
 
@@ -168,7 +168,10 @@ def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, mo
      (["corrupt", "--epsilon", "0.1", "--direction", "nan,1"], "FarCluster direction must be finite, got (nan, 1.0)"),
      (["corrupt", "--epsilon", "0.1", "--direction", "0,0"], "FarCluster direction must be nonzero"),
      (["corrupt", "--epsilon", "0.1", "--direction", "1e308,1e308"],
-      "FarCluster direction has a norm that overflows, got (1e+308, 1e+308)")],
+      "FarCluster direction has a norm that overflows, got (1e+308, 1e+308)"),
+     (["corrupt", "--epsilon", "0.1", "--direction", "1e-200,1e-200"],
+      "FarCluster direction has a norm that underflows to 0, got (1e-200, 1e-200)"),
+     (["corrupt", "--epsilon", "0.1", "--sigma", "nan"], "sigma must be positive and finite, got nan")],
 )
 def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
     clean = tmp_path / "clean.csv"
@@ -331,7 +334,11 @@ BENCH_CONFIG = {"dim": 3, "n_samples": 100, "seeds": [0], "epsilons": [0.1], "me
      ({**BENCH_CONFIG, "adversaries": [{"kind": "label_flip", "magnitude": math.inf}]},
       "magnitude must be finite, got inf"),
      ({**BENCH_CONFIG, "methods": ["pdhg"], "delta_constant": -1.0}, "delta_constant must be positive and finite, got -1.0"),
-     ({**BENCH_CONFIG, "methods": ["pdhg"], "epsilons": [0.1, 0.3]}, "robust oracle mode requires epsilon < 1/4")],
+     ({**BENCH_CONFIG, "methods": ["pdhg"], "epsilons": [0.1, 0.3]}, "robust oracle mode requires epsilon < 1/4"),
+     ({**BENCH_CONFIG, "sigma": True}, "sweep config key 'sigma' must be a number, got True"),
+     ({**BENCH_CONFIG, "adversaries": [{"kind": "far_cluster", "direction": "sideways"}]},
+      "unknown direction 'sideways'"),
+     ({**BENCH_CONFIG, "planted": [0.0, 2.0]}, "planted coefficients must be 3 numbers")],
 )
 def test_bench_rejects_a_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
@@ -370,3 +377,18 @@ def test_report_rejects_a_malformed_report(tmp_path, capsys, name, text, message
     path.write_text(text)
     assert main(["report", "--input", str(path)]) == 2
     assert capsys.readouterr().err == f"robust-dro: error: {message}\n"
+
+
+def test_report_without_output_writes_to_stdout(tmp_path, capsys):
+    rows = [MetricsRow("pdhg", "far_cluster", 0.1, 7, 0.25, 0.5, 1.25, 42)]
+    path = tmp_path / "r.csv"
+    emit_report(rows, "csv", path)
+    assert main(["report", "--input", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == emit_report(rows, "json")
+
+
+def test_generate_writes_a_sidecar(tmp_path):
+    side = tmp_path / "clean.meta.json"
+    assert main(["generate", "--dim", "3", "--n", "20", "--sigma", "2.0",
+                 "--output", str(tmp_path / "clean.csv"), "--sidecar", str(side)]) == 0
+    assert json.loads(side.read_text()) == {"corrupted_indices": [], "sigma": 2.0}

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import tracemalloc
 
@@ -18,13 +19,11 @@ from robust_dro.data import (
     DoroCounterexample,
     FarCluster,
     LabelFlipPlusLeverage,
-    center_with_estimate,
     contaminate,
     from_csv,
     generate_synthetic,
     parse_adversary,
     prepend_ones,
-    read_sidecar,
     to_csv,
     write_sidecar,
 )
@@ -88,6 +87,19 @@ def test_generate_rejects_out_of_range_noise(flags, message):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "planted, kwargs, message",
+    [(np.zeros(2), {}, "planted_w must have length 3"),
+     (np.zeros(3), {"covariate_law": "cauchy"}, "covariate_law must be one of ('gaussian', 'student_t')"),
+     (np.zeros(3), {"task": "ranking"}, "task must be 'regression' or 'classification'")],
+    ids=["planted-length", "law", "task"],
+)
+def test_generate_rejects_a_bad_planted_vector_law_or_task(planted, kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        generate_synthetic(3, 10, planted, **kwargs)
+    assert str(exc.value) == message
+
+
 def test_dataset_shape_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(4))
@@ -129,14 +141,6 @@ def test_prepend_ones_preserves_covariance_opnorm():
     assert np.max(np.abs(cov[:, 0])) <= 1e-12
 
 
-def test_center_with_estimate():
-    ds = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]))
-    assert np.array_equal(center_with_estimate(ds, [0.0, 0.0]).covariates, ds.covariates)
-    assert np.array_equal(center_with_estimate(ds, [1.0, 2.0]).covariates, [[0.0, 0.0]])
-    with pytest.raises(ValueError):
-        center_with_estimate(ds, [1.0])
-
-
 def test_contaminate_none_is_identity():
     ds = generate_synthetic(3, 50, np.zeros(3), seed=0)
     out = contaminate(ds, ContaminationSpec(0.2, None), seed=1)
@@ -165,8 +169,9 @@ def test_far_cluster_rejects_a_direction_of_the_wrong_length(direction):
     [((math.nan, 1.0), r"FarCluster direction must be finite, got \(nan, 1.0\)"),
      ((1.0, -math.inf), r"FarCluster direction must be finite, got \(1.0, -inf\)"),
      ((0.0, 0.0), "FarCluster direction must be nonzero"),
-     ((1e308, 1e308), r"FarCluster direction has a norm that overflows, got \(1e\+308, 1e\+308\)")],
-    ids=["nan", "-inf", "zero", "overflow"],
+     ((1e308, 1e308), r"FarCluster direction has a norm that overflows, got \(1e\+308, 1e\+308\)"),
+     ((1e-200, 1e-200), r"FarCluster direction has a norm that underflows to 0, got \(1e-200, 1e-200\)")],
+    ids=["nan", "-inf", "zero", "overflow", "underflow"],
 )
 def test_far_cluster_rejects_a_non_finite_or_zero_direction(direction, message):
     with pytest.raises(ValueError, match=message):
@@ -349,4 +354,4 @@ def test_sidecar_round_trip(tmp_path):
     ds = contaminate(generate_synthetic(3, 30, np.zeros(3), seed=14), ContaminationSpec(0.1, FarCluster()), seed=15)
     path = tmp_path / "side.json"
     write_sidecar(ds, path)
-    assert read_sidecar(path) == ds.corrupted_indices
+    assert json.loads(path.read_text()) == {"corrupted_indices": sorted(ds.corrupted_indices), "sigma": ds.sigma}

@@ -94,6 +94,12 @@ def test_emit_report_header_only_for_empty_rows():
     assert text == ",".join(REPORT_COLUMNS) + "\n"
 
 
+def test_emit_report_rejects_an_unknown_format():
+    with pytest.raises(ValueError) as exc:
+        emit_report([], "xml")
+    assert str(exc.value) == "format must be 'csv' or 'json'"
+
+
 def test_report_json_round_trip():
     rows = [
         MetricsRow("pdhg", "none", 0.1, 7, 0.0123456789, 0.5, 1.25, 42),

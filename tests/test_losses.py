@@ -20,6 +20,7 @@ from robust_dro.losses import (
     loss_subgradients,
     loss_values,
     norm_s,
+    norm_subgradient,
     project_l1_ball,
     reg_prox,
 )
@@ -395,3 +396,19 @@ def test_norm_s_values():
     assert norm_s(w, "2") == 5.0
     assert norm_s(w, "inf") == 4.0
     assert norm_s(np.zeros(0), "2") == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), s=st.sampled_from(["1", "2", "inf"]))
+def test_norm_subgradient_is_a_subgradient_of_unit_dual_norm(seed, s):
+    # integer entries give zeros and ties in |w_j|, and w = 0 itself
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    w = rng.integers(-2, 3, size=d).astype(float) if rng.random() < 0.5 else rng.standard_normal(d)
+    g = norm_subgradient(w, s)
+    dual = {"1": "inf", "2": "2", "inf": "1"}[s]
+    assert norm_s(g, dual) <= 1.0 + 1e-12
+    for _ in range(10):
+        w2 = rng.standard_normal(d) * rng.uniform(0.01, 10.0)
+        slack = 1e-12 * (1.0 + norm_s(w, s) + norm_s(w2, s))
+        assert norm_s(w2, s) >= norm_s(w, s) + float(g @ (w2 - w)) - slack

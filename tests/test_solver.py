@@ -22,7 +22,6 @@ from robust_dro.data import (
     DoroCounterexample,
     FarCluster,
     LabelFlipPlusLeverage,
-    center_with_estimate,
     contaminate,
     generate_synthetic,
     prepend_ones,
@@ -759,7 +758,7 @@ def test_pipeline_maps_back_through_centering():
     reg = NormRegularizer("2", 0.0)
     res = pipeline(raw, LAD, reg, exact_cfg(20.0, rho=0.0, eps=1e-7))
     mu = res.center_estimate
-    lifted = prepend_ones(center_with_estimate(raw, mu))
+    lifted = prepend_ones(Dataset(x - mu, y))
     w_centered = res.w_hat.copy()
     w_centered[0] = res.w_hat[0] + res.w_hat[1:] @ mu
     pred_orig = res.w_hat[0] + x @ res.w_hat[1:]
