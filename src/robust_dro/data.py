@@ -77,9 +77,10 @@ class Dataset:
 class FarCluster:
     """All replaced covariates moved to magnitude * direction.
 
-    ``direction`` (normalized; default e1) must be finite and nonzero,
-    with a norm that neither overflows nor underflows to 0, and have one
-    entry per covariate.
+    ``direction`` (default e1) must be finite and nonzero, and have one
+    entry per covariate; it is stored as the unit vector along it, scaled
+    by its largest entry before its norm is taken, so that no finite
+    nonzero direction overflows or underflows.
     The default magnitude 10 * sigma * sqrt(d / epsilon) is
     far enough to wreck a naive mean and five times the radius
     2 * sigma * sqrt(d / epsilon) of ``robust_mean.stability_filter``.
@@ -97,15 +98,11 @@ class FarCluster:
         if self.direction is not None:
             u = np.asarray(self.direction, dtype=float)
             if not np.isfinite(u).all():
-                raise ValueError(f"FarCluster direction must be finite, got {self.direction}")
-            with np.errstate(over="ignore"):
-                norm = np.linalg.norm(u)  # as contaminate normalizes it
-            if not norm > 0.0:
-                if u.any():
-                    raise ValueError(f"FarCluster direction has a norm that underflows to 0, got {self.direction}")
+                raise ValueError(f"FarCluster direction must be finite, got {tuple(u.tolist())}")
+            if not u.any():
                 raise ValueError("FarCluster direction must be nonzero")
-            if not math.isfinite(norm):
-                raise ValueError(f"FarCluster direction has a norm that overflows, got {self.direction}")
+            u = u / np.max(np.abs(u))  # its largest entry is +-1, so its norm lies in [1, sqrt(d)]
+            object.__setattr__(self, "direction", tuple((u / np.linalg.norm(u)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -154,11 +151,7 @@ def parse_adversary(kind: str, **given) -> Adversary:
     unknown = sorted(set(values) - known)
     if unknown:
         raise ValueError(f"adversary {kind!r} has no field(s) {', '.join(unknown)}")
-    if cls is None:
-        return None
-    if "direction" in values:
-        values["direction"] = tuple(float(v) for v in values["direction"])
-    return cls(**values)
+    return None if cls is None else cls(**values)
 
 
 @dataclass(frozen=True)
@@ -262,10 +255,9 @@ def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Datase
             if data.dim:
                 u[0] = 1.0
         else:
-            u = np.asarray(adv.direction, dtype=float)
+            u = np.asarray(adv.direction)
             if u.shape != (data.dim,):
                 raise ValueError(f"FarCluster direction has length {u.size}, the covariates have {data.dim}")
-            u = u / np.linalg.norm(u)
         mag = adv.magnitude
         if mag is None:
             mag = 10.0 * data.sigma * math.sqrt(data.dim / spec.epsilon)

@@ -246,7 +246,7 @@ def _resolve_adversary(spec, planted: np.ndarray):
             if direction != "planted":
                 raise ValueError(f"unknown direction {direction!r}")
             coeffs = planted[1:]
-            direction = tuple(coeffs / np.linalg.norm(coeffs)) if np.any(coeffs) else None
+            direction = tuple(coeffs) if np.any(coeffs) else None
         given["direction"] = direction
     return parse_adversary(kind, **given)
 

@@ -148,7 +148,8 @@ def loss_subgradients(family: LossFamily, y, z) -> np.ndarray:
         return np.where(1.0 - y * z > 0.0, -y, 0.0)
     # d/dz log(1 + exp(-y z)) = -y * expit(-y z)
     t = -y * z
-    expit = np.where(t >= 0, 1.0 / (1.0 + np.exp(-t)), np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(np.minimum(t, 0.0))))
+    e = np.exp(-np.abs(t))  # exp(-t) where t >= 0, exp(t) elsewhere: never above 1, so it cannot overflow
+    expit = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return -y * expit
 
 

@@ -216,6 +216,8 @@ def robust_mean_with_state(
         raise ValueError("epsilon must lie in (0, 0.5)")
     if n < 2:
         raise ValueError("need at least 2 points")
+    if sigma is not None and not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if start is not None and (sigma is None or scale is None or np.shape(start) != (n,)):
         raise ValueError("a warm start needs sigma, scale and one weight per point")
     if scale is not None and np.shape(scale) != (n,):
@@ -224,8 +226,6 @@ def robust_mean_with_state(
     if start is not None and not np.all((q >= 0.0) & (q <= 1.0 / n)):
         raise ValueError("warm-start weights must lie in [0, 1/N]")
     state = FilterState(weights=q, warm=start is not None)
-    if k == 0:
-        return np.zeros(0), state
     plain = scale is None
     scale = 1.0 if plain else np.asarray(scale, dtype=float)
     centre = x.mean(axis=0) if plain else np.zeros(k)
@@ -287,8 +287,6 @@ def stability_filter(data: Dataset, epsilon: float) -> np.ndarray:
     if not (0.0 < epsilon < 0.5):
         raise ValueError("epsilon must lie in (0, 0.5)")
     x = data.covariates
-    if x.shape[1] == 0:
-        return np.arange(data.n)
     radius = 2.0 * data.sigma * math.sqrt(x.shape[1] / epsilon)
     dist = np.linalg.norm(x - x.mean(axis=0), axis=1)
     return np.nonzero(dist <= radius)[0]

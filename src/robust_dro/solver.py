@@ -76,6 +76,9 @@ class PDHGConfig:
                     regularizer it is handed
     exact_oracle    replace the robust mean oracle by the exact weighted
                     mean (clean-data / debugging mode)
+
+    A built config is feasible: ``iterations`` is at most ``MAX_ITERATIONS``,
+    and without ``gamma_dist`` the tuning search has ``w0_bound > delta``.
     """
 
     epsilon: float
@@ -99,11 +102,25 @@ class PDHGConfig:
                 raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.dro_radius < math.inf:
             raise ConfigurationError(f"dro_radius must be nonnegative and finite, got {self.dro_radius}")
+        try:
+            t_hor = self.iterations
+        except (ZeroDivisionError, OverflowError):  # delta so small that 2 * sigma / delta is not finite
+            t_hor = math.inf
+        if t_hor > MAX_ITERATIONS:
+            raise ConfigurationError(f"schedule needs T={t_hor} iterations, above the cap {MAX_ITERATIONS}")
+        if self.gamma_dist is None and self.w0_bound <= self.delta:
+            raise ConfigurationError(f"w0_bound must exceed delta = {self.delta}")
 
     @property
     def delta(self) -> float:
         """Oracle error scale delta = C * sigma * sqrt(eps)."""
         return self.delta_constant * self.sigma * math.sqrt(self.epsilon)
+
+    @property
+    def iterations(self) -> int:
+        """The iteration count T = ceil(2 * sigma / delta), at least 1."""
+        # tiny slop keeps exact-arithmetic cases like 2/(C sqrt(eps)) stable
+        return max(math.ceil(2.0 * self.sigma / self.delta - 1e-9), 1)
 
 
 def solver_config(epsilon: float, **fields) -> PDHGConfig:
@@ -112,15 +129,6 @@ def solver_config(epsilon: float, **fields) -> PDHGConfig:
     or defaulted."""
     clean = epsilon == 0.0
     return PDHGConfig(epsilon=CLEAN_EPSILON if clean else epsilon, exact_oracle=clean, **fields)
-
-
-def num_iterations(cfg: PDHGConfig) -> int:
-    # tiny slop keeps exact-arithmetic cases like 2/(C sqrt(eps)) stable
-    t_hor = int(math.ceil(2.0 * cfg.sigma / cfg.delta - 1e-9))
-    t_hor = max(t_hor, 1)
-    if t_hor > MAX_ITERATIONS:
-        raise ConfigurationError(f"schedule needs T={t_hor} iterations, above the cap {MAX_ITERATIONS}")
-    return t_hor
 
 
 @dataclass
@@ -203,7 +211,7 @@ def pdhg_solve(
     n = data.n
     gamma = cfg.gamma_dist / math.sqrt(n)
     a = math.sqrt(n) / cfg.sigma
-    t_hor = num_iterations(cfg)
+    t_hor = cfg.iterations
 
     w = np.zeros(data.dim)
     alpha = np.full(n, 1.0 / n)
@@ -247,8 +255,6 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     """
     checked_labels(loss, data)  # before the shared first oracle call
     d_min = cfg.delta
-    if cfg.w0_bound <= d_min:
-        raise ConfigurationError(f"w0_bound must exceed delta = {d_min}")
     j_max = int(math.ceil(math.log2(cfg.w0_bound / d_min) - 1e-9))
     best: SolveResult | None = None
     best_est = math.inf
@@ -294,7 +300,7 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
         mu_hat = robust_mean_estimation(x, 2.0 * cfg.epsilon, sigma=cfg.sigma)
     rows = np.ones((raw.n, raw.dim + 1))
     np.subtract(x, mu_hat, out=rows[:, 1:])
-    lifted = Dataset(rows, raw.labels, raw.sigma, raw.corrupted_indices)
+    lifted = Dataset(rows, raw.labels, raw.sigma)
     if cfg.gamma_dist is not None:
         res = pdhg_solve(lifted, loss, reg, cfg)
     else:

@@ -1,5 +1,7 @@
 """Reference solver, comparators, and the worst-case-objective certificate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,21 @@ def test_oracle_matches_a_replay_that_recomputes_margins(kind, task):
 
 
 # --- vanilla ERM ---------------------------------------------------------
+
+
+def test_logistic_baselines_do_not_overflow_on_a_far_cluster():
+    # at magnitude 1e3 the planted rows' margins reach the thousands: an
+    # unclamped exp in the logistic subgradient overflows there
+    planted = np.zeros(6)
+    planted[1] = 2.0
+    clean = generate_synthetic(6, 2000, planted, task="classification", seed=1)
+    data = prepend_ones(contaminate(clean, ContaminationSpec(0.1, FarCluster(magnitude=1e3)), seed=2))
+    loss, reg = LossFamily("logistic"), NormRegularizer("2", 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        erm_subgradient(data, loss, reg, 200)
+        doro_cvar(data, loss, 0.1, iters=50, reg=reg)
+        oracle_solve(data, loss, reg)
 
 
 def test_erm_zero_iterations_returns_start():

@@ -72,6 +72,20 @@ def test_corrupt_matches_the_harness_adversary(tmp_path, flags, spec):
     assert got.labels.tobytes() == want.labels.tobytes()
 
 
+@pytest.mark.parametrize("direction", ["1e308,1e308", "1e-200,1e-200", "3e-162,3e-162"],
+                         ids=["overflow", "underflow", "subnormal-square"])
+def test_corrupt_plants_a_huge_or_tiny_direction_at_its_magnitude(tmp_path, direction):
+    clean = tmp_path / "clean.csv"
+    dirty = tmp_path / "dirty.csv"
+    side = tmp_path / "dirty.meta.json"
+    main(["generate", "--dim", "3", "--n", "100", "--seed", "7", "--output", str(clean)])
+    assert main(["corrupt", "--input", str(clean), "--epsilon", "0.1", "--direction", direction,
+                 "--magnitude", "7", "--seed", "8", "--output", str(dirty), "--sidecar", str(side)]) == 0
+    planted = from_csv(dirty).covariates[json.loads(side.read_text())["corrupted_indices"]]
+    assert planted.tolist() == [[7.0 * 0.7071067811865475] * 2] * 10
+    assert np.linalg.norm(planted, axis=1) == pytest.approx(np.full(10, 7.0), rel=1e-15)
+
+
 def test_corrupt_rejects_a_direction_of_the_wrong_length(tmp_path, capsys):
     clean = tmp_path / "clean.csv"
     main(["generate", "--dim", "5", "--n", "100", "--seed", "7", "--output", str(clean)])
@@ -167,10 +181,10 @@ def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, mo
      (["generate", "--dim", "3", "--n", "50", "--noise-std", "inf"], "noise_std must be finite, got inf"),
      (["corrupt", "--epsilon", "0.1", "--direction", "nan,1"], "FarCluster direction must be finite, got (nan, 1.0)"),
      (["corrupt", "--epsilon", "0.1", "--direction", "0,0"], "FarCluster direction must be nonzero"),
-     (["corrupt", "--epsilon", "0.1", "--direction", "1e308,1e308"],
-      "FarCluster direction has a norm that overflows, got (1e+308, 1e+308)"),
-     (["corrupt", "--epsilon", "0.1", "--direction", "1e-200,1e-200"],
-      "FarCluster direction has a norm that underflows to 0, got (1e-200, 1e-200)"),
+     (["solve", "--epsilon", "0.1", "--delta-const", "3", "--w0-bound", "0.5"],
+      "w0_bound must exceed delta = 0.9486832980505138"),
+     (["solve", "--epsilon", "0.1", "--delta-const", "1e-6"],
+      "schedule needs T=6324556 iterations, above the cap 200000"),
      (["corrupt", "--epsilon", "0.1", "--sigma", "nan"], "sigma must be positive and finite, got nan")],
 )
 def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
@@ -338,13 +352,20 @@ BENCH_CONFIG = {"dim": 3, "n_samples": 100, "seeds": [0], "epsilons": [0.1], "me
      ({**BENCH_CONFIG, "sigma": True}, "sweep config key 'sigma' must be a number, got True"),
      ({**BENCH_CONFIG, "adversaries": [{"kind": "far_cluster", "direction": "sideways"}]},
       "unknown direction 'sideways'"),
-     ({**BENCH_CONFIG, "planted": [0.0, 2.0]}, "planted coefficients must be 3 numbers")],
+     ({**BENCH_CONFIG, "planted": [0.0, 2.0]}, "planted coefficients must be 3 numbers"),
+     ({**BENCH_CONFIG, "methods": ["pdhg"], "delta_constant": 3.0, "w0_bound": 0.5},
+      "w0_bound must exceed delta = 0.9486832980505138"),
+     ({**BENCH_CONFIG, "methods": ["pdhg"], "delta_constant": 1e-6},
+      "schedule needs T=6324556 iterations, above the cap 200000"),
+     ({**BENCH_CONFIG, "methods": ["pdhg"], "delta_constant": 1e-320},
+      "schedule needs T=inf iterations, above the cap 200000")],
 )
 def test_bench_rejects_a_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["bench", "--config", str(cfg_path), "--output", str(tmp_path / "r.csv")]) == 2
     assert capsys.readouterr().err == f"robust-dro: error: {message}\n"
+    assert not (tmp_path / "r.csv").exists()  # rejected at load, before any cell runs
 
 
 @pytest.mark.parametrize(

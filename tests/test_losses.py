@@ -1,6 +1,7 @@
 """Loss, conjugate, and prox correctness against brute-force 1-d oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ def test_subgradients_match_finite_differences(kind):
         # away from kinks the subgradient is the derivative
         smooth = np.abs(np.abs(z - (y if kind in ("lad", "huber") else 1.0 / y))) > 1e-3
         assert np.allclose(g[smooth], fd[smooth], atol=1e-5)
+
+
+def test_logistic_subgradients_do_not_overflow_at_huge_margins():
+    # the rows np.where drops must not overflow np.exp either
+    z = np.array([-1e6, -1e3, 1e3, 1e6])
+    for y in (-1.0, 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = loss_subgradients(FAMILIES["logistic"], y, z)
+        # -y * expit(-y z): 0 at a huge positive margin y z, -y at a huge negative one
+        assert g.tolist() == [-y if m < 0 else 0.0 for m in y * z]
 
 
 # --- conjugates ---------------------------------------------------------

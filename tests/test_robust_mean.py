@@ -1,6 +1,7 @@
 """Robust mean estimation: filter mechanics, guarantees, and the
 scaling-stability property behind the gradient oracle."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -184,6 +185,17 @@ def test_robust_mean_epsilon_validation():
             robust_mean_estimation(x, bad)
     with pytest.raises(ValueError):
         robust_mean_estimation(np.zeros((1, 2)), 0.1)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, -1.0, 0.0, math.nan])
+def test_robust_mean_rejects_a_sigma_that_is_not_positive_and_finite(sigma):
+    # sigma=inf would certify at once on the contaminated mean, -1 act as
+    # 1, and 0 or NaN never certify
+    x = np.random.default_rng(0).standard_normal((2000, 5))
+    x[:200] = 30.0
+    with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+        robust_mean_with_state(x, 0.1, sigma=sigma)
+    robust_mean_with_state(x, 0.1, sigma=None)  # no sigma: the mass budget alone stops the filter
 
 
 def test_lambda_history_shows_the_far_cluster_removed():
@@ -482,6 +494,8 @@ def test_stability_filter_keeps_bulk():
 def test_stability_filter_edges():
     one = Dataset(np.array([[5.0, 5.0]]), np.zeros(1), sigma=1.0)
     assert stability_filter(one, 0.1).tolist() == [0]
+    # no covariates: the radius and every distance are 0, so every row is kept
+    assert stability_filter(Dataset(np.zeros((3, 0)), np.zeros(3)), 0.1).tolist() == [0, 1, 2]
     # a point at 3 sigma sqrt(d/eps) from the mean of a tight cluster is cut
     d, eps = 4, 0.1
     far = 3.0 * np.sqrt(d / eps)

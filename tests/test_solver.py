@@ -41,7 +41,6 @@ from robust_dro.solver import (
     PDHGConfig,
     _oracle_call,
     estimate_objective,
-    num_iterations,
     pdhg_solve,
     pipeline,
     solver_config,
@@ -72,7 +71,7 @@ def test_schedule_arithmetic(solver_hooks):
     # step weight a = sqrt(N) / sigma and the damping c_k = 2 - k/T
     cfg = PDHGConfig(epsilon=0.04, sigma=1.0, delta_constant=2.0, gamma_dist=10.0, exact_oracle=True)
     assert cfg.delta == pytest.approx(0.4)
-    assert num_iterations(cfg) == 5
+    assert cfg.iterations == 5
     data = small_problem(n=100)  # gamma = 10 / sqrt(100) = 1
     reg = NormRegularizer("2", 0.1)
     for sigma, a in ((1.0, 10.0), (2.0, 5.0)):  # a = sqrt(100) / sigma
@@ -85,10 +84,10 @@ def test_schedule_arithmetic(solver_hooks):
 
 
 def test_schedule_rejects_bad_k_and_cap():
-    cfg = PDHGConfig(epsilon=1e-12, sigma=1.0, delta_constant=2.0)  # T = 10**6
-    assert 2.0 * cfg.sigma / cfg.delta > MAX_ITERATIONS
+    # T = 2 * sigma / delta = 2 / (C * sqrt(epsilon)) = 10**6, rejected when the config is built
+    assert 2.0 / (2.0 * math.sqrt(1e-12)) > MAX_ITERATIONS
     with pytest.raises(ConfigurationError, match=f"above the cap {MAX_ITERATIONS}"):
-        num_iterations(cfg)
+        PDHGConfig(epsilon=1e-12, sigma=1.0, delta_constant=2.0)
 
 
 def test_solver_config_maps_clean_epsilon_to_exact_oracle():
@@ -522,9 +521,8 @@ def test_tune_gamma_hits_on_grid_distance():
 def test_tune_gamma_requires_meaningful_bound():
     data = small_problem()
     reg = NormRegularizer("2", 0.1)
-    cfg = PDHGConfig(epsilon=0.01, sigma=1.0, w0_bound=0.01)
-    with pytest.raises(ConfigurationError):
-        tune_gamma(data, HINGE, reg, cfg)
+    with pytest.raises(ConfigurationError, match="w0_bound must exceed delta"):
+        tune_gamma(data, HINGE, reg, PDHGConfig(epsilon=0.01, sigma=1.0, w0_bound=0.01))
 
 
 def test_tune_gamma_runs_the_whole_ladder(monkeypatch):
