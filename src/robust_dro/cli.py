@@ -91,7 +91,7 @@ def _cmd_generate(args) -> int:
     )
     datamod.to_csv(ds, args.output)
     if args.sidecar:
-        datamod.write_sidecar(ds, args.sidecar)
+        datamod.write_sidecar((), ds.sigma, args.sidecar)
     return 0
 
 
@@ -101,10 +101,10 @@ def _cmd_corrupt(args) -> int:
     adv = datamod.parse_adversary(
         ADVERSARIES[args.adversary], direction=direction, magnitude=args.magnitude, label=args.label
     )
-    out = datamod.contaminate(ds, ContaminationSpec(args.epsilon, adv), seed=args.seed)
-    datamod.to_csv(out, args.output)
+    spec = ContaminationSpec(args.epsilon, adv)
+    datamod.to_csv(datamod.contaminate(ds, spec, seed=args.seed), args.output)
     if args.sidecar:
-        datamod.write_sidecar(out, args.sidecar)
+        datamod.write_sidecar(datamod.replaced_rows(ds.n, spec, args.seed), ds.sigma, args.sidecar)
     return 0
 
 

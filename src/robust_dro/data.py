@@ -2,10 +2,9 @@
 
 Datasets are immutable: covariate/label arrays are stored with the
 writeable flag cleared, so no caller can change rows that another caller
-holds (a sweep hands one clean sample to every cell).  The
-``corrupted_indices`` bookkeeping records which rows an adversary
-replaced; it exists for test-time accounting only and must never be read
-by a solver.
+holds (a sweep hands one clean sample to every cell).  No dataset records
+which rows an adversary replaced: :func:`replaced_rows` draws them from
+the seed, for :func:`contaminate` and the ground-truth sidecar alike.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Covariates (N x d), labels (N,), and provenance bookkeeping.
+    """Covariates (N x d), labels (N,) and their covariance bound.
 
     ``sigma`` is the known upper bound on the square root of the
     covariate covariance operator norm.  The default far-cluster
@@ -41,7 +40,6 @@ class Dataset:
     covariates: np.ndarray
     labels: np.ndarray
     sigma: float = 1.0
-    corrupted_indices: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "covariates", _frozen(np.atleast_2d(self.covariates)))
@@ -66,11 +64,8 @@ class Dataset:
         return self.covariates.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        """Rows by index; corrupted bookkeeping is re-indexed."""
-        indices = np.asarray(indices, dtype=int)
-        remap = {int(old): new for new, old in enumerate(indices)}
-        kept = frozenset(remap[i] for i in self.corrupted_indices if i in remap)
-        return Dataset(self.covariates[indices], self.labels[indices], self.sigma, kept)
+        """The rows at ``indices`` (an integer array or list), in that order."""
+        return Dataset(self.covariates[indices], self.labels[indices], self.sigma)
 
 
 @dataclass(frozen=True)
@@ -97,6 +92,8 @@ class FarCluster:
             _check_finite(name, getattr(self, name))
         if self.direction is not None:
             u = np.asarray(self.direction, dtype=float)
+            if u.ndim != 1:
+                raise ValueError(f"FarCluster direction must be one-dimensional, got shape {u.shape}")
             if not np.isfinite(u).all():
                 raise ValueError(f"FarCluster direction must be finite, got {tuple(u.tolist())}")
             if not u.any():
@@ -143,7 +140,7 @@ def parse_adversary(kind: str, **given) -> Adversary:
     adversary does not have is rejected.  Every front end builds its
     adversaries here, under its own names for the kinds.
     """
-    if kind not in ADVERSARY_KINDS:
+    if not isinstance(kind, str) or kind not in ADVERSARY_KINDS:
         raise ValueError(f"unknown adversary kind {kind!r}")
     cls = ADVERSARY_KINDS[kind]
     values = {name: value for name, value in given.items() if value is not None}
@@ -190,6 +187,8 @@ def generate_synthetic(
     planted_w = np.asarray(planted_w, dtype=float)
     if planted_w.shape != (d,):
         raise ValueError(f"planted_w must have length {d}")
+    if not np.isfinite(planted_w).all():
+        raise ValueError(f"planted_w must be finite, got {planted_w.tolist()}")
     if covariate_law not in COVARIATE_LAWS:
         raise ValueError(f"covariate_law must be one of {COVARIATE_LAWS}")
     if task not in ("regression", "classification"):
@@ -228,24 +227,30 @@ def prepend_ones(data: Dataset) -> Dataset:
     norm (and hence ``sigma``) is unchanged.
     """
     ones = np.ones((data.n, 1))
-    return Dataset(np.hstack([ones, data.covariates]), data.labels, data.sigma, data.corrupted_indices)
+    return Dataset(np.hstack([ones, data.covariates]), data.labels, data.sigma)
+
+
+def replaced_rows(n: int, spec: ContaminationSpec, seed: int = 0) -> np.ndarray:
+    """The sorted rows :func:`contaminate` replaces in a sample of ``n``:
+    floor(epsilon * n) drawn from the seed, or none without an adversary."""
+    if spec.adversary is None:
+        return np.arange(0)
+    n_bad = int(math.floor(spec.epsilon * n))
+    if n_bad < 1:
+        raise ValueError("epsilon * N must be at least 1 for a non-trivial adversary")
+    return np.sort(np.random.default_rng(seed).choice(n, size=n_bad, replace=False))
 
 
 def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Dataset:
-    """Replace exactly floor(epsilon * N) rows according to the adversary.
+    """Replace the :func:`replaced_rows` according to the adversary.
 
-    The replaced index set is drawn deterministically from the seed; the
-    adversary is allowed to depend on the full clean sample (strong
-    contamination), and the built-in adversaries do so only through the
-    dataset's dimensions and sigma.
+    Without an adversary the sample is returned as it is.  The adversary may
+    depend on the full clean sample (strong contamination); the built-in
+    ones do so only through the dataset's dimensions and sigma.
     """
     if spec.adversary is None:
-        return Dataset(data.covariates, data.labels, data.sigma, frozenset())
-    n_bad = int(math.floor(spec.epsilon * data.n))
-    if n_bad < 1:
-        raise ValueError("epsilon * N must be at least 1 for a non-trivial adversary")
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(data.n, size=n_bad, replace=False))
+        return data
+    idx = replaced_rows(data.n, spec, seed)
     x = data.covariates.copy()
     y = data.labels.copy()
     adv = spec.adversary
@@ -279,7 +284,7 @@ def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Datase
         y[idx] = -y[idx]
     else:
         raise TypeError(f"unknown adversary {adv!r}")
-    return Dataset(x, y, data.sigma, frozenset(int(i) for i in idx))
+    return Dataset(x, y, data.sigma)
 
 
 # --- serialization -----------------------------------------------------
@@ -291,7 +296,7 @@ CSV_BLOCK_ROWS = 1024
 
 
 def to_csv(data: Dataset, path) -> None:
-    """Write the dataset as CSV; bookkeeping goes to the sidecar.
+    """Write the dataset as CSV.
 
     The format: a header ``x0,...,x{d-1},y``, then one row per sample of
     its covariates and its label, every float in its shortest round-trip
@@ -341,8 +346,6 @@ def from_csv(path, sigma: float = 1.0) -> Dataset:
     return Dataset(arr[:, :-1], arr[:, -1], sigma)
 
 
-def write_sidecar(data: Dataset, path) -> None:
-    """Ground-truth corruption record (JSON).  Test/benchmark use only."""
-    Path(path).write_text(
-        json.dumps({"corrupted_indices": sorted(data.corrupted_indices), "sigma": data.sigma}, indent=0)
-    )
+def write_sidecar(rows, sigma: float, path) -> None:
+    """Ground-truth record (JSON) of the replaced rows and sigma.  Test/benchmark use only."""
+    Path(path).write_text(json.dumps({"corrupted_indices": sorted(map(int, rows)), "sigma": sigma}, indent=0))

@@ -27,7 +27,9 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_solve
-from .data import ContaminationSpec, Dataset, contaminate, generate_synthetic, parse_adversary, prepend_ones
+from .data import (
+    ADVERSARY_KINDS, ContaminationSpec, Dataset, contaminate, generate_synthetic, parse_adversary, prepend_ones,
+)
 from .losses import LossFamily, NormRegularizer
 from .robust_mean import stability_filter
 from .solver import PDHGConfig, pipeline, solver_config
@@ -84,7 +86,6 @@ class ExperimentConfig:
         for key in ("erm_iters", "doro_iters"):
             if getattr(self, key) < 0:
                 raise ValueError(f"sweep config key {key!r} must be nonnegative, got {getattr(self, key)!r}")
-        _resolve_planted(self.planted, self.dim, 0)
         for adv in self.adversaries:
             if not isinstance(adv, (str, dict)):
                 raise ValueError(f"sweep config key 'adversaries' must hold names or objects, got {adv!r}")
@@ -101,11 +102,13 @@ class ExperimentConfig:
             for v in value if isinstance(value, (tuple, list)) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"sweep config key {f.name!r} must be finite, got {v!r}")
-        # a sample of no rows runs generate_synthetic's checks and draws
-        # nothing; zero planted coefficients change no adversary check
+        # a sample of no rows runs generate_synthetic's checks, those of the
+        # planted coefficients among them, and draws nothing; zero planted
+        # coefficients change no adversary check
         generate_synthetic(
-            self.dim, 0, np.zeros(self.dim), sigma=self.sigma, task=self.task, noise_std=self.noise_std,
-            flip_prob=self.flip_prob, covariate_law=self.covariate_law, student_dof=self.student_dof,
+            self.dim, 0, _resolve_planted(self.planted, self.dim, 0), sigma=self.sigma, task=self.task,
+            noise_std=self.noise_std, flip_prob=self.flip_prob, covariate_law=self.covariate_law,
+            student_dof=self.student_dof,
         )
         if "pdhg" in self.methods:
             for eps in self.epsilons:
@@ -169,10 +172,11 @@ _TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"), 
 
 def _check_types(what: str, given: dict, cls) -> None:
     """Raise a ValueError naming the first key of ``given`` whose value does
-    not have the type annotated on that field of the dataclass ``cls``."""
+    not have the type annotated on that field of the dataclass ``cls``;
+    keys that are not fields of ``cls`` are left to :func:`_check_keys`."""
     hints = get_type_hints(cls)
     for key, value in given.items():
-        if not _fits(value, hints[key]):
+        if key in hints and not _fits(value, hints[key]):
             raise ValueError(f"{what} key {key!r} must be {_type_name(hints[key])}, got {value!r}")
 
 
@@ -248,6 +252,8 @@ def _resolve_adversary(spec, planted: np.ndarray):
             coeffs = planted[1:]
             direction = tuple(coeffs) if np.any(coeffs) else None
         given["direction"] = direction
+    if isinstance(kind, str) and ADVERSARY_KINDS.get(kind):
+        _check_types(f"adversary {kind!r}", given, ADVERSARY_KINDS[kind])
     return parse_adversary(kind, **given)
 
 
@@ -349,11 +355,15 @@ def emit_report(rows: list[MetricsRow], fmt: str, path=None) -> str:
 
 def _report_row(values: dict) -> MetricsRow:
     _check_keys("report row", values, MetricsRow)
+    _check_types("report row", values, MetricsRow)
     return MetricsRow(**values)
 
 
 def rows_from_json(text: str) -> list[MetricsRow]:
-    return [_report_row(item) for item in json.loads(text)]
+    items = json.loads(text)
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError("a JSON report must be a list of objects")
+    return [_report_row(item) for item in items]
 
 
 def rows_from_csv(text: str) -> list[MetricsRow]:

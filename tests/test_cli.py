@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from robust_dro.cli import main
-from robust_dro.data import ContaminationSpec, contaminate, from_csv
+from robust_dro.cli import ADVERSARIES, main
+from robust_dro.data import ContaminationSpec, contaminate, from_csv, parse_adversary, replaced_rows
 from robust_dro.harness import MetricsRow, _resolve_adversary, emit_report
 from robust_dro.losses import LossFamily, NormRegularizer
 from robust_dro.robust_mean import OracleContractError
@@ -84,6 +84,22 @@ def test_corrupt_plants_a_huge_or_tiny_direction_at_its_magnitude(tmp_path, dire
     planted = from_csv(dirty).covariates[json.loads(side.read_text())["corrupted_indices"]]
     assert planted.tolist() == [[7.0 * 0.7071067811865475] * 2] * 10
     assert np.linalg.norm(planted, axis=1) == pytest.approx(np.full(10, 7.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("adversary", ["far-cluster", "doro", "label-flip"])
+def test_corrupt_sidecar_lists_exactly_the_changed_rows(tmp_path, adversary):
+    clean = tmp_path / "clean.csv"
+    dirty = tmp_path / "dirty.csv"
+    side = tmp_path / "dirty.meta.json"
+    main(["generate", "--dim", "4", "--n", "300", "--task", "classification", "--seed", "7", "--output", str(clean)])
+    assert main(["corrupt", "--input", str(clean), "--epsilon", "0.1", "--adversary", adversary, "--sigma", "1.5",
+                 "--seed", "8", "--output", str(dirty), "--sidecar", str(side)]) == 0
+    # the header is line 0, so data row i is line i + 1
+    changed = [i - 1 for i, (a, b) in enumerate(zip(clean.read_text().splitlines(), dirty.read_text().splitlines()))
+               if a != b]
+    assert json.loads(side.read_text()) == {"corrupted_indices": changed, "sigma": 1.5}
+    spec = ContaminationSpec(0.1, parse_adversary(ADVERSARIES[adversary]))
+    assert changed == replaced_rows(300, spec, seed=8).tolist()
 
 
 def test_corrupt_rejects_a_direction_of_the_wrong_length(tmp_path, capsys):
@@ -185,7 +201,11 @@ def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, mo
       "w0_bound must exceed delta = 0.9486832980505138"),
      (["solve", "--epsilon", "0.1", "--delta-const", "1e-6"],
       "schedule needs T=6324556 iterations, above the cap 200000"),
-     (["corrupt", "--epsilon", "0.1", "--sigma", "nan"], "sigma must be positive and finite, got nan")],
+     (["corrupt", "--epsilon", "0.1", "--sigma", "nan"], "sigma must be positive and finite, got nan"),
+     (["generate", "--dim", "3", "--n", "50", "--planted-norm", "nan"],
+      "planted_w must be finite, got [0.0, nan, 0.0]"),
+     (["generate", "--dim", "3", "--n", "50", "--planted", "0,inf,1"],
+      "planted_w must be finite, got [0.0, inf, 1.0]")],
 )
 def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
     clean = tmp_path / "clean.csv"
@@ -358,7 +378,18 @@ BENCH_CONFIG = {"dim": 3, "n_samples": 100, "seeds": [0], "epsilons": [0.1], "me
      ({**BENCH_CONFIG, "methods": ["pdhg"], "delta_constant": 1e-6},
       "schedule needs T=6324556 iterations, above the cap 200000"),
      ({**BENCH_CONFIG, "methods": ["pdhg"], "delta_constant": 1e-320},
-      "schedule needs T=inf iterations, above the cap 200000")],
+      "schedule needs T=inf iterations, above the cap 200000"),
+     ({**BENCH_CONFIG, "adversaries": [{"kind": "far_cluster", "direction": 5}]},
+      "adversary 'far_cluster' key 'direction' must be a list of numbers or null, got 5"),
+     ({**BENCH_CONFIG, "adversaries": [{"kind": "label_flip", "magnitude": "big"}]},
+      "adversary 'label_flip' key 'magnitude' must be a number, got 'big'"),
+     ({**BENCH_CONFIG, "adversaries": [{"kind": "far_cluster", "magnitude": True}]},
+      "adversary 'far_cluster' key 'magnitude' must be a number or null, got True"),
+     ({**BENCH_CONFIG, "adversaries": [{"kind": "far_cluster", "direction": [[1, 0], [0, 1]]}]},
+      "adversary 'far_cluster' key 'direction' must be a list of numbers or null, got [[1, 0], [0, 1]]"),
+     ({**BENCH_CONFIG, "adversaries": [{"kind": ["far_cluster"]}]}, "unknown adversary kind ['far_cluster']"),
+     ({**BENCH_CONFIG, "planted": {"kind": "first_axis", "norm": math.nan}},
+      "planted_w must be finite, got [0.0, nan, 0.0]")],
 )
 def test_bench_rejects_a_malformed_config(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
@@ -391,7 +422,16 @@ def test_bench_does_not_pass_an_out_of_range_value(tmp_path, override):
       "report row lacks keys ['excess_clean_objective', 'oracle_calls', 'param_error', 'wallclock']"),
      ("r.csv", "method,adversary,epsilon,seed,excess_clean_objective,param_error,wallclock,oracle_calls,status\n"
                "erm,none,0.1,0,0.5,0.5\n",
-      "could not convert string to float: ''")],
+      "could not convert string to float: ''"),
+     ("r.json", json.dumps([{"method": "erm", "adversary": "none", "epsilon": "x", "seed": 1.5,
+                              "excess_clean_objective": None, "param_error": 0.5, "wallclock": True,
+                              "oracle_calls": 0, "status": "ok"}]),
+      "report row key 'epsilon' must be a number, got 'x'"),
+     ("r.json", json.dumps([{"method": "erm", "adversary": "none", "epsilon": 0.1, "seed": 0,
+                              "excess_clean_objective": 0.5, "param_error": 0.5, "wallclock": True,
+                              "oracle_calls": 0, "status": "ok"}]),
+      "report row key 'wallclock' must be a number, got True"),
+     ("r.json", "[1]", "a JSON report must be a list of objects")],
 )
 def test_report_rejects_a_malformed_report(tmp_path, capsys, name, text, message):
     path = tmp_path / name

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from robust_dro.data import (
     generate_synthetic,
     parse_adversary,
     prepend_ones,
+    replaced_rows,
     to_csv,
     write_sidecar,
 )
@@ -143,18 +145,40 @@ def test_prepend_ones_preserves_covariance_opnorm():
 
 def test_contaminate_none_is_identity():
     ds = generate_synthetic(3, 50, np.zeros(3), seed=0)
-    out = contaminate(ds, ContaminationSpec(0.2, None), seed=1)
-    assert np.array_equal(out.covariates, ds.covariates)
-    assert out.corrupted_indices == frozenset()
+    spec = ContaminationSpec(0.2, None)
+    assert contaminate(ds, spec, seed=1) is ds
+    assert replaced_rows(ds.n, spec, seed=1).size == 0
 
 
 def test_contaminate_counts_and_bookkeeping():
     ds = generate_synthetic(4, 100, np.zeros(4), seed=1)
-    out = contaminate(ds, ContaminationSpec(0.1, FarCluster()), seed=2)
-    assert len(out.corrupted_indices) == 10
+    spec = ContaminationSpec(0.1, FarCluster())
+    out = contaminate(ds, spec, seed=2)
+    rows = replaced_rows(ds.n, spec, seed=2)
+    assert len(rows) == 10
     changed = np.nonzero(np.any(out.covariates != ds.covariates, axis=1))[0]
-    assert set(changed.tolist()) <= out.corrupted_indices
+    assert set(changed.tolist()) <= set(rows.tolist())
     assert len(changed) <= 10
+
+
+@pytest.mark.parametrize(
+    "adversary, task",
+    [(FarCluster(), "regression"), (FarCluster(), "classification"), (DoroCounterexample(), "regression"),
+     (LabelFlipPlusLeverage(), "classification")],
+    ids=["far-cluster-regression", "far-cluster-classification", "doro", "label-flip"],
+)
+def test_contaminate_changes_exactly_the_replaced_rows(adversary, task):
+    ds = generate_synthetic(5, 200, np.array([0.0, 1.0, 0.0, 0.0, 0.0]), task=task, seed=3)
+    spec = ContaminationSpec(0.1, adversary)
+    out = contaminate(ds, spec, seed=4)
+    changed = np.any(out.covariates != ds.covariates, axis=1) | (out.labels != ds.labels)
+    rows = replaced_rows(ds.n, spec, seed=4)
+    assert np.array_equal(np.nonzero(changed)[0], rows)
+    assert rows.tolist() == sorted(rows.tolist()) and len(rows) == 20
+
+
+def test_a_dataset_holds_no_record_of_corruption():
+    assert [f.name for f in fields(Dataset)] == ["covariates", "labels", "sigma"]
 
 
 @pytest.mark.parametrize("direction", [(1.0,), (1.0, -1.0)])
@@ -168,8 +192,10 @@ def test_far_cluster_rejects_a_direction_of_the_wrong_length(direction):
     "direction, message",
     [((math.nan, 1.0), r"FarCluster direction must be finite, got \(nan, 1.0\)"),
      ((1.0, -math.inf), r"FarCluster direction must be finite, got \(1.0, -inf\)"),
-     ((0.0, 0.0), "FarCluster direction must be nonzero")],
-    ids=["nan", "-inf", "zero"],
+     ((0.0, 0.0), "FarCluster direction must be nonzero"),
+     (((1.0, 0.0), (0.0, 1.0)), r"FarCluster direction must be one-dimensional, got shape \(2, 2\)"),
+     (5.0, r"FarCluster direction must be one-dimensional, got shape \(\)")],
+    ids=["nan", "-inf", "zero", "matrix", "scalar"],
 )
 def test_far_cluster_rejects_a_non_finite_or_zero_direction(direction, message):
     with pytest.raises(ValueError, match=message):
@@ -188,8 +214,9 @@ def test_far_cluster_stores_the_unit_direction_of_a_huge_or_tiny_vector(directio
     assert adv.direction == (0.7071067811865475, 0.7071067811865475)
     ds = generate_synthetic(3, 100, np.zeros(3), seed=1)
     for magnitude in (7.0, None):
-        out = contaminate(ds, ContaminationSpec(0.1, FarCluster(direction=direction, magnitude=magnitude)), seed=2)
-        idx = sorted(out.corrupted_indices)
+        spec = ContaminationSpec(0.1, FarCluster(direction=direction, magnitude=magnitude))
+        out = contaminate(ds, spec, seed=2)
+        idx = replaced_rows(ds.n, spec, seed=2)
         expected = 7.0 if magnitude else 10.0 * math.sqrt(2 / 0.1)
         assert np.linalg.norm(out.covariates[idx], axis=1) == pytest.approx(np.full(len(idx), expected), rel=1e-15)
 
@@ -210,8 +237,9 @@ def test_contaminate_epsilon_range():
 def test_doro_counterexample_outliers_have_typical_norm():
     d = 101  # covariate dimension 100
     ds = generate_synthetic(d, 2000, np.zeros(d), seed=4)
-    out = contaminate(ds, ContaminationSpec(0.1, DoroCounterexample()), seed=5)
-    idx = sorted(out.corrupted_indices)
+    spec = ContaminationSpec(0.1, DoroCounterexample())
+    out = contaminate(ds, spec, seed=5)
+    idx = replaced_rows(ds.n, spec, seed=5)
     norms = np.linalg.norm(out.covariates[idx], axis=1)
     assert np.allclose(norms, np.sqrt(100))
     clean_norms = np.linalg.norm(ds.covariates, axis=1)
@@ -221,8 +249,9 @@ def test_doro_counterexample_outliers_have_typical_norm():
 
 def test_label_flip_plus_leverage():
     ds = generate_synthetic(3, 40, np.array([0.0, 1.0, 0.0]), task="classification", seed=6)
-    out = contaminate(ds, ContaminationSpec(0.25, LabelFlipPlusLeverage(magnitude=5.0)), seed=7)
-    idx = sorted(out.corrupted_indices)
+    spec = ContaminationSpec(0.25, LabelFlipPlusLeverage(magnitude=5.0))
+    out = contaminate(ds, spec, seed=7)
+    idx = replaced_rows(ds.n, spec, seed=7)
     assert np.array_equal(out.labels[idx], -ds.labels[idx])
     assert np.allclose(out.covariates[idx], 5.0 * ds.covariates[idx])
 
@@ -242,16 +271,19 @@ def test_parse_adversary_defaults_and_rejections():
 
 def test_contaminate_deterministic_in_seed():
     ds = generate_synthetic(3, 60, np.zeros(3), seed=8)
-    a = contaminate(ds, ContaminationSpec(0.1, FarCluster()), seed=9)
-    b = contaminate(ds, ContaminationSpec(0.1, FarCluster()), seed=9)
-    assert a.corrupted_indices == b.corrupted_indices
+    spec = ContaminationSpec(0.1, FarCluster())
+    a = contaminate(ds, spec, seed=9)
+    b = contaminate(ds, spec, seed=9)
+    assert np.array_equal(replaced_rows(ds.n, spec, seed=9), replaced_rows(ds.n, spec, seed=9))
     assert np.array_equal(a.covariates, b.covariates)
 
 
-def test_subset_reindexes_corruption():
-    ds = Dataset(np.arange(10.0).reshape(5, 2), np.zeros(5), corrupted_indices=frozenset({1, 3}))
-    sub = ds.subset([3, 4])
-    assert sub.corrupted_indices == frozenset({0})
+def test_subset_returns_the_indexed_rows():
+    ds = Dataset(np.arange(10.0).reshape(5, 2), np.arange(5.0), sigma=2.0)
+    sub = ds.subset([4, 1])
+    assert sub.covariates.tolist() == [[8.0, 9.0], [2.0, 3.0]]
+    assert sub.labels.tolist() == [4.0, 1.0]
+    assert sub.sigma == 2.0
 
 
 def test_csv_round_trip(tmp_path):
@@ -367,7 +399,7 @@ def test_from_csv_rejects_rows_that_do_not_fit_the_header(tmp_path, text):
 
 
 def test_sidecar_round_trip(tmp_path):
-    ds = contaminate(generate_synthetic(3, 30, np.zeros(3), seed=14), ContaminationSpec(0.1, FarCluster()), seed=15)
+    rows = replaced_rows(30, ContaminationSpec(0.1, FarCluster()), seed=15)
     path = tmp_path / "side.json"
-    write_sidecar(ds, path)
-    assert json.loads(path.read_text()) == {"corrupted_indices": sorted(ds.corrupted_indices), "sigma": ds.sigma}
+    write_sidecar(rows, 2.0, path)
+    assert json.loads(path.read_text()) == {"corrupted_indices": rows.tolist(), "sigma": 2.0}

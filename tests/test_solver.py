@@ -25,6 +25,7 @@ from robust_dro.data import (
     contaminate,
     generate_synthetic,
     prepend_ones,
+    replaced_rows,
 )
 from robust_dro.losses import InvalidLabelError, LossFamily, NormRegularizer
 from robust_dro.robust_mean import (
@@ -332,15 +333,18 @@ def gate5_sample():
 
 
 def gate5_cell(sample, adversary, eps):
-    """The corrupted rows and the solver config of one gate-5 cell."""
+    """The corrupted sample, the rows the adversary replaced and the solver
+    config of one gate-5 cell."""
     clean, planted = sample
     adversaries = {
         "far-cluster": FarCluster(direction=tuple(planted[1:] / np.linalg.norm(planted[1:]))),
         "doro-spike": DoroCounterexample(),
         "label-flip": LabelFlipPlusLeverage(),
     }
-    corrupted = contaminate(clean, ContaminationSpec(eps, adversaries[adversary]), seed=1)
-    return corrupted, PDHGConfig(epsilon=eps, sigma=1.0, delta_constant=3.0, w0_bound=10.0, dro_radius=0.1)
+    spec = ContaminationSpec(eps, adversaries[adversary])
+    corrupted = contaminate(clean, spec, seed=1)
+    cfg = PDHGConfig(epsilon=eps, sigma=1.0, delta_constant=3.0, w0_bound=10.0, dro_radius=0.1)
+    return corrupted, replaced_rows(clean.n, spec, seed=1), cfg
 
 
 @pytest.mark.parametrize("eps", [0.02, 0.1])
@@ -351,8 +355,8 @@ def test_every_oracle_call_is_within_delta_of_the_clean_rows_mean(gate5_sample, 
     of a pipeline run (gate-5 cells: d=20, N=10k, hinge, C=3, seed 0)."""
     import robust_dro.solver as solver_mod
 
-    corrupted, cfg = gate5_cell(gate5_sample, adversary, eps)
-    good = np.setdiff1d(np.arange(corrupted.n), sorted(corrupted.corrupted_indices))
+    corrupted, replaced, cfg = gate5_cell(gate5_sample, adversary, eps)
+    good = np.setdiff1d(np.arange(corrupted.n), replaced)
     real_oracle = solver_mod.inexact_hybrid_gradient_oracle
     ratios = []
 
@@ -380,8 +384,9 @@ def test_below_unit_sigma_the_oracle_still_certifies_within_delta(monkeypatch):
     planted[1] = 2.0
     clean = generate_synthetic(d, 10_000, planted, sigma=sigma, task="classification", flip_prob=0.05, seed=0)
     direction = tuple(planted[1:] / np.linalg.norm(planted[1:]))
-    corrupted = contaminate(clean, ContaminationSpec(eps, FarCluster(direction=direction)), seed=1)
-    good = np.setdiff1d(np.arange(corrupted.n), sorted(corrupted.corrupted_indices))
+    spec = ContaminationSpec(eps, FarCluster(direction=direction))
+    corrupted = contaminate(clean, spec, seed=1)
+    good = np.setdiff1d(np.arange(corrupted.n), replaced_rows(clean.n, spec, seed=1))
     cfg = PDHGConfig(epsilon=eps, sigma=sigma, delta_constant=3.0, w0_bound=10.0, dro_radius=0.1)
     real_oracle = solver_mod.inexact_hybrid_gradient_oracle
     ratios, certified = [], []
@@ -458,7 +463,7 @@ def test_oracle_calls_match_the_filter_on_materialized_rows(gate5_sample, monkey
     1e-9 (1 + ||z||)."""
     import robust_dro.solver as solver_mod
 
-    corrupted, cfg = gate5_cell(gate5_sample, adversary, eps)
+    corrupted, _, cfg = gate5_cell(gate5_sample, adversary, eps)
     real_oracle = solver_mod.inexact_hybrid_gradient_oracle
     calls = []
 
@@ -482,7 +487,7 @@ def test_pipeline_is_shift_invariant_on_contaminated_cells(gate5_sample, adversa
     moves the intercept by -w[1:] . c, to rounding: the oracle sees
     covariates centred on the robust mean, so dropping its own centring
     costs no accuracy (c of norm 1e2 and 1e4 along a random direction)."""
-    corrupted, cfg = gate5_cell(gate5_sample, adversary, eps)
+    corrupted, _, cfg = gate5_cell(gate5_sample, adversary, eps)
     reg = NormRegularizer("2", 0.1)
     w = pipeline(corrupted, HINGE, reg, cfg).w_hat
     u = np.random.default_rng(40).standard_normal(corrupted.dim)
