@@ -123,6 +123,7 @@ def _cmd_solve(args) -> int:
             "gamma_used": res.gamma_used,
             "iterations": res.t_used,
             "tuning_runs": res.tuning_runs,
+            "uncertified_calls": res.uncertified_calls,
             "config": asdict(cfg),
         },
         args.output,

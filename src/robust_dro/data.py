@@ -2,9 +2,13 @@
 
 Datasets are immutable: covariate/label arrays are stored with the
 writeable flag cleared, so no caller can change rows that another caller
-holds (a sweep hands one clean sample to every cell).  No dataset records
-which rows an adversary replaced: :func:`replaced_rows` draws them from
-the seed, for :func:`contaminate` and the ground-truth sidecar alike.
+holds (a sweep hands one clean sample to every cell).  Covariates are
+stored column-major (Fortran order), so the solvers' products X w and
+s^T X and the filter's row scaling read whole columns; every producer
+here builds that layout directly, without a row-major N x d copy on the
+way.  No dataset records which rows an adversary replaced:
+:func:`replaced_rows` draws them from the seed, for :func:`contaminate`
+and the ground-truth sidecar alike.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ COVARIATE_LAWS = ("gaussian", "student_t")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.asfortranarray(a, dtype=float)
     a.flags.writeable = False
     return a
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Covariates (N x d), labels (N,) and their covariance bound.
+    """Covariates (N x d, column-major), labels (N,) and their covariance bound.
 
     ``sigma`` is the known upper bound on the square root of the
     covariate covariance operator norm.  The default far-cluster
@@ -65,7 +69,8 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """The rows at ``indices`` (an integer array or list), in that order."""
-        return Dataset(self.covariates[indices], self.labels[indices], self.sigma)
+        # a take along the columns of X^T writes X's rows column-major, in one pass
+        return Dataset(np.take(self.covariates.T, indices, axis=1).T, self.labels[indices], self.sigma)
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,10 @@ def generate_synthetic(
     noise; classification labels are its sign with flip probability
     ``flip_prob``.  Bitwise reproducible for a fixed seed.
     """
+    if not d >= 1:
+        raise ValueError(f"d must be at least 1 (it counts the intercept slot), got {d}")
+    if not n >= 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     planted_w = np.asarray(planted_w, dtype=float)
     if planted_w.shape != (d,):
         raise ValueError(f"planted_w must have length {d}")
@@ -205,11 +214,15 @@ def generate_synthetic(
         raise ValueError(f"student_t requires a finite student_dof > 2 (finite covariance), got {student_dof}")
     rng = np.random.default_rng(seed)
     k = d - 1
+    # drawn row-major (the seed's stream fills rows) and scaled in place;
+    # the labels come from these rows, before the column-major copy
     if covariate_law == "gaussian":
-        x = sigma * rng.standard_normal((n, k))
+        x = rng.standard_normal((n, k))
+        x *= sigma
     else:
         # variance of t_dof is dof/(dof-2); rescale to sigma^2
-        x = sigma * math.sqrt((student_dof - 2.0) / student_dof) * rng.standard_t(student_dof, size=(n, k))
+        x = rng.standard_t(student_dof, size=(n, k))
+        x *= sigma * math.sqrt((student_dof - 2.0) / student_dof)
     z = planted_w[0] + x @ planted_w[1:]
     if task == "regression":
         y = z + noise_std * rng.standard_normal(n)
@@ -220,14 +233,18 @@ def generate_synthetic(
     return Dataset(x, y, sigma)
 
 
-def prepend_ones(data: Dataset) -> Dataset:
-    """Prefix every covariate with a constant-1 intercept coordinate.
+def prepend_ones(data: Dataset, shift=0.0) -> Dataset:
+    """Lift every row x to [1, x - shift]: a constant-1 intercept
+    coordinate, then the covariates moved by ``shift`` (a scalar or one
+    entry per covariate; by default they are kept as they are).
 
-    The added coordinate has zero variance, so the covariance operator
-    norm (and hence ``sigma``) is unchanged.
+    The added coordinate has zero variance and a shift moves no variance,
+    so the covariance operator norm (and hence ``sigma``) is unchanged.
     """
-    ones = np.ones((data.n, 1))
-    return Dataset(np.hstack([ones, data.covariates]), data.labels, data.sigma)
+    rows = np.empty((data.n, data.dim + 1), order="F")
+    rows[:, 0] = 1.0
+    np.subtract(data.covariates, shift, out=rows[:, 1:])
+    return Dataset(rows, data.labels, data.sigma)
 
 
 def replaced_rows(n: int, spec: ContaminationSpec, seed: int = 0) -> np.ndarray:
@@ -251,7 +268,7 @@ def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Datase
     if spec.adversary is None:
         return data
     idx = replaced_rows(data.n, spec, seed)
-    x = data.covariates.copy()
+    x = data.covariates.copy(order="F")
     y = data.labels.copy()
     adv = spec.adversary
     if isinstance(adv, FarCluster):

@@ -24,11 +24,17 @@ selection: the covariance is taken in Gram form, and the threshold
 orders only the top scores.  Plain points are centred once (and
 re-centred only when the weighted mean drifts farther than the spread).
 The gradient oracle's scaled rows beta_i * x_i are never built: their
-moments come straight from the covariates, with one N x d temporary per
-check and no centring, so an oracle call that certifies at once costs a
-mean, one Gram product and a d x d eigensolve.  The filter's diagnostics
-record the mass removed and the top eigenvalue of every pass, the ratio
-of the last certificate check, and how the call started and stopped.
+moments come straight from the covariates, with no centring.  Before its
+float64 check, a scaled call screens the certificate on a float32 Gram
+(:class:`CertificateScreen`; a solve builds its float32 copy of the
+covariates once), with a margin that provably covers the rounding of
+both precisions.  So an oracle call that certifies at once costs one
+weighted mean, one float32 Gram and a d x d eigenvalue solve; the
+float64 Gram and the eigenvector come only when that bound is
+inconclusive, and the call then decides exactly as it would without the
+screen.  The filter's diagnostics record the mass removed and the top
+eigenvalue of every pass, the ratio of the last certificate check, and
+how the call started and stopped.
 
 Everything is deterministic: the top eigenvector comes from LAPACK
 ``eigh``, which is reproducible for a fixed BLAS thread count, and the
@@ -53,6 +59,10 @@ POWER_ITER_TOL = 1e-8
 # stable enough to stop on
 KAPPA = 1.25
 
+# unit roundoffs of IEEE single and double precision
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+
 
 @dataclass
 class FilterState:
@@ -68,6 +78,10 @@ class FilterState:
     spectral certificate.  ``certificate_ratio`` is lam / (KAPPA *
     sigma^2 * s) at the last certificate check, at most 1 exactly when
     the call certified; it is None without ``sigma`` or if no check ran.
+    On a check the float32 screen certified, lam is the screen's upper
+    bound lam32 + err on the float64 check's lam (see
+    :class:`CertificateScreen`), so the ratio is at most 1 and at least
+    the ratio the float64 check would report.
 
     ``weights`` are the final weights; every stop returns their weighted
     mean.
@@ -119,12 +133,14 @@ def _weighted_moments(x: np.ndarray, q: np.ndarray, total: float, scale):
     (they are never built); plain rows take the scalar scale 1.0.
 
     The covariance is taken in Gram form, Y^T Y / total - m m^T with
-    Y = x * (sqrt(q) * |scale|): one SYRK-shaped product, and Y is the
-    single N x d temporary.  The subtraction loses about
-    u * E_q[scale^2 ||row||^2] to rounding (u the unit roundoff), so the
-    rows' second moment about the origin must stay comparable with what
-    the caller compares the covariance against; see
-    robust_mean_with_state.
+    Y = x * (sqrt(q) * |scale|): one SYRK-shaped product in float64, and
+    Y is the single N x d temporary (column-major, as x is).  The
+    subtraction loses about u * E_q[scale^2 ||row||^2] to rounding (u the
+    unit roundoff), so the rows' second moment about the origin must stay
+    comparable with what the caller compares the covariance against; see
+    robust_mean_with_state.  This is the float64 check that
+    :class:`CertificateScreen` stands in front of, and whose rounding its
+    margin covers.
     """
     m = ((q * scale) @ x) / total
     r = np.sqrt(q)
@@ -132,6 +148,93 @@ def _weighted_moments(x: np.ndarray, q: np.ndarray, total: float, scale):
     y = x * r[:, None]
     cov = (y.T @ y) / total - np.outer(m, m)
     return m, cov
+
+
+class CertificateScreen:
+    """The spectral certificate screened on a float32 Gram, for the
+    scaled rows scale_i * x_i of one covariate matrix X (N x d).
+
+    It holds a column-major float32 copy of X and one float32 scratch
+    buffer of X's shape.  A solve builds one and hands it to each of its
+    oracle calls, so both are made once per solve and freed with it.
+
+    :meth:`upper_bound` returns lam32 + err.  lam32 is the top eigenvalue
+    of A = G32 / total - m m^T, where G32 is the weighted Gram formed in
+    float32 and m the float64 weighted mean.  With gamma(u) = c u / (1 - c
+    u) and c = N + 8 (d + 2) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, section 3.1),
+
+        err = ((gamma(2^-24) + gamma(2^-53)) (tr(G32) + tiny)
+               / (1 - gamma(2^-24)) + 2 tiny) / total,
+
+    with tiny the underflow term below, negligible unless every weight is.
+    It returns inf, and the float64 check runs, when G32 is not finite,
+    when c 2^-24 >= 1/2, or when tr(A) <= err.
+
+    Claim: otherwise the float64 check of :func:`robust_mean_with_state`
+    on the same q, scale and m computes a top eigenvalue lam64 <= lam32 +
+    err and a covariance trace > 0.  So a screened certificate implies the
+    float64 one, and the zero-spread exit, which that check tests first,
+    would not have been taken.
+
+    Proof.  Let w_i = q_i scale_i^2, G = sum_i w_i x_i x_i^T and C = G /
+    total - m m^T, in exact arithmetic.
+      1. Either precision's Gram entry (j, k) is sum_i w_i x_ij x_ik (1 +
+         theta_i) with |theta_i| <= gamma(u) at its own unit roundoff u
+         (Lemmas 3.1 and 3.3).  The N-term dot product rounds at most N
+         times in any summation order.  Besides it, each term rounds at
+         most 10 times: X's two entries cast to float32, r_i = sqrt(q_i)
+         |scale_i| (square root, product and cast, entering squared), and
+         the two products forming the rows.  The float64 path rounds
+         less, and 2^-53 < 2^-24.
+      2. So |G' - G| <= gamma B entrywise, with B = sum_i w_i |x_i|
+         |x_i|^T.  B is nonnegative, so ||G' - G||_2 <= gamma ||B||_2 <=
+         gamma tr(B) = gamma tr(G), and |tr(G') - tr(G)| <= gamma tr(G).
+         With G' = G32 this gives tr(G) <= tr(G32) / (1 - gamma(2^-24)).
+      3. Dividing by total, forming and subtracting m m^T (||m||^2 <=
+         tr(G) / total by Cauchy-Schwarz), summing the trace, and LAPACK's
+         backward-stable symmetric eigensolvers each add O(d u) tr(G) /
+         total at float64.  The 8 d + 6 spare roundings in c cover them.
+      4. By Weyl's inequality, the top eigenvalue and the trace of A lie
+         within gamma(2^-24) tr(G) / total of C's, and those of the
+         float64 covariance within gamma(2^-53) tr(G) / total.  Adding
+         the two bounds gives lam64 <= lam32 + err and tr(cov64) >=
+         tr(A) - err > 0.
+    Gradual underflow adds at most eta = 2^-149 (max|x| + max r + 1) to
+    each float32 row entry y and 2^-150 to each product.  Since 2 |y| eta
+    <= u y^2 + eta^2 / u, and the u y^2 part fits in the spare roundings,
+    ||G32 - G||_2 grows by at most tiny = d N (2^-150 + 2 eta^2 / 2^-24).
+    Float64's underflow terms are smaller still.  An overflow leaves inf
+    or NaN in G32, which the screen rejects.
+    """
+
+    def __init__(self, x: np.ndarray) -> None:
+        n, d = x.shape
+        with np.errstate(over="ignore"):  # covariates beyond float32's range become inf, and G32 with them
+            self.rows = np.asfortranarray(x, dtype=np.float32)
+        self.scratch = np.empty_like(self.rows)
+        self.reach = max(float(self.rows.max(initial=0.0)), -float(self.rows.min(initial=0.0)))
+        c = n + 8 * (d + 2)
+        g32, g64 = (c * u / (1.0 - c * u) for u in (_U32, _U64))
+        self.gamma = (g32 + g64) / (1.0 - g32) if c * _U32 < 0.5 else math.inf
+
+    def upper_bound(self, q: np.ndarray, scale: np.ndarray, m: np.ndarray, total: float) -> float:
+        """lam32 + err for the weights q (summing to total), the row scale
+        and the float64 weighted mean m of the scaled rows; inf when the
+        screen cannot decide."""
+        n, d = self.rows.shape
+        r = np.sqrt(q)
+        r *= np.abs(scale)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            np.multiply(self.rows, r.astype(np.float32)[:, None], out=self.scratch)
+            g = (self.scratch.T @ self.scratch).astype(float)
+        eta = 2.0**-149 * (self.reach + float(r.max(initial=0.0)) + 1.0)
+        tiny = d * n * (2.0**-150 + 2.0 * eta * eta / _U32)
+        err = (self.gamma * (float(np.trace(g)) + tiny) + 2.0 * tiny) / total
+        a = g / total - np.outer(m, m)
+        if not (err < math.inf and np.isfinite(a).all() and np.trace(a) > err):
+            return math.inf
+        return max(float(np.linalg.eigvalsh(a)[-1]), 0.0) + err
 
 
 def _threshold(h: np.ndarray, q: np.ndarray, epsilon: float) -> float:
@@ -166,7 +269,7 @@ def _downweight(h: np.ndarray, q: np.ndarray, epsilon: float, fmax: float):
 
 
 def robust_mean_with_state(
-    points, epsilon: float, *, sigma: float | None = None, scale=None, start=None,
+    points, epsilon: float, *, sigma: float | None = None, scale=None, start=None, screen=None,
 ) -> tuple[np.ndarray, FilterState]:
     """Robust mean of an epsilon-corrupted point set, with diagnostics.
 
@@ -193,6 +296,17 @@ def robust_mean_with_state(
     of 1/N; if they spend the mass budget before the certificate holds,
     the call starts over once from 1/N, bitwise as a call without
     ``start``.  Without ``sigma`` only the mass budget stops the loop.
+
+    With ``sigma`` and ``scale``, a check first asks the float32
+    :class:`CertificateScreen` ``screen`` (built on ``points``; by default
+    the call builds one) for its upper bound on lam, and certifies with
+    the weighted mean of the current weights if the bound is within
+    KAPPA * sigma^2 * s.  That implies the float64 certificate, so the
+    call returns the weights and mean it would return without the screen;
+    only ``certificate_ratio`` differs.  Once the screen is inconclusive,
+    the call's later checks skip it: those are the passes of a filtering
+    call, which mostly fail the certificate, and each needs the float64
+    eigenvector anyway.
 
     Plain points are centred once, on their plain mean, and re-centred on
     the current weighted mean whenever its squared offset exceeds the
@@ -222,6 +336,8 @@ def robust_mean_with_state(
         raise ValueError("a warm start needs sigma, scale and one weight per point")
     if scale is not None and np.shape(scale) != (n,):
         raise ValueError("scale needs one entry per point")
+    if screen is not None and (sigma is None or scale is None or screen.rows.shape != (n, k)):
+        raise ValueError("a certificate screen needs sigma, scale and the points' shape")
     q = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float)
     if start is not None and not np.all((q >= 0.0) & (q <= 1.0 / n)):
         raise ValueError("warm-start weights must lie in [0, 1/N]")
@@ -232,6 +348,8 @@ def robust_mean_with_state(
     xc = x - centre if plain else x
     total = 1.0 if start is None else float(q.sum())
     cap = None if sigma is None else KAPPA * sigma**2
+    if screen is None and cap is not None and not plain:
+        screen = CertificateScreen(x)
     score_floor = None
     while True:
         if total < 1.0 - 2.0 * epsilon:
@@ -241,6 +359,16 @@ def robust_mean_with_state(
             # the warm start spent the budget uncertified: start over cold
             state.restarted = True
             q, total = np.full(n, 1.0 / n), 1.0
+        if cap is not None:
+            bound = cap * (1.0 if plain else float(q @ scale**2) / total)
+        if screen is not None:
+            m = ((q * scale) @ xc) / total
+            upper = screen.upper_bound(q, scale, m, total)
+            if upper <= bound:
+                state.certificate_ratio = upper / bound
+                state.certified = True
+                break
+            screen = None
         m, cov = _weighted_moments(xc, q, total, scale)
         if plain and m @ m > np.trace(cov):
             centre = centre + m
@@ -250,7 +378,6 @@ def robust_mean_with_state(
             break  # no spread left above rounding: the weighted cloud is a point
         v, lam = top_eigenvector(cov)
         if cap is not None:
-            bound = cap * (1.0 if plain else float(q @ scale**2) / total)
             state.certificate_ratio = lam / bound if bound > 0.0 else math.inf
             if state.certificate_ratio <= 1.0:
                 state.certified = True
@@ -315,7 +442,7 @@ class OracleContractError(ValueError):
     """The scaling sequence fed to the gradient oracle broke its bound."""
 
 
-def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: float, start=None):
+def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: float, start=None, screen=None):
     """Robust estimate of (1/N) sum_i beta_i x_i for the underlying
     stable rows of an epsilon-corrupted covariate set, with the filter's
     diagnostics: returns ``(z, FilterState)``.
@@ -330,15 +457,20 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: f
     origin (sigma^2 * I); the filter stops on its spectral certificate
     lam <= KAPPA * sigma^2 * (weighted mean of beta_i^2).  ``start`` is
     the weights a previous call ended with (the state's ``weights``), to
-    start the filter from instead of 1/N.
+    start the filter from instead of 1/N.  ``screen`` is a
+    :class:`CertificateScreen` built on ``covariates``, which a solve
+    builds once and hands to each of its calls (by default the call
+    builds its own).
 
     The filter takes beta as a row scale: the rows beta_i x_i are never
     built and never centred (that bound on the second moment is why they
     need not be; see :func:`robust_mean_with_state`).  A call that
-    certifies at once costs one weighted mean of the covariates, one Gram
-    product over the single N x d temporary x_i * sqrt(q_i) |beta_i|, and
-    a d x d eigensolve; each filter pass adds a score product X v and a
-    partial selection.
+    certifies at once costs one weighted mean of the covariates, one
+    float32 Gram product over the screen's scratch rows x_i * sqrt(q_i)
+    |beta_i|, and a d x d eigenvalue solve.  The float64 Gram and the
+    eigenvector come only when the screen's bound is inconclusive; each
+    filter pass costs a float64 Gram, a d x d eigensolve, a score product
+    X v and a partial selection.
     """
     bound = 3.0
     worst = float(np.max(np.abs(beta), initial=0.0))
@@ -346,4 +478,4 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: f
         raise OracleContractError(f"max |beta_i| = {worst} exceeds {bound}")
     if not (0.0 < epsilon < 0.25):
         raise ValueError("epsilon must lie in (0, 0.25)")
-    return robust_mean_with_state(covariates, 2.0 * epsilon, sigma=sigma, scale=beta, start=start)
+    return robust_mean_with_state(covariates, 2.0 * epsilon, sigma=sigma, scale=beta, start=start, screen=screen)

@@ -34,9 +34,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, prepend_ones
 from .losses import LossFamily, NormRegularizer, checked_labels, conjugate_prox_vec, loss_values, reg_prox
 from .robust_mean import (
+    CertificateScreen,
+    FilterState,
     OracleContractError,
     inexact_hybrid_gradient_oracle,
     robust_mean_estimation,
@@ -138,7 +140,10 @@ class SolveResult:
     ``oracle_calls`` counts the gradient-oracle evaluations the solve ran:
     T for a lone :func:`pdhg_solve` run (T - 1 for one handed its first
     call), and the whole search for :func:`tune_gamma` (the first call,
-    shared by every candidate, counted once).
+    shared by every candidate, counted once).  ``uncertified_calls``
+    counts those of them that stopped without the spectral certificate
+    (on the mass budget, or with no spread left); exact-oracle calls
+    never count.
     ``gamma_used`` and ``t_used`` describe the returned run,
     ``tuning_runs`` the number of candidates the search ran (its whole
     ladder; None without a search), and the max-dual fields cover every
@@ -153,6 +158,7 @@ class SolveResult:
     max_abs_extrapolated: float
     center_estimate: np.ndarray | None = None
     tuning_runs: int | None = None
+    uncertified_calls: int = 0
 
 
 def estimate_objective(w: np.ndarray, data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> float:
@@ -165,25 +171,29 @@ def estimate_objective(w: np.ndarray, data: Dataset, loss: LossFamily, reg: Norm
     return mean + reg.value(w)
 
 
-def _oracle_call(x: np.ndarray, cfg: PDHGConfig, beta: np.ndarray, start: np.ndarray | None):
+def _oracle_call(
+    x: np.ndarray, cfg: PDHGConfig, beta: np.ndarray, start: np.ndarray | None, screen: CertificateScreen | None,
+):
     """The primal step's estimate z of (1/N) sum_i beta_i x_i, and the
-    filter weights the call ended with (None in exact-oracle mode).
+    filter's state at the end of the call (None in exact-oracle mode).
 
     Exact-oracle mode takes the plain weighted mean.  Robust mode calls
     :func:`inexact_hybrid_gradient_oracle` from the weights ``start``
-    (None: uniform), with the spectral stop at max(``cfg.sigma``, 1):
+    (None: uniform), with the solve's :class:`CertificateScreen`
+    ``screen`` on ``x`` and the spectral stop at max(``cfg.sigma``, 1):
     the covariates carry the intercept column of ones, whose second
     moment is 1 whatever sigma.
     """
     if cfg.exact_oracle:
         return (beta @ x) / x.shape[0], None
-    z, state = inexact_hybrid_gradient_oracle(beta, x, cfg.epsilon, sigma=max(cfg.sigma, 1.0), start=start)
-    return z, state.weights
+    return inexact_hybrid_gradient_oracle(
+        beta, x, cfg.epsilon, sigma=max(cfg.sigma, 1.0), start=start, screen=screen,
+    )
 
 
 def pdhg_solve(
     data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *,
-    first: tuple[np.ndarray, np.ndarray | None] | None = None,
+    first: tuple[np.ndarray, FilterState | None] | None = None, screen: CertificateScreen | None = None,
 ) -> SolveResult:
     """Run the primal-dual loop on (intercept-carrying) data from w_0 = 0.
 
@@ -198,11 +208,14 @@ def pdhg_solve(
     ended with (a warm call that spends the mass budget uncertified starts
     over cold; most certify at once).
 
-    ``first``, if given, is the output ``(z, weights)`` of the first
+    ``first``, if given, is the output ``(z, state)`` of the first
     oracle call, ``_oracle_call`` at beta = 1/N on ``data``'s covariates,
     which every run shares whatever its gamma (alpha_prev = alpha_0 = 1/N
-    at k = 1, bitwise); by default the run computes it.
-    ``oracle_calls`` counts the calls the run computed.
+    at k = 1, bitwise); by default the run computes it.  ``screen``, if
+    given, is the :class:`CertificateScreen` on those covariates that the
+    runs of a search share; by default a robust run builds its own.
+    ``oracle_calls`` and ``uncertified_calls`` count the calls the run
+    computed.
     """
     if cfg.gamma_dist is None:
         raise ConfigurationError("the solve needs cfg.gamma_dist; use tune_gamma to search for it")
@@ -216,7 +229,10 @@ def pdhg_solve(
     w = np.zeros(data.dim)
     alpha = np.full(n, 1.0 / n)
     alpha_prev = alpha
-    weights = None
+    if screen is None and not cfg.exact_oracle:
+        screen = CertificateScreen(x)
+    state = None
+    uncertified = 0
     w_sum = np.zeros(data.dim)
     max_dual = float(np.max(np.abs(alpha), initial=0.0))
     max_extrap = 0.0
@@ -225,7 +241,11 @@ def pdhg_solve(
         max_extrap = max(max_extrap, float(np.max(np.abs(beta), initial=0.0)))
         if max_extrap > 3.0 * (1.0 + 1e-9):
             raise OracleContractError(f"extrapolated dual weight {max_extrap} exceeded 3")
-        z, weights = first if k == 1 and first is not None else _oracle_call(x, cfg, beta, weights)
+        if k == 1 and first is not None:
+            z, state = first
+        else:
+            z, state = _oracle_call(x, cfg, beta, None if state is None else state.weights, screen)
+            uncertified += state is not None and not state.certified
         tau = a * gamma / (2.0 - k / t_hor)
         w = reg_prox(reg, w - tau * z, tau)
         alpha_prev = alpha
@@ -234,7 +254,7 @@ def pdhg_solve(
         w_sum += w
     return SolveResult(
         w_hat=w_sum / t_hor, oracle_calls=t_hor - (first is not None), gamma_used=gamma,
-        t_used=t_hor, max_abs_dual=max_dual, max_abs_extrapolated=max_extrap,
+        t_used=t_hor, max_abs_dual=max_dual, max_abs_extrapolated=max_extrap, uncertified_calls=uncertified,
     )
 
 
@@ -249,9 +269,11 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
 
     The first oracle call, at beta = 1/N, is the same in every candidate
     run, so it is computed once and handed to each candidate's
-    :func:`pdhg_solve`; every result is bitwise what independent runs
-    give.  The returned ``oracle_calls`` counts the calls of the whole
-    search: that shared call plus each run's other T - 1.
+    :func:`pdhg_solve`, together with the one :class:`CertificateScreen`
+    every run's calls use; every result is bitwise what independent runs
+    give.  The returned ``oracle_calls`` and ``uncertified_calls`` count
+    the calls of the whole search: that shared call plus each run's other
+    T - 1.
     """
     checked_labels(loss, data)  # before the shared first oracle call
     d_min = cfg.delta
@@ -260,12 +282,15 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     best_est = math.inf
     max_dual = 0.0
     max_extrap = 0.0
-    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), None)
+    screen = None if cfg.exact_oracle else CertificateScreen(data.covariates)
+    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), None, screen)
     calls = 1
+    uncertified = int(first[1] is not None and not first[1].certified)
     for j in range(j_max + 1):
         candidate = replace(cfg, gamma_dist=d_min * (2.0 ** j))
-        res = pdhg_solve(data, loss, reg, candidate, first=first)
+        res = pdhg_solve(data, loss, reg, candidate, first=first, screen=screen)
         calls += res.oracle_calls
+        uncertified += res.uncertified_calls
         est = estimate_objective(res.w_hat, data, loss, reg, cfg)
         max_dual = max(max_dual, res.max_abs_dual)
         max_extrap = max(max_extrap, res.max_abs_extrapolated)
@@ -275,6 +300,7 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     assert best is not None
     best.tuning_runs = j_max + 1
     best.oracle_calls = calls
+    best.uncertified_calls = uncertified
     # feasibility diagnostics cover every candidate run, not just the winner
     best.max_abs_dual = max_dual
     best.max_abs_extrapolated = max_extrap
@@ -298,9 +324,7 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
         mu_hat = x.mean(axis=0)
     else:
         mu_hat = robust_mean_estimation(x, 2.0 * cfg.epsilon, sigma=cfg.sigma)
-    rows = np.ones((raw.n, raw.dim + 1))
-    np.subtract(x, mu_hat, out=rows[:, 1:])
-    lifted = Dataset(rows, raw.labels, raw.sigma)
+    lifted = prepend_ones(raw, mu_hat)
     if cfg.gamma_dist is not None:
         res = pdhg_solve(lifted, loss, reg, cfg)
     else:

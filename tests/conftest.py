@@ -12,7 +12,7 @@ class SolverHooks:
     names it calls: ``solver.reg_prox``, once per iteration, takes the
     primal step tau_k and returns the primal iterate w_k, and
     ``solver._oracle_call`` returns the oracle output (z, filter
-    weights).  Each method hooks the solves that follow it, until another
+    state).  Each method hooks the solves that follow it, until another
     method hooks the same name."""
 
     def __init__(self, monkeypatch):
@@ -44,10 +44,10 @@ class SolverHooks:
         """The oracle outputs z of each call the solves compute."""
         outputs = []
 
-        def recorded(x, cfg, beta, start):
-            z, weights = _oracle_call(x, cfg, beta, start)
+        def recorded(x, cfg, beta, start, screen):
+            z, state = _oracle_call(x, cfg, beta, start, screen)
             outputs.append(z)
-            return z, weights
+            return z, state
 
         self._monkeypatch.setattr(solver_mod, "_oracle_call", recorded)
         return outputs
@@ -58,7 +58,7 @@ class SolverHooks:
         idealized run of the analysis.  Returns the iterator, so a test
         can check that the run used every z."""
         replay = iter(outputs)
-        self._monkeypatch.setattr(solver_mod, "_oracle_call", lambda x, cfg, beta, start: (next(replay), None))
+        self._monkeypatch.setattr(solver_mod, "_oracle_call", lambda x, cfg, beta, start, screen: (next(replay), None))
         return replay
 
 

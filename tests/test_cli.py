@@ -40,11 +40,12 @@ def test_generate_corrupt_solve_flow(tmp_path):
     ]) == 0
     payload = json.loads(out.read_text())
     assert set(payload) == {"w_hat", "center_estimate", "oracle_calls", "gamma_used", "iterations", "tuning_runs",
-                            "config"}
+                            "uncertified_calls", "config"}
     assert len(payload["w_hat"]) == 4  # intercept + 3 covariates
     assert payload["oracle_calls"] >= 1
     assert payload["config"]["epsilon"] == 0.1
     assert payload["tuning_runs"] == 4  # the whole ladder: ceil(log2(6.0 / (3.0 * sqrt(0.1)))) + 1
+    assert payload["uncertified_calls"] == 0
 
 
 @pytest.mark.parametrize(
@@ -205,7 +206,9 @@ def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, mo
      (["generate", "--dim", "3", "--n", "50", "--planted-norm", "nan"],
       "planted_w must be finite, got [0.0, nan, 0.0]"),
      (["generate", "--dim", "3", "--n", "50", "--planted", "0,inf,1"],
-      "planted_w must be finite, got [0.0, inf, 1.0]")],
+      "planted_w must be finite, got [0.0, inf, 1.0]"),
+     (["generate", "--dim", "0", "--n", "10"], "d must be at least 1 (it counts the intercept slot), got 0"),
+     (["generate", "--dim", "3", "--n", "-1"], "n must be nonnegative, got -1")],
 )
 def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
     clean = tmp_path / "clean.csv"

@@ -102,6 +102,18 @@ def test_generate_rejects_a_bad_planted_vector_law_or_task(planted, kwargs, mess
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "d, n, message",
+    [(0, 10, "d must be at least 1 (it counts the intercept slot), got 0"),
+     (-2, 10, "d must be at least 1 (it counts the intercept slot), got -2"),
+     (3, -1, "n must be nonnegative, got -1")],
+)
+def test_generate_rejects_a_bad_dimension_or_sample_size(d, n, message):
+    with pytest.raises(ValueError) as exc:
+        generate_synthetic(d, n, np.zeros(max(d, 0)))
+    assert str(exc.value) == message
+
+
 def test_dataset_shape_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(4))
@@ -284,6 +296,64 @@ def test_subset_returns_the_indexed_rows():
     assert sub.covariates.tolist() == [[8.0, 9.0], [2.0, 3.0]]
     assert sub.labels.tolist() == [4.0, 1.0]
     assert sub.sigma == 2.0
+
+
+ADVERSARIES = (FarCluster(), DoroCounterexample(), LabelFlipPlusLeverage())
+
+
+def test_every_producer_stores_covariates_column_major_and_read_only(tmp_path, monkeypatch):
+    import robust_dro.solver as solver_mod
+    from robust_dro.losses import LossFamily, NormRegularizer
+    from robust_dro.solver import PDHGConfig, pipeline
+
+    clean = generate_synthetic(4, 200, np.array([0.0, 1.0, 0.0, 0.0]), task="classification", seed=1)
+    to_csv(clean, tmp_path / "c.csv")
+    produced = {
+        "generate_synthetic": clean,
+        "Dataset": Dataset(np.ones((5, 3)), np.zeros(5)),
+        "subset": clean.subset([4, 1, 7]),
+        "prepend_ones": prepend_ones(clean),
+        "prepend_ones shifted": prepend_ones(clean, np.ones(3)),
+        "from_csv": from_csv(tmp_path / "c.csv"),
+    }
+    for adv in ADVERSARIES:
+        produced[type(adv).__name__] = contaminate(clean, ContaminationSpec(0.1, adv), seed=2)
+    lifted = []
+    real = solver_mod.tune_gamma
+    monkeypatch.setattr(solver_mod, "tune_gamma", lambda data, *rest: lifted.append(data) or real(data, *rest))
+    pipeline(clean, LossFamily("hinge"), NormRegularizer("2", 0.1), PDHGConfig(epsilon=0.1, sigma=1.0))
+    produced["pipeline's lifted rows"] = lifted[0]
+    for name, ds in produced.items():
+        x = ds.covariates
+        assert x.flags.f_contiguous and not x.flags.c_contiguous and not x.flags.writeable, name
+    shifted = np.column_stack([np.ones(clean.n), clean.covariates - 1.0])
+    assert produced["prepend_ones shifted"].covariates.tobytes() == shifted.tobytes()
+
+
+def test_no_producer_allocates_a_second_copy_of_the_covariates(tmp_path):
+    # each builds its column-major covariates directly: beyond what it
+    # returns (and the parsed table, for from_csv) it allocates less than
+    # half of one N x d array
+    clean = generate_synthetic(11, 20_000, np.ones(11), seed=1)
+    to_csv(clean, tmp_path / "c.csv")
+    table = clean.n * (clean.dim + 1) * 8
+    calls = {
+        "subset": (lambda: clean.subset(np.arange(0, clean.n, 2)), 0),
+        "prepend_ones": (lambda: prepend_ones(clean), 0),
+        "prepend_ones shifted": (lambda: prepend_ones(clean, np.ones(clean.dim)), 0),
+        "from_csv": (lambda: from_csv(tmp_path / "c.csv"), table),
+    }
+    for adv in ADVERSARIES:
+        calls[type(adv).__name__] = (lambda adv=adv: contaminate(clean, ContaminationSpec(0.1, adv), seed=2), 0)
+    for name, (produce, parsed) in calls.items():
+        tracemalloc.start()
+        try:
+            out = produce()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - out.covariates.nbytes - out.labels.nbytes - parsed
+        assert extra < 0.5 * out.covariates.nbytes, (name, extra / out.covariates.nbytes)
 
 
 def test_csv_round_trip(tmp_path):

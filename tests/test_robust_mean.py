@@ -14,8 +14,10 @@ from robust_dro.data import ContaminationSpec, Dataset, DoroCounterexample, FarC
 from robust_dro.robust_mean import (
     KAPPA,
     POWER_ITER_TOL,
+    CertificateScreen,
     OracleContractError,
     _threshold,
+    _weighted_moments,
     inexact_hybrid_gradient_oracle,
     robust_mean_estimation,
     robust_mean_with_state,
@@ -308,6 +310,11 @@ def far_cluster_points(n=2000, d=5, frac=0.1, seed=20):
     return x
 
 
+def screen_off(monkeypatch):
+    """Make every float32 certificate screen inconclusive, so each check runs in float64."""
+    monkeypatch.setattr(robust_mean.CertificateScreen, "upper_bound", lambda self, q, scale, m, total: math.inf)
+
+
 def counting_eigensolves(monkeypatch):
     calls = {"n": 0}
     real = robust_mean.top_eigenvector
@@ -329,8 +336,41 @@ def test_a_certified_warm_start_makes_no_pass(monkeypatch):
     _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights)
     assert warm.warm and warm.certified and not warm.restarted
     assert warm.iterations == 0
-    assert calls["n"] == 1
+    assert calls["n"] == 0  # the float32 screen certified: no float64 eigensolve
     assert warm.weights is cold.weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), target=st.floats(0.98, 1.02))
+def test_a_screened_certificate_implies_the_float64_one(seed, target):
+    # weighted scaled rows whose float64 certificate ratio is steered, through
+    # sigma, to target: wherever the float32 screen certifies, the float64
+    # check certifies too, and the call returns the same bytes as without it
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 3000))
+    d = int(rng.integers(1, 12))
+    x = np.asfortranarray(rng.standard_normal((n, d)) * rng.uniform(0.3, 3.0) + rng.uniform(-2.0, 2.0, d))
+    scale = rng.uniform(-3.0, 3.0, n) * (rng.random(n) < 0.9)
+    start = rng.uniform(0.8, 1.0, n) / n * (rng.random(n) < 0.95)
+    total = float(start.sum())
+    m, cov = _weighted_moments(x, start, total, scale)
+    _, lam = top_eigenvector(cov)
+    sigma = math.sqrt(lam * total / (KAPPA * target * float(start @ scale**2)))
+    bound = KAPPA * sigma**2 * (float(start @ scale**2) / total)
+    upper = CertificateScreen(x).upper_bound(start, scale, m, total)
+    if upper < math.inf:
+        assert lam <= upper and np.trace(cov) > 0.0
+    mu, state = robust_mean_with_state(x, 0.2, sigma=sigma, scale=scale, start=start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CertificateScreen, "upper_bound", lambda self, q, scale, m, total: math.inf)
+        mu_64, state_64 = robust_mean_with_state(x, 0.2, sigma=sigma, scale=scale, start=start)
+    if upper <= bound:
+        assert state.certified and state.iterations == 0 and state.certificate_ratio == upper / bound
+        assert state_64.certified and state_64.iterations == 0 and lam <= bound
+    assert mu.tobytes() == mu_64.tobytes()
+    assert state.weights.tobytes() == state_64.weights.tobytes()
+    state.certificate_ratio = state_64.certificate_ratio
+    assert repr(state) == repr(state_64)
 
 
 def test_a_warm_start_that_spends_the_budget_restarts_cold():
@@ -470,13 +510,17 @@ def test_a_row_scale_needs_one_entry_per_point():
         robust_mean_with_state(x, 0.2, sigma=1.0, scale=np.ones(x.shape[0] - 1))
 
 
-def test_a_certified_call_without_a_pass_still_reports_its_ratio():
+def test_a_certified_call_without_a_pass_still_reports_its_ratio(monkeypatch):
     x = far_cluster_points()
     ones = np.ones(x.shape[0])
     _, cold = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones)
     _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights)
     assert warm.iterations == 0 and warm.lambda_history == []
-    assert 0.0 < warm.certificate_ratio <= 1.0
+    # the cold call's last check ran in float64; the warm check on the same
+    # weights was screened, and reports the screen's upper bound
+    assert 0.0 < cold.certificate_ratio <= warm.certificate_ratio <= 1.0
+    screen_off(monkeypatch)
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights)
     assert warm.certificate_ratio == cold.certificate_ratio
 
 

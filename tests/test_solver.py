@@ -469,7 +469,7 @@ def test_oracle_calls_match_the_filter_on_materialized_rows(gate5_sample, monkey
 
     def replayed(beta, covariates, epsilon, **kwargs):
         z, state = real_oracle(beta, covariates, epsilon, **kwargs)
-        z_ref, stop = materialized_oracle(beta, covariates, epsilon, **kwargs)
+        z_ref, stop = materialized_oracle(beta, covariates, epsilon, sigma=kwargs["sigma"], start=kwargs["start"])
         calls.append((float(np.linalg.norm(z - z_ref) / (1.0 + np.linalg.norm(z))), state, stop))
         return z, state
 
@@ -479,6 +479,62 @@ def test_oracle_calls_match_the_filter_on_materialized_rows(gate5_sample, monkey
     for gap, state, stop in calls:
         assert (state.certified, state.iterations, state.restarted) == stop
         assert gap <= (1e-12 if state.iterations == 0 else 1e-9)
+
+
+@pytest.mark.parametrize("loss", [HINGE, LOGISTIC], ids=["hinge", "logistic"])
+@pytest.mark.parametrize("eps", [0.02, 0.1])
+@pytest.mark.parametrize("adversary", ["far-cluster", "doro-spike", "label-flip"])
+def test_the_float32_screen_leaves_every_pipeline_output_unchanged(gate5_sample, monkeypatch, adversary, eps, loss):
+    """With the certificate screen on and off, a pipeline returns the same
+    bytes in every field (gate-5 cells at d=20, N=10k)."""
+    import robust_dro.robust_mean as robust_mean
+
+    corrupted, _, cfg = gate5_cell(gate5_sample, adversary, eps)
+    reg = NormRegularizer("2", 0.1)
+    eigensolves = {"n": 0}
+    real = robust_mean.top_eigenvector
+
+    def counted(s):
+        eigensolves["n"] += 1
+        return real(s)
+
+    monkeypatch.setattr(robust_mean, "top_eigenvector", counted)
+    results = []
+    for _ in ("on", "off"):
+        eigensolves["n"] = 0
+        res = pipeline(corrupted, loss, reg, cfg)
+        results.append(({k: np.asarray(v).tobytes() for k, v in vars(res).items()}, eigensolves["n"]))
+        monkeypatch.setattr(robust_mean.CertificateScreen, "upper_bound", lambda self, q, scale, m, total: math.inf)
+    (on, eig_on), (off, eig_off) = results
+    assert on == off
+    # on label flip at eps=0.1 no call certifies at its first check, so the
+    # screen certifies none; everywhere else it spares float64 eigensolves
+    assert eig_on == eig_off if (adversary, eps) == ("label-flip", 0.1) else eig_on < eig_off
+
+
+def test_uncertified_calls_count_the_calls_that_spend_the_mass_budget(monkeypatch):
+    # at d/N = 0.03 the certificate never holds on clean rows: every call of
+    # the search, the shared first one included, stops on the mass budget
+    import robust_dro.solver as solver_mod
+
+    d = 61
+    planted = np.zeros(d)
+    planted[1] = 2.0
+    clean = generate_synthetic(d, 2000, planted, task="classification", flip_prob=0.05, seed=0)
+    corrupted = contaminate(clean, ContaminationSpec(0.1, FarCluster(direction=tuple(planted[1:] / 2.0))), seed=1)
+    cfg = PDHGConfig(epsilon=0.1, sigma=1.0, delta_constant=3.0, w0_bound=10.0)
+    real_oracle = solver_mod.inexact_hybrid_gradient_oracle
+    states = []
+
+    def recorded(*args, **kwargs):
+        z, state = real_oracle(*args, **kwargs)
+        states.append(state)
+        return z, state
+
+    monkeypatch.setattr(solver_mod, "inexact_hybrid_gradient_oracle", recorded)
+    res = pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), cfg)
+    assert res.uncertified_calls == res.oracle_calls == len(states) == 11
+    assert not any(state.certified for state in states)
 
 
 @pytest.mark.parametrize("adversary, eps", [("far-cluster", 0.1), ("doro-spike", 0.02), ("label-flip", 0.1)])
@@ -619,7 +675,7 @@ def test_runs_sharing_an_oracle_match_independent_runs_under_warm_starts():
     # of every run warm-starts as it does in a run on its own
     data, cfg = label_flip_problem()
     reg = NormRegularizer("2", 0.1)
-    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), None)
+    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), None, None)
     for j in range(6):
         candidate = replace(cfg, gamma_dist=cfg.delta * 2.0**j)
         together = pdhg_solve(data, HINGE, reg, candidate, first=first)
@@ -635,8 +691,8 @@ def test_each_robust_call_starts_from_the_weights_the_last_call_ended_with(monke
     real_oracle = solver_mod.inexact_hybrid_gradient_oracle
     calls = []
 
-    def recorded(beta, covariates, epsilon, *, sigma, start=None):
-        z, state = real_oracle(beta, covariates, epsilon, sigma=sigma, start=start)
+    def recorded(beta, covariates, epsilon, *, sigma, start=None, screen=None):
+        z, state = real_oracle(beta, covariates, epsilon, sigma=sigma, start=start, screen=screen)
         calls.append((start, state))
         return z, state
 
@@ -662,8 +718,8 @@ def test_the_first_call_is_at_uniform_beta_and_can_be_handed_back(monkeypatch, e
     real_call = solver_mod._oracle_call
     calls = []
 
-    def recorded(x, c, beta, start):
-        calls.append((beta.copy(), real_call(x, c, beta, start)))
+    def recorded(x, c, beta, start, screen):
+        calls.append((beta.copy(), real_call(x, c, beta, start, screen)))
         return calls[-1][1]
 
     monkeypatch.setattr(solver_mod, "_oracle_call", recorded)
