@@ -25,14 +25,14 @@ orders only the top scores.  Plain points are centred once (and
 re-centred only when the weighted mean drifts farther than the spread).
 The gradient oracle's scaled rows beta_i * x_i are never built: their
 moments come straight from the covariates, with no centring.  Before its
-float64 check, a scaled call screens the certificate on a float32 Gram
-(:class:`CertificateScreen`; a solve builds its float32 copy of the
-covariates once), with a margin that provably covers the rounding of
-both precisions.  So an oracle call that certifies at once costs one
-weighted mean, one float32 Gram and a d x d eigenvalue solve; the
-float64 Gram and the eigenvector come only when that bound is
-inconclusive, and the call then decides exactly as it would without the
-screen.  The filter's diagnostics record the mass removed and the top
+first float64 check, a warm scaled call screens the certificate on a
+float32 Gram (:class:`CertificateScreen`; a solve builds its float32
+copy of the covariates once), with a margin that provably covers the
+rounding of both precisions.  So a warm oracle call that certifies at
+once costs one weighted mean, one float32 Gram and a d x d eigenvalue
+solve; the float64 Gram and the eigenvector come only when that bound
+is inconclusive, and the call then decides exactly as it would without
+the screen.  The filter's diagnostics record the mass removed and the top
 eigenvalue of every pass, the ratio of the last certificate check, and
 how the call started and stopped.
 
@@ -155,8 +155,11 @@ class CertificateScreen:
     scaled rows scale_i * x_i of one covariate matrix X (N x d).
 
     It holds a column-major float32 copy of X and one float32 scratch
-    buffer of X's shape.  A solve builds one and hands it to each of its
-    oracle calls, so both are made once per solve and freed with it.
+    buffer of X's shape, and keeps X itself as ``source``: a filter call
+    accepts the screen only for the very array it was built on, since a
+    screen of other rows would bound the wrong covariance.  A solve
+    builds one and hands it to each of its oracle calls, so both are made
+    once per solve and freed with it.
 
     :meth:`upper_bound` returns lam32 + err.  lam32 is the top eigenvalue
     of A = G32 / total - m m^T, where G32 is the weighted Gram formed in
@@ -210,6 +213,7 @@ class CertificateScreen:
 
     def __init__(self, x: np.ndarray) -> None:
         n, d = x.shape
+        self.source = x
         with np.errstate(over="ignore"):  # covariates beyond float32's range become inf, and G32 with them
             self.rows = np.asfortranarray(x, dtype=np.float32)
         self.scratch = np.empty_like(self.rows)
@@ -297,16 +301,18 @@ def robust_mean_with_state(
     the call starts over once from 1/N, bitwise as a call without
     ``start``.  Without ``sigma`` only the mass budget stops the loop.
 
-    With ``sigma`` and ``scale``, a check first asks the float32
-    :class:`CertificateScreen` ``screen`` (built on ``points``; by default
-    the call builds one) for its upper bound on lam, and certifies with
-    the weighted mean of the current weights if the bound is within
-    KAPPA * sigma^2 * s.  That implies the float64 certificate, so the
-    call returns the weights and mean it would return without the screen;
-    only ``certificate_ratio`` differs.  Once the screen is inconclusive,
-    the call's later checks skip it: those are the passes of a filtering
-    call, which mostly fail the certificate, and each needs the float64
-    eigenvector anyway.
+    A warm call's first check first asks the float32
+    :class:`CertificateScreen` ``screen`` (built on ``points``, the same
+    float64 array, else ValueError; by default the call builds one) for
+    its upper bound on lam, and certifies with the weighted mean of the
+    current weights if the bound is within KAPPA * sigma^2 * s.  That
+    implies the float64 certificate, so the call returns the weights and
+    mean it would return without the screen; only ``certificate_ratio``
+    differs.  Only that check is screened: the later ones are the passes
+    of a filtering call, which mostly fail the certificate, and each
+    needs the float64 eigenvector anyway.  A cold call, and a warm one
+    once it restarts, never screens: uniform weights keep every outlier,
+    so on corrupted rows the bound cannot certify.
 
     Plain points are centred once, on their plain mean, and re-centred on
     the current weighted mean whenever its squared offset exceeds the
@@ -336,8 +342,8 @@ def robust_mean_with_state(
         raise ValueError("a warm start needs sigma, scale and one weight per point")
     if scale is not None and np.shape(scale) != (n,):
         raise ValueError("scale needs one entry per point")
-    if screen is not None and (sigma is None or scale is None or screen.rows.shape != (n, k)):
-        raise ValueError("a certificate screen needs sigma, scale and the points' shape")
+    if screen is not None and (sigma is None or scale is None or screen.source is not x):
+        raise ValueError("a certificate screen needs sigma, scale and the points it was built on")
     q = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float)
     if start is not None and not np.all((q >= 0.0) & (q <= 1.0 / n)):
         raise ValueError("warm-start weights must lie in [0, 1/N]")
@@ -348,7 +354,9 @@ def robust_mean_with_state(
     xc = x - centre if plain else x
     total = 1.0 if start is None else float(q.sum())
     cap = None if sigma is None else KAPPA * sigma**2
-    if screen is None and cap is not None and not plain:
+    if start is None:
+        screen = None  # uniform weights keep every outlier, so on corrupted rows the check fails
+    elif screen is None:
         screen = CertificateScreen(x)
     score_floor = None
     while True:
@@ -359,6 +367,7 @@ def robust_mean_with_state(
             # the warm start spent the budget uncertified: start over cold
             state.restarted = True
             q, total = np.full(n, 1.0 / n), 1.0
+            screen = None
         if cap is not None:
             bound = cap * (1.0 if plain else float(q @ scale**2) / total)
         if screen is not None:
@@ -458,13 +467,13 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: f
     lam <= KAPPA * sigma^2 * (weighted mean of beta_i^2).  ``start`` is
     the weights a previous call ended with (the state's ``weights``), to
     start the filter from instead of 1/N.  ``screen`` is a
-    :class:`CertificateScreen` built on ``covariates``, which a solve
-    builds once and hands to each of its calls (by default the call
-    builds its own).
+    :class:`CertificateScreen` built on ``covariates`` (that array
+    itself), which a solve builds once and hands to each of its calls
+    (by default a warm call builds its own; a cold one never screens).
 
     The filter takes beta as a row scale: the rows beta_i x_i are never
     built and never centred (that bound on the second moment is why they
-    need not be; see :func:`robust_mean_with_state`).  A call that
+    need not be; see :func:`robust_mean_with_state`).  A warm call that
     certifies at once costs one weighted mean of the covariates, one
     float32 Gram product over the screen's scratch rows x_i * sqrt(q_i)
     |beta_i|, and a d x d eigenvalue solve.  The float64 Gram and the

@@ -142,8 +142,8 @@ class SolveResult:
     call), and the whole search for :func:`tune_gamma` (the first call,
     shared by every candidate, counted once).  ``uncertified_calls``
     counts those of them that stopped without the spectral certificate
-    (on the mass budget, or with no spread left); exact-oracle calls
-    never count.
+    (on the mass budget, or with no spread left above rounding);
+    exact-oracle calls never count.
     ``gamma_used`` and ``t_used`` describe the returned run,
     ``tuning_runs`` the number of candidates the search ran (its whole
     ladder; None without a search), and the max-dual fields cover every

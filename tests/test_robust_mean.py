@@ -373,6 +373,45 @@ def test_a_screened_certificate_implies_the_float64_one(seed, target):
     assert repr(state) == repr(state_64)
 
 
+def test_a_screen_is_accepted_only_for_the_array_it_was_built_on():
+    # a screen of other rows of the same shape (another contamination of the
+    # same clean sample, or a copy) would bound the wrong covariance
+    x = far_cluster_points()
+    ones = np.ones(x.shape[0])
+    _, cold = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones)
+    for other in (far_cluster_points(seed=21), x.copy()):
+        screen = CertificateScreen(other)
+        with pytest.raises(ValueError, match="the points it was built on"):
+            robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights, screen=screen)
+        with pytest.raises(ValueError, match="the points it was built on"):
+            inexact_hybrid_gradient_oracle(ones, x, 0.1, sigma=1.0, screen=screen)
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights, screen=CertificateScreen(x))
+    assert warm.certified and warm.iterations == 0
+
+
+def test_only_a_warm_call_screens(monkeypatch):
+    # uniform weights keep every outlier, so a cold call, and a warm one once
+    # it restarts from them, goes straight to the float64 check
+    x = far_cluster_points()
+    ones = np.ones(x.shape[0])
+    screened = []
+    real = CertificateScreen.upper_bound
+
+    def recorded(self, q, scale, m, total):
+        screened.append(q.copy())
+        return real(self, q, scale, m, total)
+
+    monkeypatch.setattr(CertificateScreen, "upper_bound", recorded)
+    _, cold = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, screen=CertificateScreen(x))
+    assert cold.certified and screened == []
+    spent = np.zeros(x.shape[0])
+    spent[:10] = 1.0 / x.shape[0]
+    _, restarted = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=spent)
+    assert restarted.restarted and screened == []
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights)
+    assert warm.certified and len(screened) == 1 and screened[0].tobytes() == cold.weights.tobytes()
+
+
 def test_a_warm_start_that_spends_the_budget_restarts_cold():
     # the start keeps the far cluster and zeroes most inliers, so its mass
     # is already below 1 - 2 eps: the call starts over from 1/N and gives

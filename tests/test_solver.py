@@ -30,6 +30,7 @@ from robust_dro.data import (
 from robust_dro.losses import InvalidLabelError, LossFamily, NormRegularizer
 from robust_dro.robust_mean import (
     KAPPA,
+    CertificateScreen,
     OracleContractError,
     _threshold,
     _weighted_moments,
@@ -507,8 +508,10 @@ def test_the_float32_screen_leaves_every_pipeline_output_unchanged(gate5_sample,
         monkeypatch.setattr(robust_mean.CertificateScreen, "upper_bound", lambda self, q, scale, m, total: math.inf)
     (on, eig_on), (off, eig_off) = results
     assert on == off
-    # on label flip at eps=0.1 no call certifies at its first check, so the
-    # screen certifies none; everywhere else it spares float64 eigensolves
+    # on label flip at eps=0.1 the calls that certify at once follow a
+    # filtering call, which stopped just under the bound, so their float64
+    # ratio sits within the screen's margin of 1 and the screen certifies
+    # none; everywhere else it spares float64 eigensolves
     assert eig_on == eig_off if (adversary, eps) == ("label-flip", 0.1) else eig_on < eig_off
 
 
@@ -703,6 +706,15 @@ def test_each_robust_call_starts_from_the_weights_the_last_call_ended_with(monke
     for (_, before), (start, _) in zip(calls, calls[1:]):
         assert start.tobytes() == before.weights.tobytes()
     assert sum(state.iterations for _, state in calls[1:]) > 0  # the warm weights moved
+
+
+def test_a_solve_rejects_a_screen_of_other_covariates():
+    # a second contamination of the same clean sample has the same shape
+    data, cfg = label_flip_problem()
+    other = contaminate(data, ContaminationSpec(0.1, LabelFlipPlusLeverage()), seed=25).covariates
+    assert other.shape == data.covariates.shape
+    with pytest.raises(ValueError, match="the points it was built on"):
+        pdhg_solve(data, HINGE, NormRegularizer("2", 0.1), replace(cfg, gamma_dist=1.0), screen=CertificateScreen(other))
 
 
 @pytest.mark.parametrize("exact", [False, True])
