@@ -66,7 +66,8 @@ def _add_file_flags(p: argparse.ArgumentParser) -> None:
 def _emit_json(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=1) + "\n"
     if output:
-        Path(output).write_text(text)
+        with datamod.atomic_write(output) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -96,13 +97,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    ds = datamod.from_csv(args.input, sigma=args.sigma)
     direction = [float(v) for v in args.direction.split(",")] if args.direction else None
     adv = datamod.parse_adversary(
         ADVERSARIES[args.adversary], direction=direction, magnitude=args.magnitude, label=args.label
     )
     spec = ContaminationSpec(args.epsilon, adv)
-    datamod.to_csv(datamod.contaminate(ds, spec, seed=args.seed), args.output)
+    ds = datamod.corrupt_csv(args.input, spec, args.output, seed=args.seed, sigma=args.sigma)
     if args.sidecar:
         datamod.write_sidecar(datamod.replaced_rows(ds.n, spec, args.seed), ds.sigma, args.sidecar)
     return 0

@@ -9,14 +9,24 @@ here builds that layout directly, without a row-major N x d copy on the
 way.  No dataset records which rows an adversary replaced:
 :func:`replaced_rows` draws them from the seed, for :func:`contaminate`
 and the ground-truth sidecar alike.
+
+Tables travel as CSV.  :func:`to_csv` formats every row;
+:func:`corrupt_csv` formats only the rows an adversary changed and
+copies the text of every other row from its input, so a contaminated
+file differs from its source in exactly the replaced rows.  Every file
+this package writes goes through :func:`atomic_write`: a temporary file
+moved over the target (a device or pipe is written directly), so an
+interrupted write leaves the earlier file.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -191,8 +201,8 @@ def generate_synthetic(
     """
     if not d >= 1:
         raise ValueError(f"d must be at least 1 (it counts the intercept slot), got {d}")
-    if not n >= 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     planted_w = np.asarray(planted_w, dtype=float)
     if planted_w.shape != (d,):
         raise ValueError(f"planted_w must have length {d}")
@@ -310,6 +320,46 @@ def contaminate(data: Dataset, spec: ContaminationSpec, seed: int = 0) -> Datase
 # rows formatted per write: big enough that one write amortizes the
 # per-call cost, small enough that the block's floats and text stay ~1.5 MB
 CSV_BLOCK_ROWS = 1024
+# the lines np.loadtxt skips; a whitespace-only line is a row to it
+_EMPTY_LINES = ("\n", "\r", "\r\n")
+
+
+@contextmanager
+def atomic_write(path):
+    """A new text file whose contents replace ``path`` when the block exits
+    without an error.
+
+    The file is written in the target's directory and then moved over
+    ``path``, so ``path`` holds either its earlier contents or everything
+    written, never a prefix; on an error the temporary file is removed.
+    A symlink at ``path`` is followed: the file it points to is replaced,
+    the link stays.  A device or pipe at ``path`` (``/dev/null``,
+    ``/dev/stdout`` on a terminal or a pipe) cannot be replaced and is
+    written directly.  Text is written as given, with no newline translation.
+    """
+    # tested before resolving: /dev/stdout on a pipe resolves to no path
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = tmp.open("x", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only when the write failed
+
+
+def _csv_header(dim: int) -> str:
+    return ",".join([f"x{i}" for i in range(dim)] + ["y"]) + "\r\n"
+
+
+def _csv_row_format(dim: int) -> str:
+    # %r of a Python float (from tolist()) is the text csv.writer writes
+    return ",".join(["%r"] * (dim + 1)) + "\r\n"
 
 
 def to_csv(data: Dataset, path) -> None:
@@ -319,35 +369,26 @@ def to_csv(data: Dataset, path) -> None:
     its covariates and its label, every float in its shortest round-trip
     ``repr``, comma separated, each line ended by CRLF (the bytes
     ``csv.writer`` writes for these rows).  Rows are formatted and written
-    ``CSV_BLOCK_ROWS`` at a time.  The file is written to a temporary file
-    in the target's directory and then moved over ``path``, so ``path``
-    holds either its earlier contents or the whole table, never a prefix;
-    on an error the temporary file is removed.  A symlink at ``path`` is
-    followed: the file it points to is replaced, the link stays.
+    ``CSV_BLOCK_ROWS`` at a time, through :func:`atomic_write`.
+    :func:`corrupt_csv` writes the same format but formats only the rows
+    it changed.
     """
-    path = Path(os.path.realpath(path))
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = tmp.open("x", newline="")
-    try:
-        with fh:
-            fh.write(",".join([f"x{i}" for i in range(data.dim)] + ["y"]) + "\r\n")
-            line = ",".join(["%r"] * (data.dim + 1)) + "\r\n"
-            for start in range(0, data.n, CSV_BLOCK_ROWS):
-                stop = min(start + CSV_BLOCK_ROWS, data.n)
-                # tolist() gives Python floats, which %r writes as csv.writer does
-                values = np.column_stack([data.covariates[start:stop], data.labels[start:stop]]).ravel().tolist()
-                fh.write(line * (stop - start) % tuple(values))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # left only when the write failed
+    line = _csv_row_format(data.dim)
+    with atomic_write(path) as fh:
+        fh.write(_csv_header(data.dim))
+        for start in range(0, data.n, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, data.n)
+            values = np.column_stack([data.covariates[start:stop], data.labels[start:stop]]).ravel().tolist()
+            fh.write(line * (stop - start) % tuple(values))
 
 
 def from_csv(path, sigma: float = 1.0) -> Dataset:
     """Read a table in the format :func:`to_csv` writes.
 
     The header must end with the label column ``y``; each row must hold
-    one field per header column.  Any line ending and any float spelling
-    ``np.loadtxt`` parses is accepted.  ``sigma`` is the dataset's
+    one field per header column, and at least one row must follow the
+    header.  Any line ending and any float spelling ``np.loadtxt`` parses
+    is accepted; empty lines are skipped.  ``sigma`` is the dataset's
     covariance bound, which the file does not carry.
     """
     path = Path(path)
@@ -355,14 +396,94 @@ def from_csv(path, sigma: float = 1.0) -> Dataset:
         header = next(csv.reader([fh.readline()]), [])
         if not header or header[-1] != "y":
             raise ValueError("expected a header ending with column 'y'")
+        start = fh.tell()
+        while (line := fh.readline()) in _EMPTY_LINES:
+            pass
+        if not line:
+            raise ValueError(f"{path}: no data rows")
+        fh.seek(start)
         arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if arr.size == 0:
-        raise ValueError(f"{path}: no data rows")
     if arr.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {arr.shape[1]} fields, the header has {len(header)}")
     return Dataset(arr[:, :-1], arr[:, -1], sigma)
 
 
+def _file_version(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    # bit patterns: != on floats calls 0.0 and -0.0 equal, yet repr tells them apart
+    return a.view(np.uint64)
+
+
+def corrupt_csv(source, spec: ContaminationSpec, path, seed: int = 0, sigma: float = 1.0) -> Dataset:
+    """Contaminate the table at ``source`` and write it to ``path``; return
+    the contaminated dataset.
+
+    ``source`` is read with :func:`from_csv` and contaminated with
+    :func:`contaminate`.  ``path`` gets :func:`to_csv`'s header, then one
+    line per row: a row whose covariates and label are bitwise unchanged
+    (compared as bit patterns, so 0.0 and -0.0 differ) is the text of its
+    line in ``source``, ended by CRLF; a changed row is formatted as
+    :func:`to_csv` formats it.  For an input written by :func:`to_csv` the
+    bytes are those of ``to_csv(contaminate(from_csv(source)))``; for any
+    input the untouched rows keep their spelling.  Empty lines are
+    dropped, as :func:`from_csv` skips them.
+
+    The copy streams ``CSV_BLOCK_ROWS`` rows at a time from a handle
+    opened before the parse, so memory does not grow with the table
+    beyond the two datasets.  The source's device, inode, size and
+    modification time must be the same when it is opened, after the parse
+    and after the copy (a rewrite of the same size within one timestamp
+    tick is not seen), and the copy must find exactly one line per parsed
+    row; otherwise ``ValueError`` is raised and ``path`` is left as it
+    was.  ``path`` may be ``source``.
+    """
+    source = Path(source)
+    with source.open(newline="") as src:
+        opened = _file_version(os.fstat(src.fileno()))
+        clean = from_csv(source, sigma)
+        if _file_version(os.stat(source)) != opened:
+            raise ValueError(f"{source} changed while it was read")
+        dirty = contaminate(clean, spec, seed)
+        src.readline()  # the header
+        lines = (line for line in src if line not in _EMPTY_LINES)
+        row = _csv_row_format(dirty.dim)
+
+        def check_lines(copied: int) -> None:
+            # a changed file explains a wrong line count, so it is named first
+            if _file_version(os.fstat(src.fileno())) != opened:
+                raise ValueError(f"{source} changed while it was copied")
+            if copied != dirty.n:
+                raise ValueError(f"{source} has {copied} data lines, the parse read {dirty.n} rows")
+
+        with atomic_write(path) as fh:
+            fh.write(_csv_header(dirty.dim))
+            for start in range(0, dirty.n, CSV_BLOCK_ROWS):
+                stop = min(start + CSV_BLOCK_ROWS, dirty.n)
+                block = [line.rstrip("\r\n") + "\r\n" for line in itertools.islice(lines, stop - start)]
+                if len(block) != stop - start:
+                    check_lines(start + len(block))
+                changed = (_bits(clean.covariates[start:stop]) != _bits(dirty.covariates[start:stop])).any(axis=1)
+                changed |= _bits(clean.labels[start:stop]) != _bits(dirty.labels[start:stop])
+                rows = np.flatnonzero(changed)
+                if rows.size:
+                    values = np.column_stack([dirty.covariates[start + rows], dirty.labels[start + rows]])
+                    # an adversary that plants one point (far cluster, DORO) repeats
+                    # its row; each distinct bit pattern is formatted once per block
+                    texts: dict[bytes, str] = {}
+                    for i, v in zip(rows.tolist(), values):
+                        key = v.tobytes()
+                        if key not in texts:
+                            texts[key] = row % tuple(v.tolist())
+                        block[i] = texts[key]
+                fh.write("".join(block))
+            check_lines(dirty.n + sum(1 for _ in lines))
+    return dirty
+
+
 def write_sidecar(rows, sigma: float, path) -> None:
     """Ground-truth record (JSON) of the replaced rows and sigma.  Test/benchmark use only."""
-    Path(path).write_text(json.dumps({"corrupted_indices": sorted(map(int, rows)), "sigma": sigma}, indent=0))
+    with atomic_write(path) as fh:
+        fh.write(json.dumps({"corrupted_indices": sorted(map(int, rows)), "sigma": sigma}, indent=0))

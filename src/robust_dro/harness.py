@@ -28,7 +28,8 @@ import numpy as np
 
 from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_solve
 from .data import (
-    ADVERSARY_KINDS, ContaminationSpec, Dataset, contaminate, generate_synthetic, parse_adversary, prepend_ones,
+    ADVERSARY_KINDS, ContaminationSpec, Dataset, atomic_write, contaminate, generate_synthetic, parse_adversary,
+    prepend_ones,
 )
 from .losses import LossFamily, NormRegularizer
 from .robust_mean import stability_filter
@@ -102,11 +103,11 @@ class ExperimentConfig:
             for v in value if isinstance(value, (tuple, list)) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"sweep config key {f.name!r} must be finite, got {v!r}")
-        # a sample of no rows runs generate_synthetic's checks, those of the
-        # planted coefficients among them, and draws nothing; zero planted
-        # coefficients change no adversary check
+        # a one-row sample runs generate_synthetic's checks, those of the
+        # planted coefficients among them, and draws almost nothing; zero
+        # planted coefficients change no adversary check
         generate_synthetic(
-            self.dim, 0, _resolve_planted(self.planted, self.dim, 0), sigma=self.sigma, task=self.task,
+            self.dim, 1, _resolve_planted(self.planted, self.dim, 0), sigma=self.sigma, task=self.task,
             noise_std=self.noise_std, flip_prob=self.flip_prob, covariate_law=self.covariate_law,
             student_dof=self.student_dof,
         )
@@ -335,7 +336,7 @@ def _fmt(value) -> str:
 def emit_report(rows: list[MetricsRow], fmt: str, path=None) -> str:
     """Serialize rows (CSV with fixed column order and 9-significant-digit
     floats, or JSON with native doubles).  Returns the text; also writes
-    it when a path is given."""
+    it when a path is given, through ``data.atomic_write``."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -349,7 +350,8 @@ def emit_report(rows: list[MetricsRow], fmt: str, path=None) -> str:
     else:
         raise ValueError("format must be 'csv' or 'json'")
     if path is not None:
-        Path(path).write_text(text)
+        with atomic_write(path) as fh:
+            fh.write(text)
     return text
 
 

@@ -10,7 +10,10 @@ It stops on whichever comes first:
     is at most KAPPA * sigma^2 (times the weighted mean of the squared
     row scales, for the gradient oracle's scaled rows), which
     is all the stability argument needs (the bounded-covariance filter of
-    Diakonikolas, Kamath, Kane, Li, Moitra and Stewart, FOCS 2016);
+    Diakonikolas, Kamath, Kane, Li, Moitra and Stewart, FOCS 2016; the
+    rule of stopping once the top eigenvalue is within a constant factor
+    of sigma^2 is theirs too, in "Being robust (in high dimensions) can be
+    practical", ICML 2017);
   * the mass budget: the surviving weight drops below 1 - 2*epsilon.
 
 On an epsilon-corrupted version of a stable point set this recovers the

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from robust_dro.cli import ADVERSARIES, main
-from robust_dro.data import ContaminationSpec, contaminate, from_csv, parse_adversary, replaced_rows
+from robust_dro.data import ContaminationSpec, contaminate, from_csv, parse_adversary, replaced_rows, to_csv
 from robust_dro.harness import MetricsRow, _resolve_adversary, emit_report
 from robust_dro.losses import LossFamily, NormRegularizer
 from robust_dro.robust_mean import OracleContractError
@@ -101,6 +101,43 @@ def test_corrupt_sidecar_lists_exactly_the_changed_rows(tmp_path, adversary):
     assert json.loads(side.read_text()) == {"corrupted_indices": changed, "sigma": 1.5}
     spec = ContaminationSpec(0.1, parse_adversary(ADVERSARIES[adversary]))
     assert changed == replaced_rows(300, spec, seed=8).tolist()
+
+
+README_GENERATE = ["generate", "--dim", "10", "--n", "5000", "--task", "classification", "--flip-prob", "0.05",
+                   "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--adversary", "far-cluster"], ["--adversary", "doro"], ["--adversary", "label-flip"],
+     ["--adversary", "label-flip", "--magnitude", "0"]],
+    ids=["far-cluster", "doro", "label-flip", "label-flip-0"],
+)
+def test_corrupt_writes_the_bytes_of_to_csv_of_the_contaminated_sample(tmp_path, flags):
+    clean = tmp_path / "clean.csv"
+    dirty = tmp_path / "dirty.csv"
+    assert main([*README_GENERATE, "--output", str(clean)]) == 0
+    assert main(["corrupt", "--input", str(clean), "--epsilon", "0.1", *flags, "--seed", "2",
+                 "--output", str(dirty)]) == 0
+    magnitude = {"magnitude": 0.0} if "--magnitude" in flags else {}
+    adversary = parse_adversary(ADVERSARIES[flags[1]], **magnitude)
+    to_csv(contaminate(from_csv(clean), ContaminationSpec(0.1, adversary), seed=2), tmp_path / "want.csv")
+    assert dirty.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    if magnitude:
+        assert b"-0.0," in dirty.read_bytes()  # a replaced row the copy must not mistake for its 0.0 original
+
+
+def test_corrupt_in_place(tmp_path):
+    path = tmp_path / "data.csv"
+    side = tmp_path / "data.meta.json"
+    assert main([*README_GENERATE, "--output", str(path)]) == 0
+    spec = ContaminationSpec(0.1, parse_adversary("far_cluster"))
+    to_csv(contaminate(from_csv(path), spec, seed=2), tmp_path / "want.csv")
+    assert main(["corrupt", "--input", str(path), "--epsilon", "0.1", "--seed", "2", "--output", str(path),
+                 "--sidecar", str(side)]) == 0
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert json.loads(side.read_text())["corrupted_indices"] == replaced_rows(5000, spec, seed=2).tolist()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.meta.json", "want.csv"]
 
 
 def test_corrupt_rejects_a_direction_of_the_wrong_length(tmp_path, capsys):
@@ -208,7 +245,8 @@ def test_solve_raises_a_solver_fault_instead_of_reporting_bad_input(tmp_path, mo
      (["generate", "--dim", "3", "--n", "50", "--planted", "0,inf,1"],
       "planted_w must be finite, got [0.0, inf, 1.0]"),
      (["generate", "--dim", "0", "--n", "10"], "d must be at least 1 (it counts the intercept slot), got 0"),
-     (["generate", "--dim", "3", "--n", "-1"], "n must be nonnegative, got -1")],
+     (["generate", "--dim", "3", "--n", "-1"], "n must be at least 1, got -1"),
+     (["generate", "--dim", "3", "--n", "0"], "n must be at least 1, got 0")],
 )
 def test_out_of_range_inputs_are_rejected(tmp_path, capsys, argv, message):
     clean = tmp_path / "clean.csv"

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import stat
 import tracemalloc
 from dataclasses import fields
 
@@ -21,6 +24,7 @@ from robust_dro.data import (
     FarCluster,
     LabelFlipPlusLeverage,
     contaminate,
+    corrupt_csv,
     from_csv,
     generate_synthetic,
     parse_adversary,
@@ -106,7 +110,8 @@ def test_generate_rejects_a_bad_planted_vector_law_or_task(planted, kwargs, mess
     "d, n, message",
     [(0, 10, "d must be at least 1 (it counts the intercept slot), got 0"),
      (-2, 10, "d must be at least 1 (it counts the intercept slot), got -2"),
-     (3, -1, "n must be nonnegative, got -1")],
+     (3, -1, "n must be at least 1, got -1"),
+     (3, 0, "n must be at least 1, got 0")],
 )
 def test_generate_rejects_a_bad_dimension_or_sample_size(d, n, message):
     with pytest.raises(ValueError) as exc:
@@ -457,15 +462,206 @@ def test_to_csv_memory_does_not_grow_with_the_table(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["x0,x1,y\n1.0,2.0\n3.0,4.0\n", "x0,y\n1.0,2.0,3.0\n", "x0,x1,y\n1.0,2.0,3.0\n4.0,5.0\n", "x0,x1,y\n", ""],
-    ids=["narrow-rows", "wide-rows", "ragged-rows", "header-only", "empty"],
+    ["x0,x1,y\n1.0,2.0\n3.0,4.0\n", "x0,y\n1.0,2.0,3.0\n", "x0,x1,y\n1.0,2.0,3.0\n4.0,5.0\n", "x0,x1,y\n", "",
+     "x0,x1,y\r\n\r\n\n\r"],
+    ids=["narrow-rows", "wide-rows", "ragged-rows", "header-only", "empty", "header-and-empty-lines"],
 )
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.filterwarnings("error")  # numpy's "input contained no data" must not reach the user
 def test_from_csv_rejects_rows_that_do_not_fit_the_header(tmp_path, text):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     with pytest.raises(ValueError):
         from_csv(path)
+
+
+class _DiskFullFile:
+    """A file that takes half of a write and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("writer", ["emit_json", "emit_report", "write_sidecar"])
+def test_a_failed_write_leaves_the_earlier_file_in_place(tmp_path, monkeypatch, writer):
+    from robust_dro import cli, harness
+
+    path = tmp_path / "out"
+    path.write_text("earlier")
+    write = {
+        "emit_json": lambda: cli._emit_json({"w_hat": [1.0, 2.0]}, str(path)),
+        "emit_report": lambda: harness.emit_report(
+            [harness.MetricsRow("pdhg", "none", 0.1, 7, 0.25, 0.5, 1.25, 42)], "csv", path),
+        "write_sidecar": lambda: write_sidecar([3, 1], 1.0, path),
+    }[writer]
+    real_open = pathlib.Path.open
+
+    def opens_on_a_full_disk(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return fh if mode == "r" else _DiskFullFile(fh)
+
+    monkeypatch.setattr(pathlib.Path, "open", opens_on_a_full_disk)
+    with pytest.raises(OSError, match="no space left"):
+        write()
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert path.read_text() == "earlier"
+
+
+@pytest.mark.parametrize("name", ["fifo", "descriptor"])
+def test_a_write_into_a_pipe_keeps_the_pipe(tmp_path, name):
+    # a device or pipe is written directly: replacing it would, run as
+    # root, put a regular file where /dev/null was.  /dev/fd/N of a pipe
+    # (as /dev/stdout is under `| ...`) resolves to no path at all.
+    if name == "fifo":
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        reader, writer = os.open(path, os.O_RDONLY | os.O_NONBLOCK), None
+    else:
+        reader, writer = os.pipe()
+        path = f"/dev/fd/{writer}"
+    try:
+        write_sidecar([2], 1.0, path)
+        assert os.read(reader, 1000) == b'{\n"corrupted_indices": [\n2\n],\n"sigma": 1.0\n}'
+        assert stat.S_ISFIFO(os.stat(path).st_mode)
+    finally:
+        os.close(reader)
+        if writer is not None:
+            os.close(writer)
+    assert [p.name for p in tmp_path.iterdir()] == (["pipe"] if name == "fifo" else [])
+
+
+def _spelled(value: float, rng) -> str:
+    # exact binary fractions, so every spelling reads back to the same bits
+    text = f"{value:.2f}"
+    return f" {text}  " if rng.random() < 0.3 else text
+
+
+@pytest.mark.parametrize(
+    "adversary", [FarCluster(), DoroCounterexample(), LabelFlipPlusLeverage(0.0)],
+    ids=["far-cluster", "doro", "label-flip-0"],
+)
+def test_corrupt_csv_keeps_the_text_of_every_untouched_row(tmp_path, adversary):
+    # LF endings, two-decimal spellings (1.50, -0.00), padded fields,
+    # empty lines and no final line ending
+    rng = np.random.default_rng(3)
+    table = np.column_stack([rng.integers(-8, 9, size=(60, 2)) / 4.0, rng.choice([-1.0, 1.0], size=60)])
+    table[5, 1] = -0.0
+    rows = [",".join(_spelled(v, rng) for v in row) for row in table]
+    source = tmp_path / "clean.csv"
+    source.write_bytes(("a,b,y\n\n" + "\n".join(rows[:30]) + "\n\r\n" + "\n".join(rows[30:])).encode())
+    spec = ContaminationSpec(0.1, adversary)
+    dirty = corrupt_csv(source, spec, tmp_path / "dirty.csv", seed=4)
+
+    want = contaminate(from_csv(source), spec, seed=4)
+    assert dirty.covariates.tobytes() == want.covariates.tobytes()
+    back = from_csv(tmp_path / "dirty.csv")
+    assert back.covariates.tobytes() == want.covariates.tobytes()
+    assert back.labels.tobytes() == want.labels.tobytes()
+    text = (tmp_path / "dirty.csv").read_bytes().decode()
+    assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+    header, *lines = text[:-2].split("\r\n")
+    assert header == "x0,x1,y"
+    replaced = replaced_rows(60, spec, seed=4).tolist()
+    assert [i for i in range(60) if lines[i] != rows[i]] == replaced
+    for i in replaced:
+        assert lines[i] == ",".join(repr(v) for v in [*want.covariates[i].tolist(), want.labels[i].item()])
+
+
+def test_corrupt_csv_formats_a_row_whose_only_change_is_the_sign_of_a_zero(tmp_path, monkeypatch):
+    source = tmp_path / "clean.csv"
+    source.write_bytes(b"x0,y\r\n0.0,1.0\r\n2.0,1.0\r\n")
+    monkeypatch.setattr(data, "contaminate", lambda ds, spec, seed: Dataset(np.array([[-0.0], [2.0]]), ds.labels))
+    corrupt_csv(source, ContaminationSpec(0.1, FarCluster()), tmp_path / "dirty.csv")
+    assert (tmp_path / "dirty.csv").read_bytes() == b"x0,y\r\n-0.0,1.0\r\n2.0,1.0\r\n"
+
+
+@pytest.mark.parametrize("when", ["parse", "copy"])
+def test_corrupt_csv_rejects_an_input_changed_while_it_is_read(tmp_path, monkeypatch, when):
+    source = tmp_path / "clean.csv"
+    to_csv(generate_synthetic(3, 50, np.zeros(3), seed=1), source)
+    out = tmp_path / "dirty.csv"
+    out.write_text("earlier")
+    name = "from_csv" if when == "parse" else "contaminate"
+    real = getattr(data, name)
+
+    def changes_the_source_first(*args, **kwargs):
+        with source.open("a", newline="") as fh:
+            fh.write("9.0,9.0,1.0\r\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(data, name, changes_the_source_first)
+    with pytest.raises(ValueError, match=f"changed while it was {'read' if when == 'parse' else 'copied'}"):
+        corrupt_csv(source, ContaminationSpec(0.1, FarCluster()), out, seed=2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.csv", "dirty.csv"]
+    assert out.read_text() == "earlier"
+
+
+def test_corrupt_csv_copies_the_version_it_parsed_when_the_source_is_replaced(tmp_path, monkeypatch):
+    source = tmp_path / "clean.csv"
+    ds = generate_synthetic(3, 50, np.zeros(3), seed=1)
+    to_csv(ds, source)
+    real = data.contaminate
+
+    def replaces_the_source_first(*args, **kwargs):
+        other = tmp_path / "other.csv"
+        to_csv(generate_synthetic(3, 50, np.zeros(3), seed=2), other)
+        other.replace(source)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(data, "contaminate", replaces_the_source_first)
+    spec = ContaminationSpec(0.1, FarCluster())
+    corrupt_csv(source, spec, tmp_path / "dirty.csv", seed=2)
+    to_csv(contaminate(ds, spec, seed=2), tmp_path / "want.csv")
+    assert (tmp_path / "dirty.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [slice(None, -1), [*range(50), 0]], ids=["fewer-rows", "more-rows"])
+def test_corrupt_csv_requires_one_line_per_parsed_row(tmp_path, monkeypatch, rows):
+    source = tmp_path / "clean.csv"
+    to_csv(generate_synthetic(3, 50, np.zeros(3), seed=1), source)
+    real = data.from_csv
+    monkeypatch.setattr(data, "from_csv", lambda *args: real(*args).subset(np.arange(50)[rows]))
+    with pytest.raises(ValueError, match="data lines"):
+        corrupt_csv(source, ContaminationSpec(0.1, FarCluster()), tmp_path / "dirty.csv", seed=2)
+    assert [p.name for p in tmp_path.iterdir()] == ["clean.csv"]
+
+
+def test_corrupt_csv_memory_beyond_the_two_datasets_does_not_grow_with_the_table(tmp_path, monkeypatch):
+    # measured from the end of contaminate, when the clean and the
+    # contaminated dataset are both held; a copy that gathered the file's
+    # lines or text at once would grow with N
+    held = []
+    real = data.contaminate
+
+    def contaminate_then_reset_the_peak(*args, **kwargs):
+        out = real(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(data, "contaminate", contaminate_then_reset_the_peak)
+    extras = []
+    for n in (5_000, 20_000):
+        to_csv(generate_synthetic(21, n, np.zeros(21), seed=n), tmp_path / "clean.csv")
+        held.clear()
+        tracemalloc.start()
+        try:
+            corrupt_csv(tmp_path / "clean.csv", ContaminationSpec(0.1, FarCluster()), tmp_path / "dirty.csv", seed=1)
+            extras.append(tracemalloc.get_traced_memory()[1] - held[0])
+        finally:
+            tracemalloc.stop()
+    assert abs(extras[1] - extras[0]) <= 0.1 * extras[0], extras
+    assert max(extras) < 4 * 2**20, extras
 
 
 def test_sidecar_round_trip(tmp_path):
