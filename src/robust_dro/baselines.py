@@ -151,7 +151,6 @@ def doro_cvar(
     for k in range(1, iters + 1):
         losses = loss_values(loss, y, x @ w)
         keep = np.argsort(losses)[: n - n_drop] if n_drop else np.arange(n)
-        kept_losses = losses[keep]
         n_kept = keep.size
         if alpha == 1.0:
             active = keep
@@ -159,11 +158,13 @@ def doro_cvar(
         else:
             # eta* is the kept-loss order statistic where the count of
             # strictly larger losses first drops to alpha * n_kept
+            kept_losses = losses[keep]
             desc = np.sort(kept_losses)[::-1]
             eta = desc[min(int(math.ceil(alpha * n_kept)) - 1, n_kept - 1)]
             active = keep[kept_losses > eta]
             scale = 1.0 / (alpha * n_kept)
-        g = scale * (loss_subgradients(loss, y[active], x[active] @ w) @ x[active])
+        xa = x[active]  # gathered once: the margins and the gradient product read the same rows
+        g = scale * (loss_subgradients(loss, y[active], xa @ w) @ xa)
         g = g + reg.weight * norm_subgradient(w, reg.s)
         if step_c is None:
             step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)

@@ -15,8 +15,9 @@ Tables travel as CSV.  :func:`to_csv` formats every row;
 copies the text of every other row from its input, so a contaminated
 file differs from its source in exactly the replaced rows.  Every file
 this package writes goes through :func:`atomic_write`: a temporary file
-moved over the target (a device or pipe is written directly), so an
-interrupted write leaves the earlier file.
+moved over the target (a device, a pipe or an open descriptor such as
+``/dev/stdout`` is written directly), so an interrupted write leaves the
+earlier file.
 """
 
 from __future__ import annotations
@@ -324,6 +325,21 @@ CSV_BLOCK_ROWS = 1024
 _EMPTY_LINES = ("\n", "\r", "\r\n")
 
 
+def _open_descriptor(path) -> int | None:
+    """The descriptor N of this process that ``path`` names, directly or
+    through symlinks, as /dev/stdout -> /proc/self/fd/1 does; else None."""
+    fd_dirs = {os.path.realpath("/proc/self/fd"), os.path.realpath("/dev/fd")}
+    link = os.path.abspath(path)
+    for _ in range(40):  # the kernel's own cap on links in one lookup
+        parent, name = os.path.split(link)
+        if name.isdigit() and os.path.realpath(parent) in fd_dirs:
+            return int(name)
+        if not os.path.islink(link):
+            return None
+        link = os.path.join(parent, os.readlink(link))
+    return None
+
+
 @contextmanager
 def atomic_write(path):
     """A new text file whose contents replace ``path`` when the block exits
@@ -333,11 +349,20 @@ def atomic_write(path):
     ``path``, so ``path`` holds either its earlier contents or everything
     written, never a prefix; on an error the temporary file is removed.
     A symlink at ``path`` is followed: the file it points to is replaced,
-    the link stays.  A device or pipe at ``path`` (``/dev/null``,
-    ``/dev/stdout`` on a terminal or a pipe) cannot be replaced and is
-    written directly.  Text is written as given, with no newline translation.
+    the link stays.  A path that names an open descriptor of this process
+    (``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N``, ``/proc/self/fd/N``)
+    is written through that descriptor, at its offset, whatever it is open
+    on: replacing the file would leave the descriptor, and whatever writes
+    to it next (the shell of ``cmd > out``), on the unlinked old file.  A
+    device or pipe at ``path`` (``/dev/null``, a named pipe) cannot be
+    replaced and is written directly.  Text is written as given, with no
+    newline translation.
     """
-    # tested before resolving: /dev/stdout on a pipe resolves to no path
+    fd = _open_descriptor(path)
+    if fd is not None:
+        with os.fdopen(os.dup(fd), "w", newline="") as fh:
+            yield fh
+        return
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline="") as fh:
             yield fh

@@ -19,8 +19,10 @@ It stops on whichever comes first:
 On an epsilon-corrupted version of a stable point set this recovers the
 stable mean up to O(sigma * sqrt(epsilon)), dimension-free.  A certified
 call on scaled rows may start from the weights a previous call ended with
-(the gradient oracle's warm start); a warm start that spends the mass
-budget before the certificate holds starts over once from uniform weights.
+(the gradient oracle's warm start; a solve's first call starts from those
+of the certified centring call on the same rows); a warm start that
+spends the mass budget before the certificate holds starts over once from
+uniform weights.
 
 A pass costs one SYRK-shaped product, one dense eigensolve and a partial
 selection: the covariance is taken in Gram form, and the threshold
@@ -468,8 +470,9 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: f
     ``sigma`` bounds the stable covariates' second moment about the
     origin (sigma^2 * I); the filter stops on its spectral certificate
     lam <= KAPPA * sigma^2 * (weighted mean of beta_i^2).  ``start`` is
-    the weights a previous call ended with (the state's ``weights``), to
-    start the filter from instead of 1/N.  ``screen`` is a
+    the weights a previous call ended with (the state's ``weights``; for a
+    solve's first call, those of ``pipeline``'s certified centring call),
+    to start the filter from instead of 1/N.  ``screen`` is a
     :class:`CertificateScreen` built on ``covariates`` (that array
     itself), which a solve builds once and hands to each of its calls
     (by default a warm call builds its own; a cold one never screens).

@@ -41,7 +41,7 @@ from .robust_mean import (
     FilterState,
     OracleContractError,
     inexact_hybrid_gradient_oracle,
-    robust_mean_estimation,
+    robust_mean_with_state,
     trimmed_mean_1d,
 )
 
@@ -194,6 +194,7 @@ def _oracle_call(
 def pdhg_solve(
     data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *,
     first: tuple[np.ndarray, FilterState | None] | None = None, screen: CertificateScreen | None = None,
+    start: np.ndarray | None = None,
 ) -> SolveResult:
     """Run the primal-dual loop on (intercept-carrying) data from w_0 = 0.
 
@@ -206,7 +207,9 @@ def pdhg_solve(
     of (1/N) sum_i beta_i x_i.  Within a run, successive beta differ
     little, so each call starts from the filter weights the previous call
     ended with (a warm call that spends the mass budget uncertified starts
-    over cold; most certify at once).
+    over cold; most certify at once).  The first call starts from the
+    weights ``start`` (``pipeline`` hands it the weights its certified
+    centring call ended with), or cold from 1/N by default.
 
     ``first``, if given, is the output ``(z, state)`` of the first
     oracle call, ``_oracle_call`` at beta = 1/N on ``data``'s covariates,
@@ -244,7 +247,7 @@ def pdhg_solve(
         if k == 1 and first is not None:
             z, state = first
         else:
-            z, state = _oracle_call(x, cfg, beta, None if state is None else state.weights, screen)
+            z, state = _oracle_call(x, cfg, beta, start if state is None else state.weights, screen)
             uncertified += state is not None and not state.certified
         tau = a * gamma / (2.0 - k / t_hor)
         w = reg_prox(reg, w - tau * z, tau)
@@ -258,7 +261,9 @@ def pdhg_solve(
     )
 
 
-def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> SolveResult:
+def tune_gamma(
+    data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *, start: np.ndarray | None = None,
+) -> SolveResult:
     """Geometric search over the unknown distance-to-optimum.
 
     Candidates D_j = delta * 2^j for j = 0 .. ceil(log2(w0_bound /
@@ -268,7 +273,9 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     (ties prefer the smaller D_j; a NaN estimate is never chosen).
 
     The first oracle call, at beta = 1/N, is the same in every candidate
-    run, so it is computed once and handed to each candidate's
+    run, so it is computed once, from the filter weights ``start`` (cold
+    from 1/N by default; ``pipeline`` hands it the weights its certified
+    centring call ended with), and handed to each candidate's
     :func:`pdhg_solve`, together with the one :class:`CertificateScreen`
     every run's calls use; every result is bitwise what independent runs
     give.  The returned ``oracle_calls`` and ``uncertified_calls`` count
@@ -283,7 +290,7 @@ def tune_gamma(data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGC
     max_dual = 0.0
     max_extrap = 0.0
     screen = None if cfg.exact_oracle else CertificateScreen(data.covariates)
-    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), None, screen)
+    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), start, screen)
     calls = 1
     uncertified = int(first[1] is not None and not first[1].certified)
     for j in range(j_max + 1):
@@ -317,18 +324,28 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
     is set), and maps the solution back to the original coordinates by
     absorbing the centering shift into the intercept:
     w0_orig = w0_centered - w_rest . mu_hat.
+
+    The solve's oracle calls form one warm chain with the centring call:
+    if that call certified, the solve's first oracle call starts from the
+    weights it ended with, which have already down-weighted the outliers
+    (both filters run on the same rows with the same mass budget
+    1 - 4 epsilon); if it stopped on the mass budget, the first call
+    starts cold from 1/N.
     """
     checked_labels(loss, raw)  # before the centring filter
     x = raw.covariates
+    start = None
     if cfg.exact_oracle:
         mu_hat = x.mean(axis=0)
     else:
-        mu_hat = robust_mean_estimation(x, 2.0 * cfg.epsilon, sigma=cfg.sigma)
+        mu_hat, centring = robust_mean_with_state(x, 2.0 * cfg.epsilon, sigma=cfg.sigma)
+        if centring.certified:
+            start = centring.weights
     lifted = prepend_ones(raw, mu_hat)
     if cfg.gamma_dist is not None:
-        res = pdhg_solve(lifted, loss, reg, cfg)
+        res = pdhg_solve(lifted, loss, reg, cfg, start=start)
     else:
-        res = tune_gamma(lifted, loss, reg, cfg)
+        res = tune_gamma(lifted, loss, reg, cfg, start=start)
     w = res.w_hat.copy()
     w[0] = w[0] - w[1:] @ mu_hat
     res.w_hat = w

@@ -177,15 +177,20 @@ def test_doro_matches_plain_subgradient_without_trimming():
             assert np.array_equal(doro_cvar(data, HINGE, epsilon=0.0, alpha=1.0, iters=k, reg=reg), w)
 
 
-@pytest.mark.parametrize("loss, task", [(HINGE, "classification"), (LAD, "regression")], ids=["hinge", "lad"])
-def test_doro_cvar_below_one_matches_a_trimmed_tail_replay(loss, task):
+@pytest.mark.parametrize(
+    "loss, task, alpha",
+    [(HINGE, "classification", 0.5), (LAD, "regression", 0.5), (HINGE, "classification", 1.0)],
+    ids=["hinge", "lad", "hinge-alpha-1"],
+)
+def test_doro_cvar_below_one_matches_a_trimmed_tail_replay(loss, task, alpha):
     clean = generate_synthetic(3, 120, np.array([0.0, 1.0, -0.4]), task=task, flip_prob=0.1, seed=9)
     data = prepend_ones(contaminate(clean, ContaminationSpec(0.1, FarCluster()), seed=10))
     reg = NormRegularizer("2", 0.1)
-    eps, alpha, iters = 0.1, 0.5, 7
+    eps, iters = 0.1, 7
     # replay: drop the 12 highest-loss rows, then step on the kept rows
     # whose loss lies strictly above the ceil(alpha * n_kept)-th largest
-    # kept loss, at weight 1 / (alpha * n_kept)
+    # kept loss, at weight 1 / (alpha * n_kept); at alpha = 1 (the sweep's
+    # setting) on every kept row
     x, y, n = data.covariates, data.labels, data.n
     n_kept = n - int(np.floor(eps * n))
     w = np.zeros(3)
@@ -194,7 +199,7 @@ def test_doro_cvar_below_one_matches_a_trimmed_tail_replay(loss, task):
         losses = loss_values(loss, y, x @ w)
         keep = np.argsort(losses)[:n_kept]
         eta = np.sort(losses[keep])[::-1][int(np.ceil(alpha * n_kept)) - 1]
-        active = keep[losses[keep] > eta]
+        active = keep if alpha == 1.0 else keep[losses[keep] > eta]
         g = (1.0 / (alpha * n_kept)) * (loss_subgradients(loss, y[active], x[active] @ w) @ x[active])
         g = g + reg.weight * norm_subgradient(w, reg.s)
         if step_c is None:

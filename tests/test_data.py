@@ -7,6 +7,8 @@ import math
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -325,7 +327,7 @@ def test_every_producer_stores_covariates_column_major_and_read_only(tmp_path, m
         produced[type(adv).__name__] = contaminate(clean, ContaminationSpec(0.1, adv), seed=2)
     lifted = []
     real = solver_mod.tune_gamma
-    monkeypatch.setattr(solver_mod, "tune_gamma", lambda data, *rest: lifted.append(data) or real(data, *rest))
+    monkeypatch.setattr(solver_mod, "tune_gamma", lambda data, *rest, **kw: lifted.append(data) or real(data, *rest, **kw))
     pipeline(clean, LossFamily("hinge"), NormRegularizer("2", 0.1), PDHGConfig(epsilon=0.1, sigma=1.0))
     produced["pipeline's lifted rows"] = lifted[0]
     for name, ds in produced.items():
@@ -538,6 +540,20 @@ def test_a_write_into_a_pipe_keeps_the_pipe(tmp_path, name):
         if writer is not None:
             os.close(writer)
     assert [p.name for p in tmp_path.iterdir()] == (["pipe"] if name == "fifo" else [])
+
+
+@pytest.mark.parametrize("name", ["/dev/stdout", "/dev/fd/1", "/proc/self/fd/1"])
+def test_a_write_through_redirected_stdout_keeps_what_is_written_after_it(tmp_path, name):
+    # as `( robust-dro solve --output /dev/stdout; echo tail ) > out.txt`: the
+    # write goes through the shell's descriptor, so the file is neither
+    # replaced nor overwritten by what that descriptor writes next
+    out = tmp_path / "out.txt"
+    script = f"from robust_dro.data import write_sidecar; write_sidecar([2], 1.0, {name!r}); print(); print('tail')"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(data.__file__).parents[1])}
+    with out.open("w") as fh:
+        subprocess.run([sys.executable, "-c", script], stdout=fh, env=env, check=True, timeout=60)
+    assert out.read_text() == '{\n"corrupted_indices": [\n2\n],\n"sigma": 1.0\n}\ntail\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def _spelled(value: float, rng) -> str:

@@ -237,10 +237,13 @@ ENTRY_POINTS = {
 def test_every_entry_point_rejects_a_bad_classification_label(entry, monkeypatch):
     from robust_dro import robust_mean
 
+    import robust_dro.solver as solver_mod
+
     filter_calls = []
     run_filter = robust_mean.robust_mean_with_state
-    monkeypatch.setattr(robust_mean, "robust_mean_with_state",
-                        lambda *args, **kwargs: filter_calls.append(1) or run_filter(*args, **kwargs))
+    for module in (robust_mean, solver_mod):  # the solver's centring call binds the filter by name
+        monkeypatch.setattr(module, "robust_mean_with_state",
+                            lambda *args, **kwargs: filter_calls.append(1) or run_filter(*args, **kwargs))
     clean = generate_synthetic(5, 200, np.array([0.0, 1.5, -1.0, 0.5, 0.0]), task="classification", seed=3)
     labels = clean.labels.copy()
     labels[7] = 0.5
@@ -706,6 +709,55 @@ def test_each_robust_call_starts_from_the_weights_the_last_call_ended_with(monke
     for (_, before), (start, _) in zip(calls, calls[1:]):
         assert start.tobytes() == before.weights.tobytes()
     assert sum(state.iterations for _, state in calls[1:]) > 0  # the warm weights moved
+
+
+def record_the_warm_chain(monkeypatch):
+    """Spies on ``pipeline``'s centring filter and its gradient-oracle
+    calls: the centring call's states, and (start, state) per oracle call."""
+    import robust_dro.solver as solver_mod
+
+    real_filter, real_oracle = solver_mod.robust_mean_with_state, solver_mod.inexact_hybrid_gradient_oracle
+    centring, calls = [], []
+
+    def centred(*args, **kwargs):
+        mu, state = real_filter(*args, **kwargs)
+        centring.append(state)
+        return mu, state
+
+    def recorded(beta, covariates, epsilon, *, sigma, start=None, screen=None):
+        z, state = real_oracle(beta, covariates, epsilon, sigma=sigma, start=start, screen=screen)
+        calls.append((start, state))
+        return z, state
+
+    monkeypatch.setattr(solver_mod, "robust_mean_with_state", centred)
+    monkeypatch.setattr(solver_mod, "inexact_hybrid_gradient_oracle", recorded)
+    return centring, calls
+
+
+@pytest.mark.parametrize("gamma_dist", [None, 1.0], ids=["tune_gamma", "gamma_dist"])
+def test_the_first_oracle_call_starts_from_the_certified_centring_weights(gate5_sample, monkeypatch, gamma_dist):
+    # the centring call has already down-weighted the far cluster, so the
+    # first call, on the same rows with the same mass budget, certifies at once
+    corrupted, _, cfg = gate5_cell(gate5_sample, "far-cluster", 0.1)
+    centring, calls = record_the_warm_chain(monkeypatch)
+    res = pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), replace(cfg, gamma_dist=gamma_dist))
+    assert len(centring) == 1 and centring[0].certified and centring[0].iterations > 0
+    start, first = calls[0]
+    assert start is centring[0].weights
+    assert first.warm and first.certified and not first.restarted and first.iterations == 0
+    assert len(calls) == res.oracle_calls and res.uncertified_calls == 0
+
+
+@pytest.mark.parametrize("gamma_dist", [None, 1.0], ids=["tune_gamma", "gamma_dist"])
+def test_the_first_oracle_call_starts_cold_after_an_uncertified_centring_call(gate5_sample, monkeypatch, gamma_dist):
+    # configured eps = 0.02 against 10% far-cluster rows: the centring call
+    # spends its mass budget before the certificate holds
+    corrupted, _, cfg = gate5_cell(gate5_sample, "far-cluster", 0.1)
+    centring, calls = record_the_warm_chain(monkeypatch)
+    pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), replace(cfg, epsilon=0.02, gamma_dist=gamma_dist))
+    assert len(centring) == 1 and not centring[0].certified
+    start, first = calls[0]
+    assert start is None and not first.warm
 
 
 def test_a_solve_rejects_a_screen_of_other_covariates():
