@@ -126,15 +126,18 @@ def doro_cvar(
     reg: NormRegularizer,
 ) -> np.ndarray:
     """Trimmed-loss iteration: drop the floor(eps N) highest-loss rows,
-    minimize the CVaR-alpha dual objective over the kept rows, take one
-    regularized subgradient step, repeat.
+    minimize the CVaR-alpha dual objective over the n_kept rows left, take
+    one regularized subgradient step, repeat.
 
+    One ``np.partition`` per step finds the cut (the n_kept-th smallest
+    loss) and eta (the ceil(alpha * n_kept)-th largest kept loss).  Rows
+    below the cut are kept, and of those tied at it the lowest-index ones.
+    Each kept row weighs 1 / (alpha * n_kept), except that below eta it
+    weighs 0 and the rows at eta share what is left, so weights sum to 1.
     Full-batch and deterministic from w = 0; steps c / sqrt(k) with c
-    auto-scaled from the first subgradient's norm.  Returns the last
-    iterate; the run is a prefix of every longer one, so ``iters=k``
-    gives the iterate after step k.
-    Note this is a heuristic: re-trimming against the current iterate can
-    lock onto outliers that sit close to a biased iterate.
+    auto-scaled from the first subgradient's norm; ``iters=k`` returns the
+    iterate after step k.  A heuristic: re-trimming can lock onto outliers
+    close to a biased iterate.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
@@ -144,28 +147,25 @@ def doro_cvar(
         raise ValueError(f"iters must be nonnegative, got {iters}")
     x = data.covariates
     y = checked_labels(loss, data)
-    n = data.n
-    n_drop = int(math.floor(epsilon * n))
+    n_kept = data.n - int(math.floor(epsilon * data.n))
+    mass = alpha * n_kept
+    ranks = [n_kept - int(math.ceil(mass)), n_kept - 1]  # eta's and the cut's
     w = np.zeros(data.dim)
     step_c: float | None = None
     for k in range(1, iters + 1):
-        losses = loss_values(loss, y, x @ w)
-        keep = np.argsort(losses)[: n - n_drop] if n_drop else np.arange(n)
-        n_kept = keep.size
-        if alpha == 1.0:
-            active = keep
-            scale = 1.0 / n_kept
-        else:
-            # eta* is the kept-loss order statistic where the count of
-            # strictly larger losses first drops to alpha * n_kept
-            kept_losses = losses[keep]
-            desc = np.sort(kept_losses)[::-1]
-            eta = desc[min(int(math.ceil(alpha * n_kept)) - 1, n_kept - 1)]
-            active = keep[kept_losses > eta]
-            scale = 1.0 / (alpha * n_kept)
-        xa = x[active]  # gathered once: the margins and the gradient product read the same rows
-        g = scale * (loss_subgradients(loss, y[active], xa @ w) @ xa)
-        g = g + reg.weight * norm_subgradient(w, reg.s)
+        z = x @ w  # the margins, shared by the losses and their subgradients
+        losses = loss_values(loss, y, z)
+        eta, cut = np.partition(losses, ranks)[ranks]
+        keep = losses <= cut
+        surplus = np.count_nonzero(keep) - n_kept
+        if surplus:  # of the rows tied at the cut, keep the lowest-index ones
+            keep[np.flatnonzero(losses == cut)[-surplus:]] = False
+        weights = keep / mass
+        if alpha < 1.0:
+            at_eta = keep & (losses == eta)
+            weights[losses <= eta] = 0.0
+            weights[at_eta] = (mass - np.count_nonzero(weights)) / (mass * np.count_nonzero(at_eta))
+        g = (weights * loss_subgradients(loss, y, z)) @ x + reg.weight * norm_subgradient(w, reg.s)
         if step_c is None:
             step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
         w = w - (step_c / math.sqrt(k)) * g

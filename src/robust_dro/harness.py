@@ -26,7 +26,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .baselines import doro_cvar, dro_objective_eval, erm_subgradient, oracle_solve
+from .baselines import OracleResult, doro_cvar, dro_objective_eval, erm_subgradient, oracle_solve
 from .data import (
     ADVERSARY_KINDS, ContaminationSpec, Dataset, atomic_write, contaminate, generate_synthetic, parse_adversary,
     prepend_ones,
@@ -152,6 +152,7 @@ class MetricsRow:
     wallclock: float
     oracle_calls: int
     status: str = "ok"
+    oracle_converged: bool = True  # whether the cell's reference oracle_solve converged
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(MetricsRow))
@@ -168,7 +169,7 @@ def _check_keys(what: str, given: dict, cls) -> None:
 
 # how a config error names the type a field's annotation asks for
 _TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"), str: ("a string", "strings"),
-               type(None): ("null", "nulls")}
+               bool: ("true or false", "booleans"), type(None): ("null", "nulls")}
 
 
 def _check_types(what: str, given: dict, cls) -> None:
@@ -190,7 +191,7 @@ def _fits(value, hint) -> bool:
     if origin is UnionType:
         return any(_fits(value, option) for option in args)
     if isinstance(value, bool):  # JSON true/false is not a number
-        return False
+        return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
 
 
@@ -276,7 +277,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
     # the clean-stable-subset oracle depends only on the seed's sample and
     # the rows kept, so every epsilon keeping the same rows shares it
-    references: dict[tuple[int, bytes], tuple[Dataset, np.ndarray, float]] = {}
+    references: dict[tuple[int, bytes], tuple[Dataset, OracleResult]] = {}
     rows = []
     for seed in cfg.seeds:
         planted = _resolve_planted(cfg.planted, cfg.dim, seed)
@@ -297,9 +298,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             key = (seed, idx.tobytes())
             if key not in references:
                 eval_ds = prepend_ones(clean.subset(idx))
-                res = oracle_solve(eval_ds, loss, reg, tol=cfg.oracle_tol)
-                references[key] = (eval_ds, res.w, res.objective)
-            eval_ds, w_star, f_star = references[key]
+                references[key] = (eval_ds, oracle_solve(eval_ds, loss, reg, tol=cfg.oracle_tol))
+            eval_ds, ref = references[key]
             for adv_index, adv_spec in enumerate(cfg.adversaries):
                 adv_name = adv_spec if isinstance(adv_spec, str) else adv_spec.get("kind", "none")
                 for method in cfg.methods:
@@ -313,17 +313,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                             contam_seed = seed * 9973 + eps_index * 131 + adv_index * 17 + 1
                             corrupted = contaminate(clean, ContaminationSpec(eps, adversary), seed=contam_seed)
                         w, oracle_calls = _fit(method, corrupted, eps, cfg, loss, reg)
-                        excess = dro_objective_eval(w, eval_ds, loss, reg) - f_star
-                        param_error = float(np.linalg.norm(w - w_star))
+                        excess = dro_objective_eval(w, eval_ds, loss, reg) - ref.objective
+                        param_error = float(np.linalg.norm(w - ref.w))
                         status = "ok"
                     except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
                         excess = math.nan
                         param_error = math.nan
                         status = f"error: {exc}"
                     wallclock = time.perf_counter() - start
-                    rows.append(
-                        MetricsRow(method, adv_name, eps, seed, excess, param_error, wallclock, oracle_calls, status)
-                    )
+                    rows.append(MetricsRow(
+                        method, adv_name, eps, seed, excess, param_error, wallclock, oracle_calls, status, ref.converged
+                    ))
     return rows
 
 
@@ -368,10 +368,18 @@ def rows_from_json(text: str) -> list[MetricsRow]:
     return [_report_row(item) for item in items]
 
 
+def _csv_field(name: str, hint, text: str):
+    if hint is not bool:
+        return hint(text)
+    if text not in ("True", "False"):  # bool() of any nonempty string is True
+        raise ValueError(f"report row key {name!r} must be True or False, got {text!r}")
+    return text == "True"
+
+
 def rows_from_csv(text: str) -> list[MetricsRow]:
     types = get_type_hints(MetricsRow)
     return [
-        _report_row({name: types[name](rec[name]) for name in REPORT_COLUMNS if name in rec})
+        _report_row({name: _csv_field(name, types[name], rec[name]) for name in REPORT_COLUMNS if name in rec})
         # a short row reads its missing fields as "", which fails to parse as a number
         for rec in csv.DictReader(io.StringIO(text), restval="")
     ]

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robust_dro.baselines import (
@@ -155,25 +155,44 @@ def test_erm_clean_objective_near_oracle():
 # --- trimmed-loss iteration ----------------------------------------------
 
 
+def masked_doro_replay(data, loss, reg, eps, alpha, iters):
+    """The iterates of ``doro_cvar``, replayed with a stable sort in place
+    of its linear-time selection: keep the n_kept smallest losses (ties by
+    row index), weigh kept rows above eta 1 / (alpha * n_kept) and let the
+    kept rows at eta share the rest, then take one weighted product over
+    all rows in row order."""
+    x, y, n = data.covariates, data.labels, data.n
+    n_kept = n - int(np.floor(eps * n))
+    mass = alpha * n_kept
+    w = np.zeros(data.dim)
+    step_c = None
+    iterates = []
+    for k in range(1, iters + 1):
+        z = x @ w
+        losses = loss_values(loss, y, z)
+        keep = np.zeros(n, dtype=bool)
+        keep[np.argsort(losses, kind="stable")[:n_kept]] = True
+        eta = np.sort(losses[keep])[::-1][int(np.ceil(mass)) - 1]
+        top, at_eta = keep & (losses > eta), keep & (losses == eta)
+        weights = np.where(top, 1.0 / mass, 0.0)
+        weights[at_eta] = (mass - top.sum()) / (mass * at_eta.sum())
+        g = (weights * loss_subgradients(loss, y, z)) @ x + reg.weight * norm_subgradient(w, reg.s)
+        if step_c is None:
+            step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
+        w = w - (step_c / np.sqrt(k)) * g
+        iterates.append(w)
+    return iterates
+
+
 def test_doro_matches_plain_subgradient_without_trimming():
     data = prepend_ones(generate_synthetic(3, 80, np.array([0.0, 1.0, -0.4]),
                                            task="classification", flip_prob=0.1, seed=6))
     iters = 7
-    # replay: same step rule and op order, no trimming; the run of k
-    # iterations ends on the replay's k-th iterate, under every norm
-    scale = 1.0 / data.n
-    keep = np.arange(data.n)
+    # without trimming every row weighs 1 / N; the run of k iterations
+    # ends on the replay's k-th iterate, under every norm
     for s in ("1", "2", "inf"):
         reg = NormRegularizer(s, 0.1)
-        w = np.zeros(3)
-        step_c = None
-        for k in range(1, iters + 1):
-            bx = data.covariates[keep]
-            g = scale * (loss_subgradients(HINGE, data.labels[keep], bx @ w) @ bx)
-            g = g + reg.weight * norm_subgradient(w, reg.s)
-            if step_c is None:
-                step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
-            w = w - (step_c / np.sqrt(k)) * g
+        for k, w in enumerate(masked_doro_replay(data, HINGE, reg, 0.0, 1.0, iters), start=1):
             assert np.array_equal(doro_cvar(data, HINGE, epsilon=0.0, alpha=1.0, iters=k, reg=reg), w)
 
 
@@ -187,25 +206,53 @@ def test_doro_cvar_below_one_matches_a_trimmed_tail_replay(loss, task, alpha):
     data = prepend_ones(contaminate(clean, ContaminationSpec(0.1, FarCluster()), seed=10))
     reg = NormRegularizer("2", 0.1)
     eps, iters = 0.1, 7
-    # replay: drop the 12 highest-loss rows, then step on the kept rows
-    # whose loss lies strictly above the ceil(alpha * n_kept)-th largest
-    # kept loss, at weight 1 / (alpha * n_kept); at alpha = 1 (the sweep's
-    # setting) on every kept row
-    x, y, n = data.covariates, data.labels, data.n
-    n_kept = n - int(np.floor(eps * n))
-    w = np.zeros(3)
-    step_c = None
-    for k in range(1, iters + 1):
-        losses = loss_values(loss, y, x @ w)
-        keep = np.argsort(losses)[:n_kept]
-        eta = np.sort(losses[keep])[::-1][int(np.ceil(alpha * n_kept)) - 1]
-        active = keep if alpha == 1.0 else keep[losses[keep] > eta]
-        g = (1.0 / (alpha * n_kept)) * (loss_subgradients(loss, y[active], x[active] @ w) @ x[active])
-        g = g + reg.weight * norm_subgradient(w, reg.s)
-        if step_c is None:
-            step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
-        w = w - (step_c / np.sqrt(k)) * g
+    # drop the 12 highest-loss rows, then step on the CVaR tail of the
+    # 108 kept ones; at alpha = 1 (the sweep's setting) on every kept row
+    iterates = masked_doro_replay(data, loss, reg, eps, alpha, iters)
+    for k, w in enumerate(iterates, start=1):
         assert np.array_equal(doro_cvar(data, loss, epsilon=eps, alpha=alpha, iters=k, reg=reg), w)
+    # at w = 0 every hinge loss ties at 1: the tail's weights must still
+    # sum to 1, or the run never leaves w = 0.  The first step has norm 1
+    # and overshoots; from there on the clean sample's objective falls
+    assert np.any(iterates[-1] != 0.0)
+    first, last = (dro_objective_eval(w, prepend_ones(clean), loss, reg) for w in (iterates[0], iterates[-1]))
+    assert last < first
+
+
+def test_doro_keeps_the_lowest_index_rows_tied_at_the_cut():
+    # at w = 0 every hinge loss is 1, so the kept rows are rows 0 .. n_kept - 1
+    # and every alpha's tail is all of them
+    data = prepend_ones(generate_synthetic(3, 50, np.array([0.0, 1.0, -0.4]), task="classification", seed=5))
+    x, y = data.covariates, data.labels
+    n_kept = 45
+    g = -(np.where(np.arange(50) < n_kept, 1.0 / n_kept, 0.0) * y) @ x
+    first = -(1.0 / np.linalg.norm(g)) * g
+    for alpha in (1.0, 0.5, 0.01):
+        assert np.array_equal(doro_cvar(data, HINGE, epsilon=0.1, alpha=alpha, iters=1, reg=NO_REG), first)
+    g_last = -(np.where(np.arange(50) >= 5, 1.0 / n_kept, 0.0) * y) @ x
+    assert not np.allclose(first, -g_last / np.linalg.norm(g_last))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 60), eps=st.floats(0.0, 0.49), dim=st.integers(1, 4))
+def test_doro_selection_matches_a_sort_without_ties(seed, n, eps, dim):
+    # LAD at w = 0: every loss is |y_i| and every subgradient -sign(y_i);
+    # identity columns next to the covariates expose each row's weight
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n)
+    x = np.asfortranarray(np.hstack([rng.standard_normal((n, dim)), np.eye(n)]))
+    data = Dataset(x, y)
+    n_kept = n - int(np.floor(eps * n))
+    losses = np.abs(y)
+    order = np.argsort(losses)
+    assume(n_kept == n or losses[order[n_kept - 1]] < losses[order[n_kept]])
+    w = doro_cvar(data, LAD, eps, iters=1, reg=NO_REG)  # = -g / ||g||
+    assert set(np.flatnonzero(w[dim:])) == set(order[:n_kept])
+    # the gather form the selection replaces: sort, gather, scale after the product
+    keep = order[:n_kept]
+    g_gather = (1.0 / n_kept) * (loss_subgradients(LAD, y[keep], x[keep] @ np.zeros(x.shape[1])) @ x[keep])
+    norm = np.linalg.norm(g_gather)
+    assert np.linalg.norm(w * norm + g_gather) <= 1e-12 * (1.0 + norm)
 
 
 def test_doro_validates_inputs():

@@ -122,6 +122,50 @@ def test_report_csv_schema_and_parse():
     assert back[0].oracle_calls == 42
 
 
+def test_rows_say_whether_their_reference_converged(monkeypatch):
+    solve = harness.oracle_solve
+    verdicts = iter([False, True])  # one reference per seed: every epsilon here keeps all rows
+
+    def judged(*args, **kwargs):
+        return replace(solve(*args, **kwargs), converged=next(verdicts))
+
+    monkeypatch.setattr(harness, "oracle_solve", judged)
+    monkeypatch.setattr(harness, "stability_filter", lambda data, eps: np.arange(data.n))
+    rows = run_experiment(tiny_config(methods=("erm", "doro"), erm_iters=50, doro_iters=5))
+    assert [r.oracle_converged for r in rows] == [False] * 4 + [True] * 4
+    assert all_rows_ok(rows)
+    for text, read in ((emit_report(rows, "csv"), rows_from_csv), (emit_report(rows, "json"), rows_from_json)):
+        assert [r.oracle_converged for r in read(text)] == [False] * 4 + [True] * 4
+    assert emit_report(rows, "csv").splitlines()[0].endswith(",status,oracle_converged")
+    assert '"oracle_converged": false' in emit_report(rows, "json")
+
+
+def test_a_report_without_the_converged_column_still_loads():
+    text = "method,adversary,epsilon,seed,excess_clean_objective,param_error,wallclock,oracle_calls,status\n" \
+           "erm,far_cluster,0.05,8,0.25,0.5,1.25,0,ok\n"
+    assert rows_from_csv(text)[0].oracle_converged is True
+    payload = json.loads(emit_report(rows_from_csv(text), "json"))
+    del payload[0]["oracle_converged"]
+    assert rows_from_json(json.dumps(payload))[0].oracle_converged is True
+
+
+@pytest.mark.parametrize("cell", ["false", "0", "1", "", "true"])
+def test_the_csv_reader_takes_only_true_or_false_for_the_converged_column(cell):
+    row = MetricsRow("erm", "far_cluster", 0.05, 8, 0.25, 0.5, 1.25, 0, oracle_converged=False)
+    text = emit_report([row], "csv")
+    assert text.endswith(",ok,False\n") and rows_from_csv(text) == [row]
+    with pytest.raises(ValueError, match=f"report row key 'oracle_converged' must be True or False, got '{cell}'"):
+        rows_from_csv(text.replace(",ok,False\n", f",ok,{cell}\n"))
+
+
+@pytest.mark.parametrize("value", ["False", 0, 1, None])
+def test_the_json_reader_takes_only_a_boolean_for_the_converged_column(value):
+    payload = json.loads(emit_report([MetricsRow("erm", "none", 0.1, 0, 0.5, 0.5, 1.0, 0)], "json"))
+    payload[0]["oracle_converged"] = value
+    with pytest.raises(ValueError, match=f"report row key 'oracle_converged' must be true or false, got {value!r}"):
+        rows_from_json(json.dumps(payload))
+
+
 def test_report_without_wallclock_is_rejected():
     # every report carries the column; one without it is malformed
     rows = [MetricsRow("erm", "far_cluster", 0.05, 8, 0.25, 0.5, 1.25, 3, status="error: boom")]
