@@ -218,7 +218,7 @@ def dro_sup_lower_bound(
     base = loss_values(loss, y, z)
     best = float(base.mean())
     w_gain = norm_s(w, _DUAL_EXPONENT[r])
-    if rho == 0.0 or w_gain == 0.0 or n == 0:
+    if rho == 0.0 or w_gain == 0.0:
         return SupLowerBound(best, False)
 
     def endpoint_max(shift):

@@ -107,7 +107,10 @@ def _check_labels(family: LossFamily, y: np.ndarray) -> None:
 
 def checked_labels(family: LossFamily, data: Dataset) -> np.ndarray:
     """``data.labels``, checked once against ``family`` where a dataset
-    meets a loss; the per-row helpers below trust the labels they get."""
+    meets a loss; the per-row helpers below trust the labels they get.
+    A dataset with no rows has no loss to average and is rejected here."""
+    if data.n == 0:
+        raise ValueError("the dataset is empty: a loss needs at least one row")
     _check_labels(family, data.labels)
     return data.labels
 

@@ -18,11 +18,11 @@ It stops on whichever comes first:
 
 On an epsilon-corrupted version of a stable point set this recovers the
 stable mean up to O(sigma * sqrt(epsilon)), dimension-free.  A certified
-call on scaled rows may start from the weights a previous call ended with
-(the gradient oracle's warm start; a solve's first call starts from those
-of the certified centring call on the same rows); a warm start that
-spends the mass budget before the certificate holds starts over once from
-uniform weights.
+call on scaled rows may start from the :class:`FilterState` a previous
+call ended with (the gradient oracle's warm start; a solve's first call
+starts from that of the certified centring call on the same rows); a
+warm start that spends the mass budget before the certificate holds
+starts over once from uniform weights.
 
 A pass costs one SYRK-shaped product, one dense eigensolve and a partial
 selection: the covariance is taken in Gram form, and the threshold
@@ -31,13 +31,14 @@ re-centred only when the weighted mean drifts farther than the spread).
 The gradient oracle's scaled rows beta_i * x_i are never built: their
 moments come straight from the covariates, with no centring.  Before its
 first float64 check, a warm scaled call screens the certificate on a
-float32 Gram (:class:`CertificateScreen`; a solve builds its float32
-copy of the covariates once), with a margin that provably covers the
-rounding of both precisions.  So a warm oracle call that certifies at
-once costs one weighted mean, one float32 Gram and a d x d eigenvalue
-solve; the float64 Gram and the eigenvector come only when that bound
-is inconclusive, and the call then decides exactly as it would without
-the screen.  The filter's diagnostics record the mass removed and the top
+float32 Gram (:class:`CertificateScreen`, which each call hands on in
+its state, so a chain of calls builds its float32 copy of the
+covariates once), with a margin that provably covers the rounding of
+both precisions.  So a warm oracle call that certifies at once costs
+one weighted mean, one float32 Gram and a d x d eigenvalue solve; the
+float64 Gram and the eigenvector come only when that bound is
+inconclusive, and the call then decides exactly as it would without the
+screen.  The filter's diagnostics record the mass removed and the top
 eigenvalue of every pass, the ratio of the last certificate check, and
 how the call started and stopped.
 
@@ -89,7 +90,11 @@ class FilterState:
     the ratio the float64 check would report.
 
     ``weights`` are the final weights; every stop returns their weighted
-    mean.
+    mean.  ``screen`` is the :class:`CertificateScreen` of the call's
+    points: a call on scaled rows with ``sigma`` fills it at its end
+    (with its start's screen, or else one it builds), and the next call
+    of the chain, started from this state, screens with it.  Plain calls
+    leave it None.
     """
 
     weights: np.ndarray
@@ -100,6 +105,7 @@ class FilterState:
     restarted: bool = False
     certified: bool = False
     certificate_ratio: float | None = None
+    screen: CertificateScreen | None = field(default=None, repr=False, compare=False)
 
 
 def top_eigenvector(s: np.ndarray):
@@ -162,9 +168,10 @@ class CertificateScreen:
     It holds a column-major float32 copy of X and one float32 scratch
     buffer of X's shape, and keeps X itself as ``source``: a filter call
     accepts the screen only for the very array it was built on, since a
-    screen of other rows would bound the wrong covariance.  A solve
-    builds one and hands it to each of its oracle calls, so both are made
-    once per solve and freed with it.
+    screen of other rows would bound the wrong covariance.  The first
+    call of a chain of oracle calls on X builds it, and each call hands
+    it to the next in its :class:`FilterState`, so both are made once
+    per chain and freed with its last state.
 
     :meth:`upper_bound` returns lam32 + err.  lam32 is the top eigenvalue
     of A = G32 / total - m m^T, where G32 is the weighted Gram formed in
@@ -278,7 +285,7 @@ def _downweight(h: np.ndarray, q: np.ndarray, epsilon: float, fmax: float):
 
 
 def robust_mean_with_state(
-    points, epsilon: float, *, sigma: float | None = None, scale=None, start=None, screen=None,
+    points, epsilon: float, *, sigma: float | None = None, scale=None, start: FilterState | None = None,
 ) -> tuple[np.ndarray, FilterState]:
     """Robust mean of an epsilon-corrupted point set, with diagnostics.
 
@@ -301,23 +308,28 @@ def robust_mean_with_state(
     KAPPA * sigma^2 * s, where s is the weighted mean of scale^2 (s = 1
     without ``scale``), and stops on it with the weighted mean of the
     current weights.  ``start`` (requires ``sigma`` and ``scale``: the
-    gradient oracle's warm start) gives the weights to start from instead
-    of 1/N; if they spend the mass budget before the certificate holds,
-    the call starts over once from 1/N, bitwise as a call without
-    ``start``.  Without ``sigma`` only the mass budget stops the loop.
+    gradient oracle's warm start) is the :class:`FilterState` a previous
+    call ended with, whose weights the call starts from instead of 1/N;
+    if they spend the mass budget before the certificate holds, the call
+    starts over once from 1/N, bitwise as a call without ``start``.
+    Without ``sigma`` only the mass budget stops the loop.
 
     A warm call's first check first asks the float32
-    :class:`CertificateScreen` ``screen`` (built on ``points``, the same
-    float64 array, else ValueError; by default the call builds one) for
-    its upper bound on lam, and certifies with the weighted mean of the
-    current weights if the bound is within KAPPA * sigma^2 * s.  That
+    :class:`CertificateScreen` ``start.screen`` (built on ``points``, the
+    same float64 array, else ValueError; if it is None the call builds
+    one) for its upper bound on lam, and certifies with the weighted
+    mean of the current weights if the bound is within KAPPA * sigma^2 *
+    s.  That
     implies the float64 certificate, so the call returns the weights and
     mean it would return without the screen; only ``certificate_ratio``
     differs.  Only that check is screened: the later ones are the passes
     of a filtering call, which mostly fail the certificate, and each
     needs the float64 eigenvector anyway.  A cold call, and a warm one
     once it restarts, never screens: uniform weights keep every outlier,
-    so on corrupted rows the bound cannot certify.
+    so on corrupted rows the bound cannot certify.  Every call on scaled
+    rows with ``sigma`` returns its screen in its state, for the next
+    call; a cold one builds it at its end, after its float64 temporaries
+    are freed, so it never holds both.
 
     Plain points are centred once, on their plain mean, and re-centred on
     the current weighted mean whenever its squared offset exceeds the
@@ -343,15 +355,16 @@ def robust_mean_with_state(
         raise ValueError("need at least 2 points")
     if sigma is not None and not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if start is not None and (sigma is None or scale is None or np.shape(start) != (n,)):
+    if start is not None and (sigma is None or scale is None or np.shape(start.weights) != (n,)):
         raise ValueError("a warm start needs sigma, scale and one weight per point")
     if scale is not None and np.shape(scale) != (n,):
         raise ValueError("scale needs one entry per point")
-    if screen is not None and (sigma is None or scale is None or screen.source is not x):
-        raise ValueError("a certificate screen needs sigma, scale and the points it was built on")
-    q = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=float)
+    q = np.full(n, 1.0 / n) if start is None else np.asarray(start.weights, dtype=float)
     if start is not None and not np.all((q >= 0.0) & (q <= 1.0 / n)):
         raise ValueError("warm-start weights must lie in [0, 1/N]")
+    screen = None if start is None else start.screen or CertificateScreen(x)
+    if screen is not None and screen.source is not x:
+        raise ValueError("a warm start's certificate screen serves only the points it was built on")
     state = FilterState(weights=q, warm=start is not None)
     plain = scale is None
     scale = 1.0 if plain else np.asarray(scale, dtype=float)
@@ -359,10 +372,7 @@ def robust_mean_with_state(
     xc = x - centre if plain else x
     total = 1.0 if start is None else float(q.sum())
     cap = None if sigma is None else KAPPA * sigma**2
-    if start is None:
-        screen = None  # uniform weights keep every outlier, so on corrupted rows the check fails
-    elif screen is None:
-        screen = CertificateScreen(x)
+    screening = state.warm  # uniform weights keep every outlier, so on corrupted rows the check fails
     score_floor = None
     while True:
         if total < 1.0 - 2.0 * epsilon:
@@ -372,17 +382,17 @@ def robust_mean_with_state(
             # the warm start spent the budget uncertified: start over cold
             state.restarted = True
             q, total = np.full(n, 1.0 / n), 1.0
-            screen = None
+            screening = False
         if cap is not None:
             bound = cap * (1.0 if plain else float(q @ scale**2) / total)
-        if screen is not None:
+        if screening:
             m = ((q * scale) @ xc) / total
             upper = screen.upper_bound(q, scale, m, total)
             if upper <= bound:
                 state.certificate_ratio = upper / bound
                 state.certified = True
                 break
-            screen = None
+            screening = False
         m, cov = _weighted_moments(xc, q, total, scale)
         if plain and m @ m > np.trace(cov):
             centre = centre + m
@@ -411,14 +421,15 @@ def robust_mean_with_state(
         state.removed_mass_history.append(removed)
         state.lambda_history.append(lam)
     state.weights = q
+    if cap is not None and not plain:
+        state.screen = screen or CertificateScreen(x)  # a cold call's float64 temporaries are freed by now
     return centre + m, state
 
 
-def robust_mean_estimation(points, epsilon: float, *, sigma: float | None = None) -> np.ndarray:
-    """Robust mean of an epsilon-corrupted point set (0 < epsilon < 1/2);
-    with ``sigma``, the filter may stop on its spectral certificate."""
-    mu, _ = robust_mean_with_state(points, epsilon, sigma=sigma)
-    return mu
+def robust_mean_estimation(points, epsilon: float) -> np.ndarray:
+    """Robust mean of an epsilon-corrupted point set (0 < epsilon < 1/2),
+    filtered until the mass budget is spent."""
+    return robust_mean_with_state(points, epsilon)[0]
 
 
 def stability_filter(data: Dataset, epsilon: float) -> np.ndarray:
@@ -456,7 +467,7 @@ class OracleContractError(ValueError):
     """The scaling sequence fed to the gradient oracle broke its bound."""
 
 
-def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: float, start=None, screen=None):
+def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: float, start: FilterState | None = None):
     """Robust estimate of (1/N) sum_i beta_i x_i for the underlying
     stable rows of an epsilon-corrupted covariate set, with the filter's
     diagnostics: returns ``(z, FilterState)``.
@@ -470,12 +481,13 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: f
     ``sigma`` bounds the stable covariates' second moment about the
     origin (sigma^2 * I); the filter stops on its spectral certificate
     lam <= KAPPA * sigma^2 * (weighted mean of beta_i^2).  ``start`` is
-    the weights a previous call ended with (the state's ``weights``; for a
-    solve's first call, those of ``pipeline``'s certified centring call),
-    to start the filter from instead of 1/N.  ``screen`` is a
-    :class:`CertificateScreen` built on ``covariates`` (that array
-    itself), which a solve builds once and hands to each of its calls
-    (by default a warm call builds its own; a cold one never screens).
+    the state a previous call ended with (for a solve's first call, that
+    of ``pipeline``'s certified centring call), whose weights the filter
+    starts from instead of 1/N and whose :class:`CertificateScreen`, if
+    it holds one, must be of ``covariates`` (that array itself).  The
+    returned state carries the screen on to the next call: a chain of
+    calls builds it once (a cold call builds it at its end and never
+    screens; a warm one without it builds it for its first check).
 
     The filter takes beta as a row scale: the rows beta_i x_i are never
     built and never centred (that bound on the second moment is why they
@@ -493,4 +505,4 @@ def inexact_hybrid_gradient_oracle(beta, covariates, epsilon: float, *, sigma: f
         raise OracleContractError(f"max |beta_i| = {worst} exceeds {bound}")
     if not (0.0 < epsilon < 0.25):
         raise ValueError("epsilon must lie in (0, 0.25)")
-    return robust_mean_with_state(covariates, 2.0 * epsilon, sigma=sigma, scale=beta, start=start, screen=screen)
+    return robust_mean_with_state(covariates, 2.0 * epsilon, sigma=sigma, scale=beta, start=start)

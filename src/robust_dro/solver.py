@@ -37,7 +37,6 @@ import numpy as np
 from .data import Dataset, prepend_ones
 from .losses import LossFamily, NormRegularizer, checked_labels, conjugate_prox_vec, loss_values, reg_prox
 from .robust_mean import (
-    CertificateScreen,
     FilterState,
     OracleContractError,
     inexact_hybrid_gradient_oracle,
@@ -171,30 +170,25 @@ def estimate_objective(w: np.ndarray, data: Dataset, loss: LossFamily, reg: Norm
     return mean + reg.value(w)
 
 
-def _oracle_call(
-    x: np.ndarray, cfg: PDHGConfig, beta: np.ndarray, start: np.ndarray | None, screen: CertificateScreen | None,
-):
+def _oracle_call(x: np.ndarray, cfg: PDHGConfig, beta: np.ndarray, start: FilterState | None):
     """The primal step's estimate z of (1/N) sum_i beta_i x_i, and the
     filter's state at the end of the call (None in exact-oracle mode).
 
     Exact-oracle mode takes the plain weighted mean.  Robust mode calls
-    :func:`inexact_hybrid_gradient_oracle` from the weights ``start``
-    (None: uniform), with the solve's :class:`CertificateScreen`
-    ``screen`` on ``x`` and the spectral stop at max(``cfg.sigma``, 1):
-    the covariates carry the intercept column of ones, whose second
-    moment is 1 whatever sigma.
+    :func:`inexact_hybrid_gradient_oracle` from the filter state
+    ``start`` (None: cold from uniform weights), which carries the
+    chain's float32 certificate screen on ``x``, with the spectral stop
+    at max(``cfg.sigma``, 1): the covariates carry the intercept column
+    of ones, whose second moment is 1 whatever sigma.
     """
     if cfg.exact_oracle:
         return (beta @ x) / x.shape[0], None
-    return inexact_hybrid_gradient_oracle(
-        beta, x, cfg.epsilon, sigma=max(cfg.sigma, 1.0), start=start, screen=screen,
-    )
+    return inexact_hybrid_gradient_oracle(beta, x, cfg.epsilon, sigma=max(cfg.sigma, 1.0), start=start)
 
 
 def pdhg_solve(
     data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *,
-    first: tuple[np.ndarray, FilterState | None] | None = None, screen: CertificateScreen | None = None,
-    start: np.ndarray | None = None,
+    first: tuple[np.ndarray, FilterState | None] | None = None, start: FilterState | None = None,
 ) -> SolveResult:
     """Run the primal-dual loop on (intercept-carrying) data from w_0 = 0.
 
@@ -205,20 +199,19 @@ def pdhg_solve(
     step tau_k = a * gamma / c_k.
     Each iteration takes its primal step on ``_oracle_call``'s estimate z
     of (1/N) sum_i beta_i x_i.  Within a run, successive beta differ
-    little, so each call starts from the filter weights the previous call
-    ended with (a warm call that spends the mass budget uncertified starts
-    over cold; most certify at once).  The first call starts from the
-    weights ``start`` (``pipeline`` hands it the weights its certified
-    centring call ended with), or cold from 1/N by default.
+    little, so each call starts from the filter state the previous call
+    ended with: its weights, and the float32 certificate screen that the
+    whole chain shares (a warm call that spends the mass budget
+    uncertified starts over cold; most certify at once).  The first call
+    starts from the state ``start`` (``pipeline`` hands it its certified
+    centring call's), or cold from 1/N by default.
 
     ``first``, if given, is the output ``(z, state)`` of the first
     oracle call, ``_oracle_call`` at beta = 1/N on ``data``'s covariates,
     which every run shares whatever its gamma (alpha_prev = alpha_0 = 1/N
-    at k = 1, bitwise); by default the run computes it.  ``screen``, if
-    given, is the :class:`CertificateScreen` on those covariates that the
-    runs of a search share; by default a robust run builds its own.
-    ``oracle_calls`` and ``uncertified_calls`` count the calls the run
-    computed.
+    at k = 1, bitwise); by default the run computes it.  Its state
+    carries the screen to call 2.  ``oracle_calls`` and
+    ``uncertified_calls`` count the calls the run computed.
     """
     if cfg.gamma_dist is None:
         raise ConfigurationError("the solve needs cfg.gamma_dist; use tune_gamma to search for it")
@@ -232,9 +225,7 @@ def pdhg_solve(
     w = np.zeros(data.dim)
     alpha = np.full(n, 1.0 / n)
     alpha_prev = alpha
-    if screen is None and not cfg.exact_oracle:
-        screen = CertificateScreen(x)
-    state = None
+    state = start
     uncertified = 0
     w_sum = np.zeros(data.dim)
     max_dual = float(np.max(np.abs(alpha), initial=0.0))
@@ -247,7 +238,7 @@ def pdhg_solve(
         if k == 1 and first is not None:
             z, state = first
         else:
-            z, state = _oracle_call(x, cfg, beta, start if state is None else state.weights, screen)
+            z, state = _oracle_call(x, cfg, beta, state)
             uncertified += state is not None and not state.certified
         tau = a * gamma / (2.0 - k / t_hor)
         w = reg_prox(reg, w - tau * z, tau)
@@ -262,7 +253,7 @@ def pdhg_solve(
 
 
 def tune_gamma(
-    data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *, start: np.ndarray | None = None,
+    data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig, *, start: FilterState | None = None,
 ) -> SolveResult:
     """Geometric search over the unknown distance-to-optimum.
 
@@ -273,13 +264,13 @@ def tune_gamma(
     (ties prefer the smaller D_j; a NaN estimate is never chosen).
 
     The first oracle call, at beta = 1/N, is the same in every candidate
-    run, so it is computed once, from the filter weights ``start`` (cold
-    from 1/N by default; ``pipeline`` hands it the weights its certified
-    centring call ended with), and handed to each candidate's
-    :func:`pdhg_solve`, together with the one :class:`CertificateScreen`
-    every run's calls use; every result is bitwise what independent runs
-    give.  The returned ``oracle_calls`` and ``uncertified_calls`` count
-    the calls of the whole search: that shared call plus each run's other
+    run, so it is computed once, from the filter state ``start`` (cold
+    from 1/N by default; ``pipeline`` hands it its certified centring
+    call's), and handed to each candidate's :func:`pdhg_solve`; its
+    state carries the one float32 certificate screen that every run's
+    calls use, and every result is bitwise what independent runs give.
+    The returned ``oracle_calls`` and ``uncertified_calls`` count the
+    calls of the whole search: that shared call plus each run's other
     T - 1.
     """
     checked_labels(loss, data)  # before the shared first oracle call
@@ -289,13 +280,12 @@ def tune_gamma(
     best_est = math.inf
     max_dual = 0.0
     max_extrap = 0.0
-    screen = None if cfg.exact_oracle else CertificateScreen(data.covariates)
-    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), start, screen)
+    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), start)
     calls = 1
     uncertified = int(first[1] is not None and not first[1].certified)
     for j in range(j_max + 1):
         candidate = replace(cfg, gamma_dist=d_min * (2.0 ** j))
-        res = pdhg_solve(data, loss, reg, candidate, first=first, screen=screen)
+        res = pdhg_solve(data, loss, reg, candidate, first=first)
         calls += res.oracle_calls
         uncertified += res.uncertified_calls
         est = estimate_objective(res.w_hat, data, loss, reg, cfg)
@@ -327,10 +317,11 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
 
     The solve's oracle calls form one warm chain with the centring call:
     if that call certified, the solve's first oracle call starts from the
-    weights it ended with, which have already down-weighted the outliers
-    (both filters run on the same rows with the same mass budget
+    state it ended with, whose weights have already down-weighted the
+    outliers (both filters run on the same rows with the same mass budget
     1 - 4 epsilon); if it stopped on the mass budget, the first call
-    starts cold from 1/N.
+    starts cold from 1/N.  Either way the chain builds one float32
+    certificate screen, in its first oracle call.
     """
     checked_labels(loss, raw)  # before the centring filter
     x = raw.covariates
@@ -340,7 +331,7 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
     else:
         mu_hat, centring = robust_mean_with_state(x, 2.0 * cfg.epsilon, sigma=cfg.sigma)
         if centring.certified:
-            start = centring.weights
+            start = centring
     lifted = prepend_ones(raw, mu_hat)
     if cfg.gamma_dist is not None:
         res = pdhg_solve(lifted, loss, reg, cfg, start=start)

@@ -44,8 +44,8 @@ class SolverHooks:
         """The oracle outputs z of each call the solves compute."""
         outputs = []
 
-        def recorded(x, cfg, beta, start, screen):
-            z, state = _oracle_call(x, cfg, beta, start, screen)
+        def recorded(x, cfg, beta, start):
+            z, state = _oracle_call(x, cfg, beta, start)
             outputs.append(z)
             return z, state
 
@@ -58,7 +58,7 @@ class SolverHooks:
         idealized run of the analysis.  Returns the iterator, so a test
         can check that the run used every z."""
         replay = iter(outputs)
-        self._monkeypatch.setattr(solver_mod, "_oracle_call", lambda x, cfg, beta, start, screen: (next(replay), None))
+        self._monkeypatch.setattr(solver_mod, "_oracle_call", lambda x, cfg, beta, start: (next(replay), None))
         return replay
 
 

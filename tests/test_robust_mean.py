@@ -3,6 +3,7 @@ scaling-stability property behind the gradient oracle."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from robust_dro.robust_mean import (
     KAPPA,
     POWER_ITER_TOL,
     CertificateScreen,
+    FilterState,
     OracleContractError,
     _threshold,
     _weighted_moments,
@@ -333,7 +335,7 @@ def test_a_certified_warm_start_makes_no_pass(monkeypatch):
     _, cold = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones)
     assert cold.certified and not cold.warm and cold.iterations >= 1
     calls = counting_eigensolves(monkeypatch)
-    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights)
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold)
     assert warm.warm and warm.certified and not warm.restarted
     assert warm.iterations == 0
     assert calls["n"] == 0  # the float32 screen certified: no float64 eigensolve
@@ -351,13 +353,14 @@ def test_a_screened_certificate_implies_the_float64_one(seed, target):
     d = int(rng.integers(1, 12))
     x = np.asfortranarray(rng.standard_normal((n, d)) * rng.uniform(0.3, 3.0) + rng.uniform(-2.0, 2.0, d))
     scale = rng.uniform(-3.0, 3.0, n) * (rng.random(n) < 0.9)
-    start = rng.uniform(0.8, 1.0, n) / n * (rng.random(n) < 0.95)
-    total = float(start.sum())
-    m, cov = _weighted_moments(x, start, total, scale)
+    q = rng.uniform(0.8, 1.0, n) / n * (rng.random(n) < 0.95)
+    start = FilterState(weights=q)
+    total = float(q.sum())
+    m, cov = _weighted_moments(x, q, total, scale)
     _, lam = top_eigenvector(cov)
-    sigma = math.sqrt(lam * total / (KAPPA * target * float(start @ scale**2)))
-    bound = KAPPA * sigma**2 * (float(start @ scale**2) / total)
-    upper = CertificateScreen(x).upper_bound(start, scale, m, total)
+    sigma = math.sqrt(lam * total / (KAPPA * target * float(q @ scale**2)))
+    bound = KAPPA * sigma**2 * (float(q @ scale**2) / total)
+    upper = CertificateScreen(x).upper_bound(q, scale, m, total)
     if upper < math.inf:
         assert lam <= upper and np.trace(cov) > 0.0
     mu, state = robust_mean_with_state(x, 0.2, sigma=sigma, scale=scale, start=start)
@@ -379,14 +382,16 @@ def test_a_screen_is_accepted_only_for_the_array_it_was_built_on():
     x = far_cluster_points()
     ones = np.ones(x.shape[0])
     _, cold = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones)
+    assert cold.screen.source is x
     for other in (far_cluster_points(seed=21), x.copy()):
-        screen = CertificateScreen(other)
+        start = replace(cold, screen=CertificateScreen(other))
         with pytest.raises(ValueError, match="the points it was built on"):
-            robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights, screen=screen)
+            robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=start)
         with pytest.raises(ValueError, match="the points it was built on"):
-            inexact_hybrid_gradient_oracle(ones, x, 0.1, sigma=1.0, screen=screen)
-    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights, screen=CertificateScreen(x))
-    assert warm.certified and warm.iterations == 0
+            inexact_hybrid_gradient_oracle(ones, x, 0.1, sigma=1.0, start=start)
+    start = replace(cold, screen=CertificateScreen(x))
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=start)
+    assert warm.certified and warm.iterations == 0 and warm.screen is start.screen
 
 
 def test_only_a_warm_call_screens(monkeypatch):
@@ -402,13 +407,13 @@ def test_only_a_warm_call_screens(monkeypatch):
         return real(self, q, scale, m, total)
 
     monkeypatch.setattr(CertificateScreen, "upper_bound", recorded)
-    _, cold = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, screen=CertificateScreen(x))
-    assert cold.certified and screened == []
+    _, cold = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones)
+    assert cold.certified and cold.screen is not None and screened == []
     spent = np.zeros(x.shape[0])
     spent[:10] = 1.0 / x.shape[0]
-    _, restarted = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=spent)
-    assert restarted.restarted and screened == []
-    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights)
+    _, restarted = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=replace(cold, weights=spent))
+    assert restarted.restarted and restarted.screen is cold.screen and screened == []
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold)
     assert warm.certified and len(screened) == 1 and screened[0].tobytes() == cold.weights.tobytes()
 
 
@@ -421,7 +426,7 @@ def test_a_warm_start_that_spends_the_budget_restarts_cold():
     start = np.zeros(n)
     start[:300] = 1.0 / n
     mu_cold, cold = robust_mean_with_state(x, 0.2, sigma=1.0, scale=np.ones(n))
-    mu, state = robust_mean_with_state(x, 0.2, sigma=1.0, scale=np.ones(n), start=start)
+    mu, state = robust_mean_with_state(x, 0.2, sigma=1.0, scale=np.ones(n), start=FilterState(weights=start))
     assert state.warm and state.restarted and state.certified
     assert mu.tobytes() == mu_cold.tobytes()
     assert state.weights.tobytes() == cold.weights.tobytes()
@@ -467,16 +472,16 @@ def test_without_sigma_the_filter_spends_the_whole_budget():
     n = x.shape[0]
     ones = np.ones(n)
     with pytest.raises(ValueError, match="warm start"):
-        robust_mean_with_state(x, 0.2, scale=ones, start=certified.weights)
+        robust_mean_with_state(x, 0.2, scale=ones, start=certified)
     with pytest.raises(ValueError, match="warm start"):
-        robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=certified.weights[:-1])
+        robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=FilterState(weights=certified.weights[:-1]))
     with pytest.raises(ValueError, match="warm start needs sigma, scale"):
-        robust_mean_with_state(x, 0.2, sigma=1.0, start=certified.weights)
+        robust_mean_with_state(x, 0.2, sigma=1.0, start=certified)
     for bad in (-1e-6, np.nan, 1.5 / n):
         start = np.full(n, 0.5 / n)
         start[3] = bad
         with pytest.raises(ValueError, match=r"\[0, 1/N\]"):
-            robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=start)
+            robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=FilterState(weights=start))
 
 
 @settings(max_examples=80, deadline=None)
@@ -493,9 +498,9 @@ def test_weights_stay_in_range_and_never_increase_within_an_attempt(seed):
     start = None
     kind = rng.integers(0, 3)
     if kind == 1:
-        start = rng.uniform(0.0, 1.0 / n, size=n)
+        start = FilterState(weights=rng.uniform(0.0, 1.0 / n, size=n))
     elif kind == 2:
-        start = robust_mean_with_state(x + 0.1 * rng.standard_normal((n, d)), eps, sigma=sigma)[1].weights
+        start = robust_mean_with_state(x + 0.1 * rng.standard_normal((n, d)), eps, sigma=sigma)[1]
 
     seen = []
     real = robust_mean._weighted_moments
@@ -519,7 +524,7 @@ def test_weights_stay_in_range_and_never_increase_within_an_attempt(seed):
             jumps += 1
     assert jumps <= int(state.restarted)
     if start is not None and not state.restarted:
-        assert np.all(state.weights <= start)
+        assert np.all(state.weights <= start.weights)
 
 
 @settings(max_examples=80, deadline=None)
@@ -534,7 +539,7 @@ def test_the_certificate_ratio_is_at_most_one_exactly_when_certified(seed):
     x[:k] = rng.uniform(5.0, 50.0) * rng.standard_normal(d)
     sigma = float(rng.uniform(0.3, 2.0))
     scale = rng.uniform(-3.0, 3.0, size=n) if rng.random() < 0.5 else None
-    start = rng.uniform(0.0, 1.0 / n, size=n) if rng.random() < 0.5 else None
+    start = FilterState(weights=rng.uniform(0.0, 1.0 / n, size=n)) if rng.random() < 0.5 else None
     if start is not None and scale is None:
         scale = np.ones(n)
     _, state = robust_mean_with_state(x, eps, sigma=sigma, scale=scale, start=start)
@@ -553,13 +558,13 @@ def test_a_certified_call_without_a_pass_still_reports_its_ratio(monkeypatch):
     x = far_cluster_points()
     ones = np.ones(x.shape[0])
     _, cold = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones)
-    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights)
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold)
     assert warm.iterations == 0 and warm.lambda_history == []
     # the cold call's last check ran in float64; the warm check on the same
     # weights was screened, and reports the screen's upper bound
     assert 0.0 < cold.certificate_ratio <= warm.certificate_ratio <= 1.0
     screen_off(monkeypatch)
-    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold.weights)
+    _, warm = robust_mean_with_state(x, 0.2, sigma=1.0, scale=ones, start=cold)
     assert warm.certificate_ratio == cold.certificate_ratio
 
 
@@ -691,7 +696,7 @@ def test_an_oracle_call_allocates_at_most_one_copy_of_the_covariates():
                 tracemalloc.stop()
         assert state.certified and state.iterations == 0 and state.warm == (start is not None)
         assert peak <= 1.25 * n * d * 8
-        start = state.weights
+        start = state
 
 
 # --- scaling stability --------------------------------------------------

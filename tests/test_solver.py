@@ -31,6 +31,7 @@ from robust_dro.losses import InvalidLabelError, LossFamily, NormRegularizer
 from robust_dro.robust_mean import (
     KAPPA,
     CertificateScreen,
+    FilterState,
     OracleContractError,
     _threshold,
     _weighted_moments,
@@ -252,6 +253,14 @@ def test_every_entry_point_rejects_a_bad_classification_label(entry, monkeypatch
     assert filter_calls == []  # the labels are checked before any filter work
 
 
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_rejects_an_empty_dataset(entry):
+    # prepend_ones lifts a dataset with no rows; the loss is where it is rejected
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(ValueError, match="the dataset is empty"):
+        ENTRY_POINTS[entry](empty, NormRegularizer("2", 0.1))
+
+
 def test_labels_are_checked_per_solve_not_per_iteration(monkeypatch):
     checks = []
     check_labels = losses_mod._check_labels
@@ -417,7 +426,7 @@ def materialized_oracle(beta, x, epsilon, *, sigma, start=None):
     points = beta[:, None] * x
     eps = 2.0 * epsilon
     n = points.shape[0]
-    q = np.full(n, 1.0 / n) if start is None else start
+    q = np.full(n, 1.0 / n) if start is None else start.weights
     total = 1.0 if start is None else float(q.sum())
     restarted = certified = False
     passes = 0
@@ -681,7 +690,7 @@ def test_runs_sharing_an_oracle_match_independent_runs_under_warm_starts():
     # of every run warm-starts as it does in a run on its own
     data, cfg = label_flip_problem()
     reg = NormRegularizer("2", 0.1)
-    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), None, None)
+    first = _oracle_call(data.covariates, cfg, np.full(data.n, 1.0 / data.n), None)
     for j in range(6):
         candidate = replace(cfg, gamma_dist=cfg.delta * 2.0**j)
         together = pdhg_solve(data, HINGE, reg, candidate, first=first)
@@ -697,8 +706,8 @@ def test_each_robust_call_starts_from_the_weights_the_last_call_ended_with(monke
     real_oracle = solver_mod.inexact_hybrid_gradient_oracle
     calls = []
 
-    def recorded(beta, covariates, epsilon, *, sigma, start=None, screen=None):
-        z, state = real_oracle(beta, covariates, epsilon, sigma=sigma, start=start, screen=screen)
+    def recorded(beta, covariates, epsilon, *, sigma, start=None):
+        z, state = real_oracle(beta, covariates, epsilon, sigma=sigma, start=start)
         calls.append((start, state))
         return z, state
 
@@ -707,7 +716,7 @@ def test_each_robust_call_starts_from_the_weights_the_last_call_ended_with(monke
     assert len(calls) == res.t_used == res.oracle_calls > 2
     assert calls[0][0] is None
     for (_, before), (start, _) in zip(calls, calls[1:]):
-        assert start.tobytes() == before.weights.tobytes()
+        assert start is before
     assert sum(state.iterations for _, state in calls[1:]) > 0  # the warm weights moved
 
 
@@ -724,8 +733,8 @@ def record_the_warm_chain(monkeypatch):
         centring.append(state)
         return mu, state
 
-    def recorded(beta, covariates, epsilon, *, sigma, start=None, screen=None):
-        z, state = real_oracle(beta, covariates, epsilon, sigma=sigma, start=start, screen=screen)
+    def recorded(beta, covariates, epsilon, *, sigma, start=None):
+        z, state = real_oracle(beta, covariates, epsilon, sigma=sigma, start=start)
         calls.append((start, state))
         return z, state
 
@@ -743,7 +752,7 @@ def test_the_first_oracle_call_starts_from_the_certified_centring_weights(gate5_
     res = pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), replace(cfg, gamma_dist=gamma_dist))
     assert len(centring) == 1 and centring[0].certified and centring[0].iterations > 0
     start, first = calls[0]
-    assert start is centring[0].weights
+    assert start is centring[0]
     assert first.warm and first.certified and not first.restarted and first.iterations == 0
     assert len(calls) == res.oracle_calls and res.uncertified_calls == 0
 
@@ -760,13 +769,47 @@ def test_the_first_oracle_call_starts_cold_after_an_uncertified_centring_call(ga
     assert start is None and not first.warm
 
 
+@pytest.mark.parametrize(
+    "configured_eps, gamma_dist, exact",
+    [(0.1, None, False), (0.1, 1.0, False), (0.02, None, False), (0.1, None, True)],
+    ids=["tune_gamma", "gamma_dist", "uncertified-centring", "exact-oracle"],
+)
+def test_a_pipeline_builds_one_screen_that_every_oracle_call_hands_on(
+    gate5_sample, monkeypatch, configured_eps, gamma_dist, exact,
+):
+    # the float32 copy of the covariates is made once per solve, by the
+    # first oracle call (warm or cold), and each call's state carries it to
+    # the next; the exact oracle never filters, so it builds none
+    corrupted, _, cfg = gate5_cell(gate5_sample, "far-cluster", 0.1)
+    centring, calls = record_the_warm_chain(monkeypatch)
+    built = []
+    real_init = CertificateScreen.__init__
+
+    def counted(self, x):
+        built.append(x)
+        real_init(self, x)
+
+    monkeypatch.setattr(CertificateScreen, "__init__", counted)
+    cfg = replace(cfg, epsilon=configured_eps, gamma_dist=gamma_dist, exact_oracle=exact)
+    res = pipeline(corrupted, HINGE, NormRegularizer("2", 0.1), cfg)
+    if exact:
+        assert built == [] and centring == [] and calls == []
+        return
+    assert len(built) == 1 and len(calls) == res.oracle_calls > 1
+    assert centring[0].certified == (configured_eps == 0.1) and centring[0].screen is None
+    screen = calls[0][1].screen
+    assert screen is not None and screen.source is built[0]
+    assert all(state.screen is screen for _, state in calls)
+
+
 def test_a_solve_rejects_a_screen_of_other_covariates():
     # a second contamination of the same clean sample has the same shape
     data, cfg = label_flip_problem()
     other = contaminate(data, ContaminationSpec(0.1, LabelFlipPlusLeverage()), seed=25).covariates
     assert other.shape == data.covariates.shape
+    start = FilterState(weights=np.full(data.n, 1.0 / data.n), screen=CertificateScreen(other))
     with pytest.raises(ValueError, match="the points it was built on"):
-        pdhg_solve(data, HINGE, NormRegularizer("2", 0.1), replace(cfg, gamma_dist=1.0), screen=CertificateScreen(other))
+        pdhg_solve(data, HINGE, NormRegularizer("2", 0.1), replace(cfg, gamma_dist=1.0), start=start)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -782,8 +825,8 @@ def test_the_first_call_is_at_uniform_beta_and_can_be_handed_back(monkeypatch, e
     real_call = solver_mod._oracle_call
     calls = []
 
-    def recorded(x, c, beta, start, screen):
-        calls.append((beta.copy(), real_call(x, c, beta, start, screen)))
+    def recorded(x, c, beta, start):
+        calls.append((beta.copy(), real_call(x, c, beta, start)))
         return calls[-1][1]
 
     monkeypatch.setattr(solver_mod, "_oracle_call", recorded)
