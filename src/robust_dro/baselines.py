@@ -21,6 +21,7 @@ from .losses import (
     NormRegularizer,
     checked_labels,
     loss_subgradients,
+    loss_terms,
     loss_values,
     norm_s,
     norm_subgradient,
@@ -58,34 +59,40 @@ def oracle_solve(
     1/sqrt(k) schedule.  Stops once three consecutive stages each improve
     the best objective by less than tol >= 0; if the MAX_STAGES budget
     runs out first, the best iterate is returned with ``converged=False``.
+    Each stage runs ``stage_iters >= 1`` iterations.
+
+    Each iterate costs one product x @ w and one :func:`loss_terms` pass,
+    which gives its objective and the loss subgradients the next step
+    starts from; the best iterate is kept with its subgradients.
 
     Intended for desk-scale instances (N * d up to ~1e6).
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    if stage_iters < 1:
+        raise ValueError(f"stage_iters must be at least 1, got {stage_iters}")
     x = data.covariates
     y = checked_labels(loss, data)
     n = x.shape[0]
     w = np.zeros(data.dim)
-    z = x @ w  # the margins of w, shared by its objective and its subgradient
-    g0 = loss_subgradients(loss, y, z) @ x / n + reg.weight * norm_subgradient(w, reg.s)
+    values, sub = loss_terms(loss, y, x @ w)
+    g0 = sub @ x / n + reg.weight * norm_subgradient(w, reg.s)
     base_step = STEP_GROWTH / max(float(np.linalg.norm(g0)), 1e-12)
-    w_best, z_best = w, z
-    f_best = float(loss_values(loss, y, z).mean()) + reg.value(w)
+    w_best, sub_best = w, sub
+    f_best = float(values.sum() / n) + reg.value(w)  # the mean, bit for bit
     stalled = 0
     converged = False
     for stage in range(MAX_STAGES):
         step = base_step / (2.0 ** stage)
         f_enter = f_best
-        w, z = w_best, z_best
+        w, sub = w_best, sub_best
         for _ in range(stage_iters):
-            g = loss_subgradients(loss, y, z) @ x / n
-            w = reg_prox(reg, w - step * g, step)
-            z = x @ w
-            f = float(loss_values(loss, y, z).mean()) + reg.value(w)
+            w = reg_prox(reg, w - step * (sub @ x / n), step)
+            values, sub = loss_terms(loss, y, x @ w)
+            f = float(values.sum() / n) + reg.value(w)
             if f < f_best:
                 f_best = f
-                w_best, z_best = w, z
+                w_best, sub_best = w, sub
         stalled = stalled + 1 if f_enter - f_best < tol else 0
         if stalled >= 3:
             converged = True
@@ -129,9 +136,12 @@ def doro_cvar(
     minimize the CVaR-alpha dual objective over the n_kept rows left, take
     one regularized subgradient step, repeat.
 
-    One ``np.partition`` per step finds the cut (the n_kept-th smallest
-    loss) and eta (the ceil(alpha * n_kept)-th largest kept loss).  Rows
-    below the cut are kept, and of those tied at it the lowest-index ones.
+    Each step takes the losses and their subgradients from one
+    :func:`loss_terms` pass.  One ``np.partition`` finds the cut (the
+    n_kept-th smallest loss) and, below alpha = 1, eta (the
+    ceil(alpha * n_kept)-th largest kept loss); at alpha = 1 every kept
+    row weighs the same, so the cut is the only order statistic selected.
+    Rows below the cut are kept, and of those tied at it the lowest-index ones.
     Each kept row weighs 1 / (alpha * n_kept), except that below eta it
     weighs 0 and the rows at eta share what is left, so weights sum to 1.
     Full-batch and deterministic from w = 0; steps c / sqrt(k) with c
@@ -153,9 +163,11 @@ def doro_cvar(
     w = np.zeros(data.dim)
     step_c: float | None = None
     for k in range(1, iters + 1):
-        z = x @ w  # the margins, shared by the losses and their subgradients
-        losses = loss_values(loss, y, z)
-        eta, cut = np.partition(losses, ranks)[ranks]
+        losses, sub = loss_terms(loss, y, x @ w)
+        if alpha < 1.0:
+            eta, cut = np.partition(losses, ranks)[ranks]
+        else:
+            cut = np.partition(losses, n_kept - 1)[n_kept - 1]
         keep = losses <= cut
         surplus = np.count_nonzero(keep) - n_kept
         if surplus:  # of the rows tied at the cut, keep the lowest-index ones
@@ -165,7 +177,7 @@ def doro_cvar(
             at_eta = keep & (losses == eta)
             weights[losses <= eta] = 0.0
             weights[at_eta] = (mass - np.count_nonzero(weights)) / (mass * np.count_nonzero(at_eta))
-        g = (weights * loss_subgradients(loss, y, z)) @ x + reg.weight * norm_subgradient(w, reg.s)
+        g = (weights * sub) @ x + reg.weight * norm_subgradient(w, reg.s)
         if step_c is None:
             step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
         w = w - (step_c / math.sqrt(k)) * g

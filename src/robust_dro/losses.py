@@ -96,8 +96,16 @@ def norm_s(w: np.ndarray, s: str) -> float:
     if s == "1":
         return float(np.sum(np.abs(w)))
     if s == "2":
-        return float(np.linalg.norm(w))
+        return _norm2(w)
     return float(np.max(np.abs(w)))
+
+
+def _norm2(v: np.ndarray) -> float:
+    # np.linalg.norm(v) bit for bit, without its dispatch: the square root
+    # of the dot product of the contiguous ravel (a strided dot sums in
+    # another order)
+    u = v.ravel()
+    return math.sqrt(np.dot(u, u))
 
 
 def _check_labels(family: LossFamily, y: np.ndarray) -> None:
@@ -115,9 +123,11 @@ def checked_labels(family: LossFamily, data: Dataset) -> np.ndarray:
     return data.labels
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    # log(1 + exp(t)), stable on both tails
-    return np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(np.minimum(t, 0.0))))
+def _softplus(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # log(1 + exp(t)), stable on both tails, from e = exp(-|t|): one exp
+    # and one log1p per row serve both branches
+    tail = np.log1p(e)
+    return np.where(t > 0, t + tail, tail)
 
 
 def loss_values(family: LossFamily, y, z) -> np.ndarray:
@@ -132,14 +142,16 @@ def loss_values(family: LossFamily, y, z) -> np.ndarray:
         return np.where(t <= 1.0, 0.5 * t * t, t - 0.5)
     if family.kind == "hinge":
         return np.maximum(0.0, 1.0 - y * z)
-    return _softplus(-y * z)
+    t = -y * z
+    return _softplus(t, np.exp(-np.abs(t)))
 
 
 def loss_subgradients(family: LossFamily, y, z) -> np.ndarray:
     """A subgradient of z -> l_y(z), vectorized.
 
     At kinks the choice is: 0 for lad at z == y, 0 for hinge at the
-    margin boundary. Used by the subgradient baselines only.
+    margin boundary. ERM's only per-row helper; the loops that also need
+    the losses take both from :func:`loss_terms`.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -149,11 +161,39 @@ def loss_subgradients(family: LossFamily, y, z) -> np.ndarray:
         return np.clip(z - y, -1.0, 1.0)
     if family.kind == "hinge":
         return np.where(1.0 - y * z > 0.0, -y, 0.0)
-    # d/dz log(1 + exp(-y z)) = -y * expit(-y z)
     t = -y * z
-    e = np.exp(-np.abs(t))  # exp(-t) where t >= 0, exp(t) elsewhere: never above 1, so it cannot overflow
-    expit = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return -y * expit
+    return _logistic_slope(y, t, np.exp(-np.abs(t)))
+
+
+def _logistic_slope(y: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # d/dz log(1 + exp(-y z)) = -y * expit(-y z), t = -y z; e = exp(-|t|)
+    # is exp(-t) where t >= 0 and exp(t) elsewhere: never above 1, so it
+    # cannot overflow
+    return -y * np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def loss_terms(family: LossFamily, y, z) -> tuple[np.ndarray, np.ndarray]:
+    """``(loss_values(family, y, z), loss_subgradients(family, y, z))``
+    from one pass that computes their shared intermediates once: the
+    residual z - y (lad, huber), 1 - y z (hinge), or exp(-|y z|) and its
+    log1p (logistic).  Both arrays equal the separate calls bit for bit.
+    For the loops that need a step's objective and its next subgradient
+    at the same margins; the labels come from :func:`checked_labels`.
+    """
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if family.kind in ("lad", "huber"):
+        r = z - y
+        if family.kind == "lad":
+            return np.abs(r), np.sign(r)
+        t = np.abs(r)
+        return np.where(t <= 1.0, 0.5 * t * t, t - 0.5), np.clip(r, -1.0, 1.0)
+    if family.kind == "hinge":
+        slack = 1.0 - y * z
+        return np.maximum(0.0, slack), np.where(slack > 0.0, -y, 0.0)
+    t = -y * z
+    e = np.exp(-np.abs(t))
+    return _softplus(t, e), _logistic_slope(y, t, e)
 
 
 def _xlogx(t: np.ndarray) -> np.ndarray:
@@ -298,7 +338,7 @@ def reg_prox(reg: NormRegularizer, v: np.ndarray, tau: float) -> np.ndarray:
     if t == 0.0:
         return v.copy()
     if reg.s == "2":
-        nv = np.linalg.norm(v)
+        nv = _norm2(v)
         if nv <= t:
             return np.zeros_like(v)
         return v * (1.0 - t / nv)
@@ -313,7 +353,7 @@ def norm_subgradient(w: np.ndarray, s: str) -> np.ndarray:
     if s == "1":
         return np.sign(w)
     if s == "2":
-        nw = np.linalg.norm(w)
+        nw = _norm2(w)
         return w / nw if nw > 0 else np.zeros_like(w)
     g = np.zeros_like(w)
     if w.size:

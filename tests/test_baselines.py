@@ -74,16 +74,43 @@ def test_oracle_rejects_a_negative_tolerance(tol):
         oracle_solve(data, LAD, NO_REG, tol=tol)
 
 
-@pytest.mark.parametrize("kind, task", [("hinge", "classification"), ("logistic", "classification"), ("lad", "regression")])
-def test_oracle_matches_a_replay_that_recomputes_margins(kind, task):
+@pytest.mark.parametrize("stage_iters", [0, -3])
+def test_oracle_rejects_a_stage_budget_below_one(stage_iters):
+    # an empty stage never moves: w = 0 would be reported as a converged optimum
+    data = Dataset(np.array([[1.0, 0.0]]), np.array([0.0]))
+    with pytest.raises(ValueError, match="stage_iters must be at least 1"):
+        oracle_solve(data, LAD, NO_REG, stage_iters=stage_iters)
+
+
+@pytest.mark.parametrize(
+    "kind, task, s",
+    [
+        ("hinge", "classification", "2"),
+        ("logistic", "classification", "2"),
+        ("lad", "regression", "2"),
+        ("huber", "regression", "2"),
+        ("hinge", "classification", "1"),
+        ("lad", "regression", "inf"),
+    ],
+    ids=[
+        "hinge-classification",
+        "logistic-classification",
+        "lad-regression",
+        "huber-regression",
+        "hinge-classification-s1",
+        "lad-regression-sinf",
+    ],
+)
+def test_oracle_matches_a_replay_that_recomputes_margins(kind, task, s):
     loss = LossFamily(kind)
     data = prepend_ones(generate_synthetic(4, 150, np.array([0.2, 1.0, -0.5, 0.3]), task=task,
                                            noise_std=0.3, flip_prob=0.1, seed=3))
-    reg = NormRegularizer("2", 0.05)
+    reg = NormRegularizer(s, 0.05)
     stage_iters, tol = 15, 1e-9
     res = oracle_solve(data, loss, reg, tol=tol, stage_iters=stage_iters)
-    # replay: x @ w recomputed for every objective and subgradient, each
-    # stage restarted from a copy of the best iterate
+    # replay: x @ w, the losses and the subgradients recomputed separately
+    # for every objective and step, each stage restarted from a copy of
+    # the best iterate
     x, y, n = data.covariates, data.labels, data.n
 
     def objective(w):

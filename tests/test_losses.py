@@ -19,6 +19,7 @@ from robust_dro.losses import (
     conjugate_eval,
     conjugate_prox_vec,
     loss_subgradients,
+    loss_terms,
     loss_values,
     norm_s,
     norm_subgradient,
@@ -117,6 +118,62 @@ def test_logistic_subgradients_do_not_overflow_at_huge_margins():
             g = loss_subgradients(FAMILIES["logistic"], y, z)
         # -y * expit(-y z): 0 at a huge positive margin y z, -y at a huge negative one
         assert g.tolist() == [-y if m < 0 else 0.0 for m in y * z]
+
+
+def _two_branch_softplus(t):
+    # log(1 + exp(t)) with both branches evaluated in full, one exp each
+    return np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(np.minimum(t, 0.0))))
+
+
+def test_logistic_loss_matches_the_two_branch_softplus():
+    # exp(min(t, 0)) is exp(-|t|) wherever the second branch is taken,
+    # signed zeros included, so one exp and one log1p give the same bits
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0])
+    t = np.concatenate([special, np.random.default_rng(0).standard_normal(2000) * 30.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (-1.0, 1.0):
+            z = t * y
+            assert loss_values(FAMILIES["logistic"], y, z).tobytes() == _two_branch_softplus(-y * z).tobytes()
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_loss_terms_match_the_separate_calls_bit_for_bit(kind):
+    rng = np.random.default_rng(1)
+    n = 500
+    if FAMILIES[kind].is_classification:
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        z = rng.standard_normal(n) * 3.0
+        # y z = 1 (the hinge kink), y z = 0 (logistic t = 0) and signed zeros
+        z[:20] = y[:20]
+        z[20:30] = 0.0
+        z[30:40] = -0.0
+        z[40:50] = y[40:50] * 800.0
+    else:
+        y = rng.standard_normal(n)
+        z = y + rng.standard_normal(n) * 2.0
+        # z = y (lad's kink), |z - y| = 1 (huber's), and signed zeros
+        z[:20] = y[:20]
+        z[20:30] = y[20:30] + 1.0
+        z[30:40] = y[30:40] - 1.0
+        y[40:45], z[40:45] = 0.0, -0.0
+        y[45:50], z[45:50] = -0.0, 0.0
+    values, subgradients = loss_terms(FAMILIES[kind], y, z)
+    assert values.tobytes() == loss_values(FAMILIES[kind], y, z).tobytes()
+    assert subgradients.tobytes() == loss_subgradients(FAMILIES[kind], y, z).tobytes()
+
+
+def test_two_norms_equal_numpy_norm_bit_for_bit():
+    # a strided view is raveled first, as np.linalg.norm does: a strided
+    # dot product sums in another order
+    base = np.random.default_rng(2).standard_normal(300)
+    for v in (base, base[::3], base[:7], np.zeros(4), np.zeros(0)):
+        nv = float(np.linalg.norm(v))
+        assert norm_s(v, "2") == nv
+        assert norm_subgradient(v, "2").tobytes() == (v / nv if nv > 0 else np.zeros_like(v)).tobytes()
+        reg = NormRegularizer("2", 0.01)
+        expected = np.zeros_like(v) if nv <= 0.01 else v * (1.0 - 0.01 / nv)
+        assert reg_prox(reg, v, 1.0).tobytes() == expected.tobytes()
 
 
 # --- conjugates ---------------------------------------------------------
