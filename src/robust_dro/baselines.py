@@ -6,6 +6,15 @@ small instances until the objective stalls.  ``erm_subgradient`` is the
 non-robust comparator, ``doro_cvar`` the trimmed-loss heuristic, and
 ``dro_sup_lower_bound`` certifies from below that the worst-case
 Wasserstein objective matches its norm-regularized closed form.
+
+The three loops step on signed margins (see :func:`losses.margin_terms`):
+each loss is phi(t) of t = y x.w for hinge and logistic and of
+t = x.w - y for lad and huber.  A solve builds its margin rows once, the
+rows y_i x_i for classification (a column-major copy) and the covariates
+themselves for regression, and every step then costs t = rows @ w, one
+pass of margin formulas, and phi'(t) @ rows / N.  Multiplying by y_i = +-1
+is exact, so every output equals the per-row loss_values and
+loss_subgradients forms bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +29,9 @@ from .losses import (
     LossFamily,
     NormRegularizer,
     checked_labels,
-    loss_subgradients,
-    loss_terms,
     loss_values,
+    margin_slopes,
+    margin_terms,
     norm_s,
     norm_subgradient,
     reg_prox,
@@ -33,6 +42,23 @@ _DUAL_EXPONENT = {"1": "inf", "2": "2", "inf": "1"}
 # oracle_solve's stage budget, and its first step as a multiple of 1 / G
 MAX_STAGES = 48
 STEP_GROWTH = 4.0
+
+
+def _margin_rows(loss: LossFamily, data: Dataset) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(rows, offset)`` with t = rows @ w - offset the signed margins:
+    the rows y_i x_i and no offset for classification, the covariates and
+    offset y for regression.  Checks the labels once."""
+    y = checked_labels(loss, data)
+    if loss.is_classification:
+        return np.multiply(data.covariates, y[:, None], order="F"), None
+    return data.covariates, y
+
+
+def _margins(rows: np.ndarray, offset: np.ndarray | None, w: np.ndarray) -> np.ndarray:
+    t = rows @ w
+    if offset is not None:
+        t -= offset
+    return t
 
 
 @dataclass
@@ -56,14 +82,21 @@ def oracle_solve(
     (G = the subgradient norm at the start) and halves every stage; each
     stage warm-starts from the best iterate so far.  On the polyhedral
     objectives used here this contracts geometrically, unlike a single
-    1/sqrt(k) schedule.  Stops once three consecutive stages each improve
-    the best objective by less than tol >= 0; if the MAX_STAGES budget
-    runs out first, the best iterate is returned with ``converged=False``.
-    Each stage runs ``stage_iters >= 1`` iterations.
+    1/sqrt(k) schedule.  Once the best objective has beaten the one at
+    w = 0, stops when three consecutive stages each improve it by less
+    than tol >= 0; if the MAX_STAGES budget runs out first, the best
+    iterate is returned with ``converged=False``.  Stages that have not
+    yet left w = 0 are not stalls: their steps may all overshoot (label
+    flips with leverage), and a smaller step then descends.  A start whose
+    loss gradient lies in the regularizer's dual ball, ||g||_s* <= weight,
+    is a minimizer and is returned at once, converged.  The rule can
+    still stop early away from w = 0 (far-cluster rows at short stages)
+    until a certified duality gap replaces it.  Each stage runs
+    ``stage_iters >= 1`` iterations.
 
-    Each iterate costs one product x @ w and one :func:`loss_terms` pass,
-    which gives its objective and the loss subgradients the next step
-    starts from; the best iterate is kept with its subgradients.
+    Each iterate costs the margins t = rows @ w, one :func:`margin_terms`
+    pass for its objective and phi'(t), and phi'(t) @ rows / N for the
+    next step; the best iterate is kept with its phi'(t).
 
     Intended for desk-scale instances (N * d up to ~1e6).
     """
@@ -71,15 +104,16 @@ def oracle_solve(
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if stage_iters < 1:
         raise ValueError(f"stage_iters must be at least 1, got {stage_iters}")
-    x = data.covariates
-    y = checked_labels(loss, data)
-    n = x.shape[0]
+    rows, offset = _margin_rows(loss, data)
+    n = rows.shape[0]
     w = np.zeros(data.dim)
-    values, sub = loss_terms(loss, y, x @ w)
-    g0 = sub @ x / n + reg.weight * norm_subgradient(w, reg.s)
+    values, sub = margin_terms(loss, _margins(rows, offset, w))
+    g0 = sub @ rows / n + reg.weight * norm_subgradient(w, reg.s)
+    f_best = f_start = float(values.sum() / n) + reg.value(w)  # the mean, bit for bit
+    if norm_s(g0, _DUAL_EXPONENT[reg.s]) <= reg.weight:  # 0 is in the subdifferential at w = 0
+        return OracleResult(w, f_start, True)
     base_step = STEP_GROWTH / max(float(np.linalg.norm(g0)), 1e-12)
     w_best, sub_best = w, sub
-    f_best = float(values.sum() / n) + reg.value(w)  # the mean, bit for bit
     stalled = 0
     converged = False
     for stage in range(MAX_STAGES):
@@ -87,13 +121,13 @@ def oracle_solve(
         f_enter = f_best
         w, sub = w_best, sub_best
         for _ in range(stage_iters):
-            w = reg_prox(reg, w - step * (sub @ x / n), step)
-            values, sub = loss_terms(loss, y, x @ w)
+            w = reg_prox(reg, w - step * (sub @ rows / n), step)
+            values, sub = margin_terms(loss, _margins(rows, offset, w))
             f = float(values.sum() / n) + reg.value(w)
             if f < f_best:
                 f_best = f
                 w_best, sub_best = w, sub
-        stalled = stalled + 1 if f_enter - f_best < tol else 0
+        stalled = stalled + 1 if f_enter - f_best < tol and f_best < f_start else 0
         if stalled >= 3:
             converged = True
             break
@@ -103,11 +137,11 @@ def oracle_solve(
 def erm_subgradient(data: Dataset, loss: LossFamily, reg: NormRegularizer, iters: int) -> np.ndarray:
     """Plain averaged subgradient descent on the (corrupted) empirical
     objective, no filtering; steps c / sqrt(k) with c auto-scaled from
-    the first subgradient's norm."""
+    the first subgradient's norm.  Each step costs the margins
+    t = rows @ w, one :func:`margin_slopes` pass and phi'(t) @ rows / N."""
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
-    x = data.covariates
-    y = checked_labels(loss, data)
+    rows, offset = _margin_rows(loss, data)
     n = data.n
     w = np.zeros(data.dim)
     if iters == 0:
@@ -115,7 +149,7 @@ def erm_subgradient(data: Dataset, loss: LossFamily, reg: NormRegularizer, iters
     c: float | None = None
     avg = np.zeros_like(w)
     for k in range(1, iters + 1):
-        g = loss_subgradients(loss, y, x @ w) @ x / n + reg.weight * norm_subgradient(w, reg.s)
+        g = margin_slopes(loss, _margins(rows, offset, w)) @ rows / n + reg.weight * norm_subgradient(w, reg.s)
         if c is None:
             c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
         w = w - (c / math.sqrt(k)) * g
@@ -136,8 +170,9 @@ def doro_cvar(
     minimize the CVaR-alpha dual objective over the n_kept rows left, take
     one regularized subgradient step, repeat.
 
-    Each step takes the losses and their subgradients from one
-    :func:`loss_terms` pass.  One ``np.partition`` finds the cut (the
+    Each step takes the losses and their slopes phi'(t) from the margins
+    t = rows @ w in one :func:`margin_terms` pass, and its loss gradient
+    as (weights * phi'(t)) @ rows.  One ``np.partition`` finds the cut (the
     n_kept-th smallest loss) and, below alpha = 1, eta (the
     ceil(alpha * n_kept)-th largest kept loss); at alpha = 1 every kept
     row weighs the same, so the cut is the only order statistic selected.
@@ -155,15 +190,14 @@ def doro_cvar(
         raise ValueError("epsilon must lie in [0, 0.5)")
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
-    x = data.covariates
-    y = checked_labels(loss, data)
+    rows, offset = _margin_rows(loss, data)
     n_kept = data.n - int(math.floor(epsilon * data.n))
     mass = alpha * n_kept
     ranks = [n_kept - int(math.ceil(mass)), n_kept - 1]  # eta's and the cut's
     w = np.zeros(data.dim)
     step_c: float | None = None
     for k in range(1, iters + 1):
-        losses, sub = loss_terms(loss, y, x @ w)
+        losses, sub = margin_terms(loss, _margins(rows, offset, w))
         if alpha < 1.0:
             eta, cut = np.partition(losses, ranks)[ranks]
         else:
@@ -177,7 +211,7 @@ def doro_cvar(
             at_eta = keep & (losses == eta)
             weights[losses <= eta] = 0.0
             weights[at_eta] = (mass - np.count_nonzero(weights)) / (mass * np.count_nonzero(at_eta))
-        g = (weights * sub) @ x + reg.weight * norm_subgradient(w, reg.s)
+        g = (weights * sub) @ rows + reg.weight * norm_subgradient(w, reg.s)
         if step_c is None:
             step_c = 1.0 / max(float(np.linalg.norm(g)), 1e-12)
         w = w - (step_c / math.sqrt(k)) * g

@@ -9,7 +9,14 @@ z = w.x:
     logistic  log(1 + exp(-y z))          (labels in {-1, +1})
 
 All four are 1-Lipschitz in z, so their conjugates have domain inside
-[-1, 1].  Note the Huber branch ``|t| - 1/2`` (rather than ``|t|``): this
+[-1, 1].
+
+Each is also phi(t) of one signed margin t: t = y z for hinge
+(phi(t) = max(0, 1 - t)) and logistic (phi(t) = log(1 + exp(-t))), and
+t = z - y for lad (phi(t) = |t|) and huber (phi(t) = h(t)).  The
+baselines step on this form (:func:`margin_terms`, :func:`margin_slopes`);
+the solver and the objective evaluators take labels and z
+(:func:`loss_values`).  Note the Huber branch ``|t| - 1/2`` (rather than ``|t|``): this
 is the continuous convex function whose conjugate is ``a*y + a^2/2`` on
 [-1, 1]; the discontinuous variant would not be convex.
 
@@ -150,8 +157,8 @@ def loss_subgradients(family: LossFamily, y, z) -> np.ndarray:
     """A subgradient of z -> l_y(z), vectorized.
 
     At kinks the choice is: 0 for lad at z == y, 0 for hinge at the
-    margin boundary. ERM's only per-row helper; the loops that also need
-    the losses take both from :func:`loss_terms`.
+    margin boundary.  The per-row reference for the baselines, which
+    step on :func:`margin_slopes` of the signed margin instead.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -162,38 +169,62 @@ def loss_subgradients(family: LossFamily, y, z) -> np.ndarray:
     if family.kind == "hinge":
         return np.where(1.0 - y * z > 0.0, -y, 0.0)
     t = -y * z
-    return _logistic_slope(y, t, np.exp(-np.abs(t)))
-
-
-def _logistic_slope(y: np.ndarray, t: np.ndarray, e: np.ndarray) -> np.ndarray:
     # d/dz log(1 + exp(-y z)) = -y * expit(-y z), t = -y z; e = exp(-|t|)
     # is exp(-t) where t >= 0 and exp(t) elsewhere: never above 1, so it
     # cannot overflow
+    e = np.exp(-np.abs(t))
     return -y * np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def loss_terms(family: LossFamily, y, z) -> tuple[np.ndarray, np.ndarray]:
-    """``(loss_values(family, y, z), loss_subgradients(family, y, z))``
-    from one pass that computes their shared intermediates once: the
-    residual z - y (lad, huber), 1 - y z (hinge), or exp(-|y z|) and its
-    log1p (logistic).  Both arrays equal the separate calls bit for bit.
-    For the loops that need a step's objective and its next subgradient
-    at the same margins; the labels come from :func:`checked_labels`.
+# --- the same losses as functions of one signed margin ---------------------
+#
+# Every loss is phi(t) of one margin t: t = y z for hinge and logistic,
+# t = z - y for lad and huber.  Then l_y(z) = phi(t), and the gradient of
+# the mean loss in w is phi'(t) @ R / N over margin rows R: the rows y_i x_i
+# for classification, the rows x_i themselves for regression.  As y_i is
+# +-1, y_i x_i and y_i z_i are exact, so phi(t) and phi'(t) R equal the
+# per-row loss_values and loss_subgradients(...) x bit for bit.
+
+
+def _logistic_margin_slopes(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # d/dt log(1 + exp(-t)) = -expit(-t), from e = exp(-|t|) <= 1: no
+    # overflow on either tail, and one division per row
+    return np.where(t <= 0, -1.0, -e) / (1.0 + e)
+
+
+def margin_terms(family: LossFamily, t) -> tuple[np.ndarray, np.ndarray]:
+    """``(phi(t), phi'(t))`` for the signed margins t, from one pass that
+    shares its intermediates: 1 - t (hinge), |t| (huber), or exp(-|t|)
+    and its log1p (logistic).  The subgradient choices at the kinks are
+    those of :func:`loss_subgradients`: 0 at t = 0 for lad and at t = 1
+    for hinge.  For the loops that need a step's objective and its next
+    subgradient at the same margins.
     """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if family.kind in ("lad", "huber"):
-        r = z - y
-        if family.kind == "lad":
-            return np.abs(r), np.sign(r)
-        t = np.abs(r)
-        return np.where(t <= 1.0, 0.5 * t * t, t - 0.5), np.clip(r, -1.0, 1.0)
+    t = np.asarray(t, dtype=float)
+    if family.kind == "lad":
+        return np.abs(t), np.sign(t)
+    if family.kind == "huber":
+        a = np.abs(t)
+        return np.where(a <= 1.0, 0.5 * a * a, a - 0.5), np.clip(t, -1.0, 1.0)
     if family.kind == "hinge":
-        slack = 1.0 - y * z
-        return np.maximum(0.0, slack), np.where(slack > 0.0, -y, 0.0)
-    t = -y * z
+        slack = 1.0 - t
+        return np.maximum(0.0, slack), np.where(slack > 0.0, -1.0, 0.0)
     e = np.exp(-np.abs(t))
-    return _softplus(t, e), _logistic_slope(y, t, e)
+    tail = np.log1p(e)
+    return np.where(t < 0, tail - t, tail), _logistic_margin_slopes(t, e)
+
+
+def margin_slopes(family: LossFamily, t) -> np.ndarray:
+    """phi'(t) alone, the second array of :func:`margin_terms`: for a loop
+    that steps without reading its objective."""
+    t = np.asarray(t, dtype=float)
+    if family.kind == "lad":
+        return np.sign(t)
+    if family.kind == "huber":
+        return np.clip(t, -1.0, 1.0)
+    if family.kind == "hinge":
+        return np.where(t < 1.0, -1.0, 0.0)
+    return _logistic_margin_slopes(t, np.exp(-np.abs(t)))
 
 
 def _xlogx(t: np.ndarray) -> np.ndarray:

@@ -16,11 +16,29 @@ from robust_dro.baselines import (
     erm_subgradient,
     oracle_solve,
 )
-from robust_dro.data import ContaminationSpec, Dataset, FarCluster, contaminate, generate_synthetic, prepend_ones
-from robust_dro.losses import LossFamily, NormRegularizer, loss_subgradients, loss_values, norm_subgradient, reg_prox
+from robust_dro.data import (
+    ContaminationSpec,
+    Dataset,
+    FarCluster,
+    LabelFlipPlusLeverage,
+    contaminate,
+    generate_synthetic,
+    prepend_ones,
+)
+from robust_dro.losses import (
+    LossFamily,
+    NormRegularizer,
+    loss_subgradients,
+    loss_values,
+    norm_s,
+    norm_subgradient,
+    reg_prox,
+)
 
 HINGE = LossFamily("hinge")
 LAD = LossFamily("lad")
+LOGISTIC = LossFamily("logistic")
+HUBER = LossFamily("huber")
 NO_REG = NormRegularizer("2", 0.0)
 
 
@@ -60,6 +78,36 @@ def test_oracle_reports_budget_exhaustion():
     assert not res.converged
 
 
+@pytest.mark.parametrize("dim, n", [(6, 500), (11, 2000)])
+def test_oracle_leaves_w0_on_label_flip_rows(dim, n):
+    # the first stages' steps all overshoot on the flipped high-leverage
+    # rows; those stages must not count as stalls at w = 0, whose hinge
+    # objective is 1.0, and the reference must end below ERM's
+    reg = NormRegularizer("2", 0.1)
+    planted = np.zeros(dim)
+    planted[1] = 2.0
+    for seed in range(5):
+        clean = generate_synthetic(dim, n, planted, task="classification", flip_prob=0.05, seed=seed)
+        data = prepend_ones(contaminate(clean, ContaminationSpec(0.1, LabelFlipPlusLeverage()), seed=seed + 1))
+        res = oracle_solve(data, HINGE, reg)
+        erm = dro_objective_eval(erm_subgradient(data, HINGE, reg, 2000), data, HINGE, reg)
+        assert res.converged and np.any(res.w != 0.0), seed
+        assert res.objective == dro_objective_eval(res.w, data, HINGE, reg)
+        assert res.objective < 1.0 and res.objective <= erm, (seed, res.objective, erm)
+
+
+@pytest.mark.parametrize("loss, task", [(HINGE, "classification"), (LAD, "regression")])
+def test_oracle_returns_a_minimal_start_at_once(loss, task):
+    # with the loss gradient at w = 0 inside the regularizer's dual ball,
+    # w = 0 minimizes: it cannot be beaten, so no stall count would stop
+    data = prepend_ones(generate_synthetic(4, 150, np.array([0.2, 1.0, -0.5, 0.3]), task=task, seed=2))
+    for s in ("1", "2", "inf"):
+        reg = NormRegularizer(s, 50.0)
+        res = oracle_solve(data, loss, reg)
+        assert res.converged and not np.any(res.w), s
+        assert res.objective == dro_objective_eval(res.w, data, loss, reg)
+
+
 @pytest.mark.parametrize("removed", [{"max_stages": 4}, {"step_growth": 2.0}])
 def test_oracle_stage_budget_and_first_step_are_not_settings(removed):
     data = Dataset(np.array([[1.0, 0.0]]), np.array([0.0]))
@@ -91,6 +139,8 @@ def test_oracle_rejects_a_stage_budget_below_one(stage_iters):
         ("huber", "regression", "2"),
         ("hinge", "classification", "1"),
         ("lad", "regression", "inf"),
+        ("logistic", "classification", "inf"),
+        ("huber", "regression", "1"),
     ],
     ids=[
         "hinge-classification",
@@ -99,6 +149,8 @@ def test_oracle_rejects_a_stage_budget_below_one(stage_iters):
         "huber-regression",
         "hinge-classification-s1",
         "lad-regression-sinf",
+        "logistic-classification-sinf",
+        "huber-regression-s1",
     ],
 )
 def test_oracle_matches_a_replay_that_recomputes_margins(kind, task, s):
@@ -108,9 +160,9 @@ def test_oracle_matches_a_replay_that_recomputes_margins(kind, task, s):
     reg = NormRegularizer(s, 0.05)
     stage_iters, tol = 15, 1e-9
     res = oracle_solve(data, loss, reg, tol=tol, stage_iters=stage_iters)
-    # replay: x @ w, the losses and the subgradients recomputed separately
-    # for every objective and step, each stage restarted from a copy of
-    # the best iterate
+    # replay: x @ w, the per-row losses and subgradients recomputed
+    # separately for every objective and step, each stage restarted from a
+    # copy of the best iterate; stalls count once w = 0 has been beaten
     x, y, n = data.covariates, data.labels, data.n
 
     def objective(w):
@@ -120,8 +172,10 @@ def test_oracle_matches_a_replay_that_recomputes_margins(kind, task, s):
         return loss_subgradients(loss, y, x @ w) @ x / n
 
     w = np.zeros(data.dim)
+    assert norm_s(subgradient(w), {"1": "inf", "2": "2", "inf": "1"}[s]) > reg.weight  # w = 0 is not optimal
     base_step = 4.0 / max(float(np.linalg.norm(subgradient(w) + reg.weight * norm_subgradient(w, reg.s))), 1e-12)
     w_best, f_best, stalled, converged = w.copy(), objective(w), 0, False
+    f_start = f_best
     for stage in range(MAX_STAGES):
         step = base_step / 2.0**stage
         f_enter = f_best
@@ -130,7 +184,7 @@ def test_oracle_matches_a_replay_that_recomputes_margins(kind, task, s):
             w = reg_prox(reg, w - step * subgradient(w), step)
             if objective(w) < f_best:
                 f_best, w_best = objective(w), w.copy()
-        stalled = stalled + 1 if f_enter - f_best < tol else 0
+        stalled = stalled + 1 if f_enter - f_best < tol and f_best < f_start else 0
         if stalled >= 3:
             converged = True
             break
@@ -225,8 +279,16 @@ def test_doro_matches_plain_subgradient_without_trimming():
 
 @pytest.mark.parametrize(
     "loss, task, alpha",
-    [(HINGE, "classification", 0.5), (LAD, "regression", 0.5), (HINGE, "classification", 1.0)],
-    ids=["hinge", "lad", "hinge-alpha-1"],
+    [
+        (HINGE, "classification", 0.5),
+        (LAD, "regression", 0.5),
+        (HINGE, "classification", 1.0),
+        (LOGISTIC, "classification", 0.5),
+        (HUBER, "regression", 0.5),
+        (LOGISTIC, "classification", 1.0),
+        (HUBER, "regression", 1.0),
+    ],
+    ids=["hinge", "lad", "hinge-alpha-1", "logistic", "huber", "logistic-alpha-1", "huber-alpha-1"],
 )
 def test_doro_cvar_below_one_matches_a_trimmed_tail_replay(loss, task, alpha):
     clean = generate_synthetic(3, 120, np.array([0.0, 1.0, -0.4]), task=task, flip_prob=0.1, seed=9)

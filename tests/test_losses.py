@@ -19,8 +19,9 @@ from robust_dro.losses import (
     conjugate_eval,
     conjugate_prox_vec,
     loss_subgradients,
-    loss_terms,
     loss_values,
+    margin_slopes,
+    margin_terms,
     norm_s,
     norm_subgradient,
     project_l1_ball,
@@ -139,28 +140,49 @@ def test_logistic_loss_matches_the_two_branch_softplus():
 
 @pytest.mark.parametrize("kind", LOSS_KINDS)
 def test_loss_terms_match_the_separate_calls_bit_for_bit(kind):
+    # phi and phi' of the signed margin t (y z, or z - y) against the
+    # per-row loss_values and loss_subgradients the baselines replay
     rng = np.random.default_rng(1)
     n = 500
+    below_one, above_one = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
     if FAMILIES[kind].is_classification:
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         z = rng.standard_normal(n) * 3.0
-        # y z = 1 (the hinge kink), y z = 0 (logistic t = 0) and signed zeros
+        # y z = 1 (the hinge kink) and its neighbours, y z = 0 (logistic's
+        # branch point) with both signed zeros, and |y z| = 800
         z[:20] = y[:20]
         z[20:30] = 0.0
         z[30:40] = -0.0
         z[40:50] = y[40:50] * 800.0
+        z[50:60] = y[50:60] * -800.0
+        z[60:65] = y[60:65] * below_one
+        z[65:70] = y[65:70] * above_one
+        t = y * z
     else:
         y = rng.standard_normal(n)
         z = y + rng.standard_normal(n) * 2.0
-        # z = y (lad's kink), |z - y| = 1 (huber's), and signed zeros
+        # z = y (lad's kink), |z - y| = 1 (huber's), signed zeros, |z - y| = 800
         z[:20] = y[:20]
         z[20:30] = y[20:30] + 1.0
         z[30:40] = y[30:40] - 1.0
         y[40:45], z[40:45] = 0.0, -0.0
         y[45:50], z[45:50] = -0.0, 0.0
-    values, subgradients = loss_terms(FAMILIES[kind], y, z)
-    assert values.tobytes() == loss_values(FAMILIES[kind], y, z).tobytes()
-    assert subgradients.tobytes() == loss_subgradients(FAMILIES[kind], y, z).tobytes()
+        y[50:60], z[50:60] = 0.0, np.repeat([800.0, -800.0], 5)
+        t = z - y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, slopes = margin_terms(FAMILIES[kind], t)
+        alone = margin_slopes(FAMILIES[kind], t)
+        expected_values = loss_values(FAMILIES[kind], y, z)
+        expected_slopes = loss_subgradients(FAMILIES[kind], y, z)
+    assert values.tobytes() == expected_values.tobytes()
+    assert alone.tobytes() == slopes.tobytes()
+    if FAMILIES[kind].is_classification:
+        # the z-slope is y phi'(t); the baselines fold y into the rows y x,
+        # where a zero slope adds a zero term whatever its sign
+        assert np.array_equal(y * slopes, expected_slopes)
+    else:
+        assert slopes.tobytes() == expected_slopes.tobytes()
 
 
 def test_two_norms_equal_numpy_norm_bit_for_bit():
