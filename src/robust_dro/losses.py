@@ -9,16 +9,16 @@ z = w.x:
     logistic  log(1 + exp(-y z))          (labels in {-1, +1})
 
 All four are 1-Lipschitz in z, so their conjugates have domain inside
-[-1, 1].
+[-1, 1].  Note the Huber branch ``|t| - 1/2`` (rather than ``|t|``): this
+is the continuous convex function whose conjugate is ``a*y + a^2/2`` on
+[-1, 1]; the discontinuous variant would not be convex.
 
-Each is also phi(t) of one signed margin t: t = y z for hinge
+Each loss is also phi(t) of one signed margin t: t = y z for hinge
 (phi(t) = max(0, 1 - t)) and logistic (phi(t) = log(1 + exp(-t))), and
 t = z - y for lad (phi(t) = |t|) and huber (phi(t) = h(t)).  The
 baselines step on this form (:func:`margin_terms`, :func:`margin_slopes`);
 the solver and the objective evaluators take labels and z
-(:func:`loss_values`).  Note the Huber branch ``|t| - 1/2`` (rather than ``|t|``): this
-is the continuous convex function whose conjugate is ``a*y + a^2/2`` on
-[-1, 1]; the discontinuous variant would not be convex.
+(:func:`loss_values`).
 
 Everything here is a pure function of its arguments; +inf is represented
 by ``math.inf``, never by overflow.
@@ -176,14 +176,11 @@ def loss_subgradients(family: LossFamily, y, z) -> np.ndarray:
     return -y * np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-# --- the same losses as functions of one signed margin ---------------------
+# --- the same losses as functions of the signed margin ----------------------
 #
-# Every loss is phi(t) of one margin t: t = y z for hinge and logistic,
-# t = z - y for lad and huber.  Then l_y(z) = phi(t), and the gradient of
-# the mean loss in w is phi'(t) @ R / N over margin rows R: the rows y_i x_i
-# for classification, the rows x_i themselves for regression.  As y_i is
-# +-1, y_i x_i and y_i z_i are exact, so phi(t) and phi'(t) R equal the
-# per-row loss_values and loss_subgradients(...) x bit for bit.
+# For hinge and logistic, l_y(z) = phi(y z) and its z-slope is y phi'(y z);
+# as y = +-1 every product with y is exact, so phi and phi' times the
+# rows y x give loss_values and loss_subgradients times x bit for bit.
 
 
 def _logistic_margin_slopes(t: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -211,6 +208,7 @@ def margin_terms(family: LossFamily, t) -> tuple[np.ndarray, np.ndarray]:
         return np.maximum(0.0, slack), np.where(slack > 0.0, -1.0, 0.0)
     e = np.exp(-np.abs(t))
     tail = np.log1p(e)
+    # the softplus of -t; tail - t is -t + tail, the same rounding
     return np.where(t < 0, tail - t, tail), _logistic_margin_slopes(t, e)
 
 
@@ -222,7 +220,7 @@ def margin_slopes(family: LossFamily, t) -> np.ndarray:
         return np.sign(t)
     if family.kind == "huber":
         return np.clip(t, -1.0, 1.0)
-    if family.kind == "hinge":
+    if family.kind == "hinge":  # 1 - t > 0 exactly when t < 1, in floats too
         return np.where(t < 1.0, -1.0, 0.0)
     return _logistic_margin_slopes(t, np.exp(-np.abs(t)))
 
