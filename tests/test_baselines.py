@@ -96,10 +96,11 @@ def test_oracle_leaves_w0_on_label_flip_rows(dim, n):
         assert res.objective < 1.0 and res.objective <= erm, (seed, res.objective, erm)
 
 
-@pytest.mark.parametrize("loss, task", [(HINGE, "classification"), (LAD, "regression")])
+@pytest.mark.parametrize("loss, task", [(HINGE, "classification"), (LAD, "regression")], ids=["hinge", "lad"])
 def test_oracle_returns_a_minimal_start_at_once(loss, task):
     # with the loss gradient at w = 0 inside the regularizer's dual ball,
-    # w = 0 minimizes: it cannot be beaten, so no stall count would stop
+    # w = 0 minimizes; nothing beats it, so no stall would ever be counted
+    # and, unchecked, the run would spend its whole stage budget
     data = prepend_ones(generate_synthetic(4, 150, np.array([0.2, 1.0, -0.5, 0.3]), task=task, seed=2))
     for s in ("1", "2", "inf"):
         reg = NormRegularizer(s, 50.0)

@@ -107,9 +107,10 @@ def _assert_matches(name, actual, expected):
             assert got == want, (name, field)
 
 
-@pytest.mark.parametrize("cases", [pipeline_cases, baseline_cases], ids=["pipeline", "baselines"])
-def test_outputs_match_the_recording(cases):
-    recorded = {name: value for name, value in _recorded().items() if name.startswith(cases.__name__.split("_")[0])}
+@pytest.mark.parametrize("prefix, cases", [("pipeline/", pipeline_cases), ("baseline/", baseline_cases)],
+                         ids=["pipeline", "baselines"])
+def test_outputs_match_the_recording(prefix, cases):
+    recorded = {name: value for name, value in _recorded().items() if name.startswith(prefix)}
     seen = dict(cases())
     assert seen.keys() == recorded.keys()
     for name, expected in recorded.items():
