@@ -124,6 +124,7 @@ def _cmd_solve(args) -> int:
             "iterations": res.t_used,
             "tuning_runs": res.tuning_runs,
             "uncertified_calls": res.uncertified_calls,
+            "objective_estimate": res.objective_estimate,
             "config": asdict(cfg),
         },
         args.output,

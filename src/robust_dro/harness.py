@@ -293,6 +293,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             student_dof=cfg.student_dof,
             seed=seed,
         )
+        # each adversary once per seed, as a far cluster aims along the
+        # seed's planted coefficients; an error is reported by every cell
+        # of its adversary
+        adversaries = []
+        for adv_spec in cfg.adversaries:
+            try:
+                adversaries.append(_resolve_adversary(adv_spec, planted))
+            except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
+                adversaries.append(exc)
         for eps_index, eps in enumerate(cfg.epsilons):
             idx = np.arange(clean.n) if eps == 0.0 else stability_filter(clean, eps)
             key = (seed, idx.tobytes())
@@ -300,13 +309,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 eval_ds = prepend_ones(clean.subset(idx))
                 references[key] = (eval_ds, oracle_solve(eval_ds, loss, reg, tol=cfg.oracle_tol))
             eval_ds, ref = references[key]
-            for adv_index, adv_spec in enumerate(cfg.adversaries):
+            for adv_index, (adv_spec, adversary) in enumerate(zip(cfg.adversaries, adversaries)):
                 adv_name = adv_spec if isinstance(adv_spec, str) else adv_spec.get("kind", "none")
                 for method in cfg.methods:
                     start = time.perf_counter()
                     oracle_calls = 0
                     try:
-                        adversary = _resolve_adversary(adv_spec, planted)
+                        if isinstance(adversary, Exception):
+                            raise adversary
                         if eps == 0.0 or adversary is None:
                             corrupted = clean
                         else:

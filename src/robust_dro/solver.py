@@ -146,7 +146,11 @@ class SolveResult:
     ``gamma_used`` and ``t_used`` describe the returned run,
     ``tuning_runs`` the number of candidates the search ran (its whole
     ladder; None without a search), and the max-dual fields cover every
-    run of the solve.
+    run of the solve.  ``objective_estimate`` is
+    :func:`estimate_objective` of the returned run on the rows it was
+    solved on: the search's winning estimate, or for a fixed
+    ``gamma_dist`` the one :func:`pipeline` computes at its end (None
+    from a lone :func:`pdhg_solve`).
     """
 
     w_hat: np.ndarray
@@ -158,6 +162,7 @@ class SolveResult:
     center_estimate: np.ndarray | None = None
     tuning_runs: int | None = None
     uncertified_calls: int = 0
+    objective_estimate: float | None = None
 
 
 def estimate_objective(w: np.ndarray, data: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConfig) -> float:
@@ -261,7 +266,8 @@ def tune_gamma(
     delta)); each runs the solver with gamma derived from D_j and its
     objective is estimated robustly.  The search
     runs the whole ladder and returns the run with the smallest estimate
-    (ties prefer the smaller D_j; a NaN estimate is never chosen).
+    (ties prefer the smaller D_j; a NaN estimate is never chosen), with
+    that estimate as its ``objective_estimate``.
 
     The first oracle call, at beta = 1/N, is the same in every candidate
     run, so it is computed once, from the filter state ``start`` (cold
@@ -301,6 +307,7 @@ def tune_gamma(
     # feasibility diagnostics cover every candidate run, not just the winner
     best.max_abs_dual = max_dual
     best.max_abs_extrapolated = max_extrap
+    best.objective_estimate = best_est
     return best
 
 
@@ -313,7 +320,10 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
     covariates), solves (tuning gamma unless ``cfg.gamma_dist``
     is set), and maps the solution back to the original coordinates by
     absorbing the centering shift into the intercept:
-    w0_orig = w0_centered - w_rest . mu_hat.
+    w0_orig = w0_centered - w_rest . mu_hat.  The result's
+    ``objective_estimate`` is that of the solve on the lifted rows: the
+    search's winning estimate, or with ``cfg.gamma_dist`` one
+    :func:`estimate_objective` of the run, computed here.
 
     The solve's oracle calls form one warm chain with the centring call:
     if that call certified, the solve's first oracle call starts from the
@@ -335,6 +345,7 @@ def pipeline(raw: Dataset, loss: LossFamily, reg: NormRegularizer, cfg: PDHGConf
     lifted = prepend_ones(raw, mu_hat)
     if cfg.gamma_dist is not None:
         res = pdhg_solve(lifted, loss, reg, cfg, start=start)
+        res.objective_estimate = estimate_objective(res.w_hat, lifted, loss, reg, cfg)
     else:
         res = tune_gamma(lifted, loss, reg, cfg, start=start)
     w = res.w_hat.copy()

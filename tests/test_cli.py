@@ -40,7 +40,8 @@ def test_generate_corrupt_solve_flow(tmp_path):
     ]) == 0
     payload = json.loads(out.read_text())
     assert set(payload) == {"w_hat", "center_estimate", "oracle_calls", "gamma_used", "iterations", "tuning_runs",
-                            "uncertified_calls", "config"}
+                            "uncertified_calls", "objective_estimate", "config"}
+    assert math.isfinite(payload["objective_estimate"])
     assert len(payload["w_hat"]) == 4  # intercept + 3 covariates
     assert payload["oracle_calls"] >= 1
     assert payload["config"]["epsilon"] == 0.1

@@ -82,6 +82,28 @@ def test_run_experiment_grid_and_metrics():
     assert all(r.excess_clean_objective <= 0.05 for r in clean_pdhg)
 
 
+def test_run_experiment_resolves_each_adversary_once_per_seed(monkeypatch):
+    """A far cluster aims along the seed's planted coefficients, so each
+    adversary is resolved once per seed, not once per cell; one that fails
+    to resolve fails every cell of its adversary and no other."""
+    cfg = tiny_config(epsilons=(0.05, 0.1), adversaries=("far_cluster", "label_flip"), methods=("erm", "doro"),
+                      erm_iters=5, doro_iters=5)
+    real_resolve = harness._resolve_adversary
+    calls = []
+
+    def counted(spec, planted):
+        calls.append(spec)
+        if spec == "label_flip":
+            raise ValueError("boom")
+        return real_resolve(spec, planted)
+
+    monkeypatch.setattr(harness, "_resolve_adversary", counted)
+    rows = run_experiment(cfg)
+    assert len(calls) == len(cfg.seeds) * len(cfg.adversaries) < len(rows) == 16
+    assert all(r.status == "ok" for r in rows if r.adversary == "far_cluster")
+    assert all(r.status == "error: boom" for r in rows if r.adversary == "label_flip")
+
+
 def test_run_experiment_deterministic_reports():
     cfg = tiny_config(seeds=(3,), epsilons=(0.1,), methods=("pdhg",))
     text_a = emit_report([replace(r, wallclock=0.0) for r in run_experiment(cfg)], "csv")

@@ -316,18 +316,49 @@ LOGISTIC_N = 1000
 @pytest.mark.parametrize("p", [-1.0, -1.0 + 1e-15, -0.5, -1e-300, 0.0, 1.0 / LOGISTIC_N, -1.0 / LOGISTIC_N])
 def test_logistic_prox_matches_reference_bisection(p):
     """|m| up to 1e5 and r = gamma n / a from 1e-3 to 1e3, for both labels:
-    the prox agrees with the reference to 2e-12 and stays in the domain."""
+    the prox agrees with the reference to 2e-12 and stays in the domain.
+
+    The rows reach every branch of the solve: p = -1 and p = 0 start at
+    artanh(+-1); every call mixes rows whose bracket top r/2 - |c| is at
+    or below -40 with live ones (c = g(0) = m + r (p + 1/2)); one row has
+    c = +0.0 and one c = -0.0, which folds as c >= 0; and the labels
+    broadcast against m, also as 0-d scalars."""
+    fam = FAMILIES["logistic"]
     mags = np.concatenate([[0.0], np.logspace(-3, 5, 33)])
-    m = np.concatenate([-mags, mags])
     a = 2.0
-    for r in np.logspace(-3, 3, 13):
-        gamma = r * a / LOGISTIC_N
+    for gamma in np.logspace(-3, 3, 13) * a / LOGISTIC_N:
+        r = gamma * LOGISTIC_N / a
+        m = np.concatenate([-mags, mags, [-(r * (p + 0.5))]])  # the last row has c = +0.0
+        top = r / 2 - np.abs(m + r * (p + 0.5))
+        assert np.any(top <= -40.0) and np.any(top > -40.0)
         want = reference_logistic_prox(m, np.full_like(m, p), a, LOGISTIC_N, gamma)
         for y in (-1.0, 1.0):
             labels = np.full_like(m, y)
-            u = y * conjugate_prox_vec(FAMILIES["logistic"], labels, y * m, labels * p, a, LOGISTIC_N, gamma)
+            u = y * conjugate_prox_vec(fam, labels, y * m, labels * p, a, LOGISTIC_N, gamma)
             assert np.all((u >= -1.0) & (u <= 0.0))
             assert np.max(np.abs(u - want)) <= 2e-12, (r, y)
+
+    # labels of shape (2, 1) against m of shape (k,) and a scalar p, and each
+    # row again from 0-d inputs
+    gamma = a / LOGISTIC_N
+    labels = np.array([[-1.0], [1.0]])
+    v = conjugate_prox_vec(fam, labels, m, p, a, LOGISTIC_N, gamma)
+    assert v.shape == (2, m.size)
+    for y, row in zip(labels[:, 0], v):
+        want = reference_logistic_prox(y * m, np.full_like(m, y * p), a, LOGISTIC_N, gamma)
+        assert np.max(np.abs(y * row - want)) <= 2e-12, y
+        for mi, want_i in zip(m, want):
+            got = conjugate_prox_vec(fam, y, float(mi), p, a, LOGISTIC_N, gamma)
+            assert np.ndim(got) == 0 and abs(y * got - want_i) <= 2e-12, (y, mi)
+
+    # c = -0.0: m = -0.0, and r q underflows to -0.0 (r = 5e-324, q = -1e-4);
+    # the root is u = -1/2
+    want = reference_logistic_prox(np.array([-0.0]), np.array([-0.5001]), 1.0, 1, 5e-324)[0]
+    for y in (-1.0, 1.0):
+        c = y * (y * -0.0) + 5e-324 * (y * (y * -0.5001) + 0.5)
+        assert c == 0.0 and math.copysign(1.0, c) == -1.0
+        u = y * conjugate_prox_vec(fam, y, y * -0.0, y * -0.5001, 1.0, 1, 5e-324)
+        assert abs(u + 0.5) <= 2e-12 and abs(u - want) <= 2e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -414,6 +445,20 @@ def test_stalled_logistic_prox_raises(monkeypatch):
     monkeypatch.setattr(losses, "_NEWTON_MAX_ITERS", 1)
     with pytest.raises(RuntimeError, match=r"3 of 3 rows not done after 1 evaluations, worst \|g\| 1\.13$"):
         conjugate_prox_vec(FAMILIES["logistic"], np.ones(3), np.array([0.5, -2.0, 3.0]), np.full(3, -0.5), 1.0, 10, 0.3)
+
+
+def test_saturated_rows_never_hold_up_the_stop(monkeypatch):
+    """A row whose bracket top r/2 - |c| is at or below -40 is within 1e-12
+    of its root anywhere in its bracket, so it is done at its start: with
+    one evaluation allowed, a call returns once its live row starts at its
+    root, though the saturated row starts at the far end of its bracket
+    (p = 0 starts at artanh(-1), clipped), where |g| = r."""
+    monkeypatch.setattr(losses, "_NEWTON_MAX_ITERS", 1)
+    n, a, gamma = 100, 1.0, 0.01  # r = 1
+    m = np.array([0.3, 1e3])
+    p = np.array([-1.0 / (1.0 + math.exp(0.3)), 0.0])  # the live row's root is its p
+    u = conjugate_prox_vec(FAMILIES["logistic"], np.ones(2), m, p, a, n, gamma)
+    assert np.abs(u - reference_logistic_prox(m, p, a, n, gamma)).max() <= 2e-12
 
 
 # --- regularizer prox ---------------------------------------------------

@@ -625,6 +625,53 @@ def test_tune_gamma_runs_the_whole_ladder(monkeypatch):
     assert tuned.tuning_runs == j_max + 1
 
 
+def test_tune_gamma_reports_the_estimate_of_its_returned_run():
+    data = contaminated_problem()
+    reg = NormRegularizer("2", 0.1)
+    cfg = PDHGConfig(epsilon=0.1, sigma=1.0, w0_bound=4.0, dro_radius=0.1, delta_constant=3.0)
+    tuned = tune_gamma(data, LOGISTIC, reg, cfg)
+    assert tuned.objective_estimate == estimate_objective(tuned.w_hat, data, LOGISTIC, reg, cfg)
+    assert pdhg_solve(data, LOGISTIC, reg, replace(cfg, gamma_dist=1.0)).objective_estimate is None
+
+
+@pytest.mark.parametrize("gamma_dist", [None, 1.0])
+def test_pipeline_reports_the_estimate_of_its_returned_run(monkeypatch, gamma_dist):
+    """``objective_estimate`` is estimate_objective of the run pipeline
+    returns, on the lifted rows it solved: the search's smallest estimate,
+    or the one estimate a fixed-gamma_dist solve computes at its end."""
+    import robust_dro.solver as solver_mod
+
+    real_estimate = solver_mod.estimate_objective
+    seen = []
+
+    def recorded(w, d, loss, r, c):
+        seen.append((w.copy(), real_estimate(w, d, loss, r, c)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(solver_mod, "estimate_objective", recorded)
+    planted = np.zeros(5)
+    planted[1] = 2.0
+    clean = generate_synthetic(5, 400, planted, task="classification", flip_prob=0.05, seed=23)
+    raw = contaminate(clean, ContaminationSpec(0.1, FarCluster()), seed=24)
+    cfg = PDHGConfig(epsilon=0.1, sigma=1.0, w0_bound=4.0, dro_radius=0.1, delta_constant=3.0, gamma_dist=gamma_dist)
+    res = pipeline(raw, HINGE, NormRegularizer("2", 0.1), cfg)
+    assert len(seen) == (1 if gamma_dist else res.tuning_runs)
+    # the returned run in the lifted coordinates the estimates saw
+    (estimate,) = [e for w, e in seen if np.array_equal(w[1:], res.w_hat[1:])
+                   and w[0] - w[1:] @ res.center_estimate == res.w_hat[0]]
+    assert res.objective_estimate == estimate == min(e for _, e in seen)
+
+
+@pytest.mark.parametrize("gamma_dist", [None, 1.0])
+def test_a_sample_too_small_to_trim_has_no_estimate(gamma_dist):
+    """2 ceil(2 eps N) >= N leaves no row for the trimmed mean of the
+    objective estimate, so the solve raises, tuned or not."""
+    data = generate_synthetic(3, 20, np.array([0.0, 1.0, 0.0]), task="classification", seed=1)
+    cfg = PDHGConfig(epsilon=0.24, sigma=1.0, w0_bound=8.0, gamma_dist=gamma_dist)
+    with pytest.raises(ValueError, match="trimming 2x10 values leaves nothing of 20"):
+        pipeline(data, HINGE, NormRegularizer("2", 0.1), cfg)
+
+
 def contaminated_problem(seed=23, n=400, d=5, eps=0.1):
     planted = np.zeros(d)
     planted[1] = 2.0
